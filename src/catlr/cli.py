@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=2000)
     p.add_argument("--draws", type=int, default=10000)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="deprecated; ignored")
     p.set_defaults(func=_cmd_interval)
 
     p = sub.add_parser("simulate", help="generate a synthetic study from a profile")

@@ -230,7 +230,11 @@ _HEADERS = {
 
 def sniff_kind(path: str | Path) -> DatasetKind:
     """Classify a file by its header line."""
-    text = Path(path).read_text(encoding="utf-8")
+    return _kind_of(Path(path).read_text(encoding="utf-8"), path)
+
+
+def _kind_of(text: str, path: str | Path) -> DatasetKind:
+    """Classify the text of the file at ``path`` by its header line."""
     for _, row in _rows(text):
         cells = tuple(c.strip() for c in row)
         if cells == AGGREGATED_HEADER:
@@ -249,12 +253,12 @@ class DatasetFile:
     kind: DatasetKind
 
     def load(self) -> list[EvaluationRecord] | ConfusionTable:
-        actual = sniff_kind(self.path)
+        text = Path(self.path).read_text(encoding="utf-8")
+        actual = _kind_of(text, self.path)
         if actual is not self.kind:
             raise IngestError(
                 f"{self.path}: declared {self.kind.value} but header says {actual.value}"
             )
-        text = Path(self.path).read_text(encoding="utf-8")
         if self.kind is DatasetKind.RAW_RECORDS:
             return parse_records(text)
         return parse_aggregated(text, study_name=Path(self.path).stem)

@@ -1,13 +1,12 @@
-"""Seedable random streams with a fixed splitting rule.
+"""Seedable random streams.
 
 Every stochastic routine in this package obtains its generator here so
 results are reproducible bit-for-bit:
 
-* algorithm: numpy's PCG64 seeded through ``numpy.random.SeedSequence``;
-* a single-stream consumer (study simulation) uses ``SeedSequence((seed,))``;
-* replicate ``i`` of a resampling procedure uses ``SeedSequence((seed, i))``,
-  so a replicate's stream depends only on ``(seed, i)`` and never on
-  evaluation order or thread scheduling.
+* algorithm: numpy's PCG64 seeded through ``numpy.random.SeedSequence((seed,))``;
+* each consumer draws everything it needs from the single stream
+  ``stream(seed)``: the study simulator per profile seed, and each
+  interval call all of its replicates, same-source row first.
 
 ``RNG_ALGORITHM`` names this scheme and is recorded in interval metadata.
 """
@@ -18,7 +17,7 @@ import numpy as np
 
 from .model import DataError
 
-RNG_ALGORITHM = "pcg64-seedseq-v1"
+RNG_ALGORITHM = "pcg64-seedseq-v2"
 
 
 def check_seed(seed: int) -> int:
@@ -27,8 +26,7 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def stream(seed: int, index: int | None = None) -> np.random.Generator:
-    """Generator for ``seed`` (single stream) or replicate ``(seed, index)``."""
+def stream(seed: int) -> np.random.Generator:
+    """The single generator for ``seed``."""
     check_seed(seed)
-    entropy = (seed,) if index is None else (seed, index)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))

@@ -10,18 +10,23 @@ the zero-denominator case:
   administered, so each row is resampled separately with its total held
   fixed.  Rows are resampled as aggregated counts; clustering of
   evaluations within examiners is ignored (a documented limitation,
-  matching the pooled treatment of the tables themselves).
+  matching the pooled treatment of the tables themselves).  Statement
+  k's LR reads only cell k of each row, and that cell of a multinomial
+  row is exactly Binomial(n, f_k), so only the cell is drawn.
 * ``dirichlet_interval`` — posterior credible interval: each row's
   category probabilities get an independent Dirichlet(counts + alpha)
-  posterior; the LR is formed per joint draw.
+  posterior; the LR is formed per joint draw.  Cell k of a
+  Dirichlet(c + alpha) row is exactly Beta(c_k + alpha, sum(c) - c_k +
+  (K-1) alpha), drawn as x / (x + y) from two gamma variates.
 * ``zero_count_lower_bound`` — when a statement was never given under
   the different-source condition the point LR is infinite; this returns
   the finite lower bound obtained by replacing the zero-count probability
   with its one-sided upper binomial bound 1 - (1-level)^(1/N).
 
-Replicate ``i`` draws from the stream ``(seed, i)`` (see ``catlr.rng``),
-so intervals are reproducible bit-for-bit for a fixed seed, across runs
-and across worker counts.  Infinite replicates are ordered above all
+Each interval call draws all of its replicates from the single stream
+``stream(seed)``, same-source row first (see ``catlr.rng``), so intervals
+are reproducible bit-for-bit for a fixed seed.  A call draws at most
+``MAX_REPLICATES`` replicates.  Infinite replicates are ordered above all
 finite ones when taking percentiles; 0/0 replicates (possible only when a
 resampled row loses the statement entirely under both hypotheses) carry
 no information about the ratio and are excluded.
@@ -30,14 +35,14 @@ no information about the ratio and are excluded.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .model import ConfusionTable, DataError, GroundTruth
 from .rng import RNG_ALGORITHM, check_seed, stream
+
+MAX_REPLICATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -67,29 +72,9 @@ def _check_level(level: float) -> float:
     return level
 
 
-def _replicate_values(
-    count: int, one: Callable[[int], float], workers: int
-) -> np.ndarray:
-    """Evaluate ``one(i)`` for i in range(count), optionally on a thread pool.
-
-    Results land by index, so the output is identical for any worker count.
-    """
-    out = np.empty(count)
-    if workers <= 1:
-        for i in range(count):
-            out[i] = one(i)
-        return out
-    span = -(-count // workers)
-    starts = range(0, count, span)
-
-    def fill(start: int) -> None:
-        for i in range(start, min(start + span, count)):
-            out[i] = one(i)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(fill, s) for s in starts]:
-            future.result()
-    return out
+def _check_replicates(name: str, count: int) -> None:
+    if count > MAX_REPLICATES:
+        raise DataError(f"{name} must be at most {MAX_REPLICATES}, got {count}")
 
 
 def _quantile(sorted_values: np.ndarray, q: float) -> float:
@@ -116,10 +101,10 @@ def _percentile_interval(values: np.ndarray, level: float, method: str) -> Inter
     )
 
 
-def _ratio(num: float, den: float) -> float:
-    if den > 0.0:
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Elementwise num / den: inf where only den is 0, NaN where both are."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         return num / den
-    return math.inf if num > 0.0 else math.nan
 
 
 def bootstrap_interval(
@@ -130,24 +115,22 @@ def bootstrap_interval(
     seed: int = 0,
     workers: int = 1,
 ) -> Interval:
-    """Stratified percentile-bootstrap interval for one statement's LR."""
+    """Stratified percentile-bootstrap interval for one statement's LR.
+
+    ``workers`` is deprecated; ignored.
+    """
     k = table.index_of(statement)
     _check_level(level)
     check_seed(seed)
     if replicates < 100:
         raise DataError(f"bootstrap needs at least 100 replicates, got {replicates}")
-    n1 = table.row_total(GroundTruth.SAME_SOURCE)
-    n2 = table.row_total(GroundTruth.DIFFERENT_SOURCE)
-    f1 = np.array(table.frequencies(GroundTruth.SAME_SOURCE))
-    f2 = np.array(table.frequencies(GroundTruth.DIFFERENT_SOURCE))
-
-    def one(i: int) -> float:
-        g = stream(seed, i)
-        c1 = g.multinomial(n1, f1)
-        c2 = g.multinomial(n2, f2)
-        return _ratio(c1[k] / n1, c2[k] / n2)
-
-    values = _replicate_values(replicates, one, workers)
+    _check_replicates("replicates", replicates)
+    g = stream(seed)
+    cells = []
+    for truth in (GroundTruth.SAME_SOURCE, GroundTruth.DIFFERENT_SOURCE):
+        n = table.row_total(truth)
+        cells.append(g.binomial(n, table.frequencies(truth)[k], replicates) / n)
+    values = _ratio(*cells)
     method = (
         f"bootstrap-percentile(replicates={replicates},seed={seed},rng={RNG_ALGORITHM})"
     )
@@ -166,7 +149,7 @@ def dirichlet_interval(
     """Dirichlet-posterior credible interval for one statement's LR.
 
     ``alpha`` is the per-cell prior concentration; the default 0.5 is a
-    Jeffreys-style choice.
+    Jeffreys-style choice.  ``workers`` is deprecated; ignored.
     """
     k = table.index_of(statement)
     _check_level(level)
@@ -175,22 +158,20 @@ def dirichlet_interval(
         raise DataError(f"alpha must be a positive finite number, got {alpha!r}")
     if draws < 1:
         raise DataError(f"draws must be positive, got {draws}")
+    _check_replicates("draws", draws)
     if table.row_total(GroundTruth.SAME_SOURCE) == 0:
         raise DataError("no observations under hypothesis 'same'")
     if table.row_total(GroundTruth.DIFFERENT_SOURCE) == 0:
         raise DataError("no observations under hypothesis 'different'")
-    c1 = np.array(table.same_source, dtype=float) + alpha
-    c2 = np.array(table.different_source, dtype=float) + alpha
-
-    def one(i: int) -> float:
-        g = stream(seed, i)
-        d1 = g.dirichlet(c1)
-        d2 = g.dirichlet(c2)
-        # renormalize: numpy scales by a reciprocal, leaving 1-ulp residue
-        # (a single-category draw must be exactly 1)
-        return _ratio(d1[k] / d1.sum(), d2[k] / d2.sum())
-
-    values = _replicate_values(draws, one, workers)
+    g = stream(seed)
+    rest_alpha = (len(table.categories) - 1) * alpha
+    cells = []
+    for row in (table.same_source, table.different_source):
+        # gamma(0) is exactly 0, so a single-category cell is exactly 1
+        x = g.gamma(row[k] + alpha, size=draws)
+        y = g.gamma(sum(row) - row[k] + rest_alpha, size=draws)
+        cells.append(x / (x + y))
+    values = _ratio(*cells)
     method = (
         f"dirichlet-posterior(alpha={alpha:g},draws={draws},seed={seed},"
         f"rng={RNG_ALGORITHM})"

@@ -184,6 +184,21 @@ class TestIntervalCommand:
         assert code == 2
         assert "unknown statement" in err
 
+    @pytest.mark.parametrize(
+        "method, flag", [("bootstrap", "--replicates"), ("dirichlet", "--draws")]
+    )
+    def test_replicate_count_above_ceiling_is_data_error(
+        self, bullets_csv, method, flag
+    ):
+        code, out, err = invoke(
+            "interval", "--table", bullets_csv, "--statement", "ID",
+            "--method", method, flag, str(10**12),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"data error: {flag[2:]} must be at most 1000000, got {10**12}\n"
+        )
+
 
 class TestSimulateCommand:
     def test_byte_identical_for_fixed_seed(self, tmp_path):

@@ -149,6 +149,57 @@ class TestDirichlet:
             dirichlet_interval(bullets, "ID", seed=-1)
 
 
+class TestMarginalDrawLaw:
+    """Each interval draws only statement k's cell of a row; its endpoints
+    must follow the law of the whole-row draws that cell is taken from."""
+
+    TABLE = ConfusionTable(("a", "b", "c", "d"), (60, 25, 10, 5), (3, 40, 57, 0))
+    REFERENCE_SIZE = 200_000
+    REPLICATES = 20_000
+
+    @staticmethod
+    def _tail_ok(reference, n, q, value):
+        # tolerance as in bench/checks.py::IntervalLaw: 5 standard errors of a
+        # percentile from n defined replicates, 5 of the reference's own, and
+        # two replicates' worth of discreteness
+        size = reference.size
+        tol = 5.0 * math.sqrt(q * (1 - q) / n) + 5.0 * math.sqrt(q * (1 - q) / size) + 2.0 / n
+        below = np.searchsorted(reference, value, "left") / size
+        upto = np.searchsorted(reference, value, "right") / size
+        return below <= q + tol and upto >= q - tol
+
+    def _check(self, interval, num, den):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = num / den
+        reference = np.sort(ratios[~np.isnan(ratios)])
+        # 0/0 replicates are dropped before the percentile
+        n = max(1.0, self.REPLICATES * reference.size / ratios.size)
+        tail = (1.0 - interval.level) / 2.0
+        assert self._tail_ok(reference, n, tail, interval.lower)
+        assert self._tail_ok(reference, n, 1.0 - tail, interval.upper)
+
+    def test_bootstrap_matches_whole_row_multinomial(self):
+        t = self.TABLE
+        g = np.random.default_rng(20240105)
+        n1, n2 = sum(t.same_source), sum(t.different_source)
+        rows1 = g.multinomial(n1, np.array(t.same_source) / n1, self.REFERENCE_SIZE)
+        rows2 = g.multinomial(n2, np.array(t.different_source) / n2, self.REFERENCE_SIZE)
+        for k, statement in enumerate(t.categories):
+            interval = bootstrap_interval(t, statement, replicates=self.REPLICATES, seed=k)
+            self._check(interval, rows1[:, k] / n1, rows2[:, k] / n2)
+
+    def test_dirichlet_matches_whole_row_dirichlet(self):
+        t = self.TABLE
+        g = np.random.default_rng(20240106)
+        rows1 = g.dirichlet(np.array(t.same_source) + 0.5, self.REFERENCE_SIZE)
+        rows2 = g.dirichlet(np.array(t.different_source) + 0.5, self.REFERENCE_SIZE)
+        for k, statement in enumerate(t.categories):
+            interval = dirichlet_interval(
+                t, statement, alpha=0.5, draws=self.REPLICATES, seed=k
+            )
+            self._check(interval, rows1[:, k], rows2[:, k])
+
+
 class TestZeroCountBound:
     def test_matches_numeric_solve_at_n300(self):
         # independent oracle: bisect (1-p)^300 = 0.05 for p
