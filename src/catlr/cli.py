@@ -16,17 +16,25 @@ from pathlib import Path
 from typing import IO
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs
-from .ingest import emit_aggregated, emit_records, parse_aggregated, parse_records, tally
+from .ingest import (
+    DatasetFile,
+    DatasetKind,
+    emit_aggregated,
+    emit_records,
+    parse_records,
+    tally,
+)
 from .interpret import hardness_adjust, posterior_probability
 from .model import DataError
 from .report import (
+    FORMATS,
     ReportSpec,
     build_report,
     read_display_fixture,
     render_summary_table,
 )
 from .simulate import load_profile, simulate_study
-from .uncertainty import bootstrap_interval, dirichlet_interval
+from .uncertainty import INTERVAL_METHODS
 
 
 class _UsageError(Exception):
@@ -72,13 +80,14 @@ def _write_or_print(text: str, out_path: str | None, out: IO[str]) -> None:
 
 
 def _cmd_tally(args, out):
-    table = tally(parse_records(_read(args.infile)), study_name=Path(args.infile).stem)
+    with open(args.infile, encoding="utf-8") as lines:
+        table = tally(parse_records(lines), study_name=Path(args.infile).stem)
     _write_or_print(emit_aggregated(table), args.out, out)
 
 
 def _cmd_lr(args, out):
     if args.format is None:
-        table = parse_aggregated(_read(args.table), study_name=Path(args.table).stem)
+        table = DatasetFile(args.table, DatasetKind.AGGREGATED_TABLE).load()
         for est in full_table_lrs(table, args.smoothing):
             out.write(f"{est.statement}\t{_fmt(est.lr)}\n")
         return
@@ -116,26 +125,14 @@ def _cmd_adjust(args, out):
 
 
 def _cmd_interval(args, out):
-    table = parse_aggregated(_read(args.table), study_name=Path(args.table).stem)
+    table = DatasetFile(args.table, DatasetKind.AGGREGATED_TABLE).load()
     if args.method == "bootstrap":
-        interval = bootstrap_interval(
-            table,
-            args.statement,
-            replicates=args.replicates,
-            level=args.level,
-            seed=args.seed,
-            workers=args.workers,
-        )
+        options = {"replicates": args.replicates}
     else:
-        interval = dirichlet_interval(
-            table,
-            args.statement,
-            alpha=args.alpha,
-            draws=args.draws,
-            level=args.level,
-            seed=args.seed,
-            workers=args.workers,
-        )
+        options = {"alpha": args.alpha, "draws": args.draws}
+    interval = INTERVAL_METHODS[args.method](
+        table, args.statement, level=args.level, seed=args.seed, **options
+    )
     out.write(f"{_fmt(interval.lower)}\t{_fmt(interval.upper)}\n")
 
 
@@ -162,15 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lr", help="likelihood ratios for every statement in a table")
     p.add_argument("--table", required=True, metavar="TABLE_CSV")
     p.add_argument("--smoothing", type=_smoothing_arg, default=NO_SMOOTHING)
-    p.add_argument("--format", choices=["md", "csv", "json"], default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.set_defaults(func=_cmd_lr)
 
     p = sub.add_parser("report", help="render an LR table or a display-value summary")
     p.add_argument("--table", default=None, metavar="TABLE_CSV")
     p.add_argument("--summary", default=None, metavar="FIXTURE_CSV")
-    p.add_argument("--format", choices=["md", "csv", "json"], default="md")
+    p.add_argument("--format", choices=FORMATS, default="md")
     p.add_argument("--smoothing", type=_smoothing_arg, default=NO_SMOOTHING)
-    p.add_argument("--interval", choices=["bootstrap", "dirichlet"], default=None)
+    p.add_argument("--interval", choices=INTERVAL_METHODS, default=None)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, metavar="OUT_FILE")
@@ -189,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interval", help="uncertainty interval for one statement's LR")
     p.add_argument("--table", required=True, metavar="TABLE_CSV")
     p.add_argument("--statement", required=True)
-    p.add_argument("--method", choices=["bootstrap", "dirichlet"], required=True)
+    p.add_argument("--method", choices=INTERVAL_METHODS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--replicates", type=int, default=2000)
@@ -222,10 +219,7 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
     try:
         args.func(args, out)
         return 0
-    except DataError as exc:
-        print(f"data error: {exc}", file=err)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=err)
         return 2
 

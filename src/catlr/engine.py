@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ConfusionTable, DataError, GroundTruth, LrEstimate
+from .model import ConfusionTable, DataError, GroundTruth, LrEstimate, ratio
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,11 @@ def conditional_probability(
     smoothing: SmoothingPolicy = NO_SMOOTHING,
 ) -> float:
     """P(statement | truth) estimated from the table row."""
-    count = table.count(truth, statement)
-    total = table.row_total(truth)
-    if smoothing.is_none:
-        if total == 0:
-            raise DataError(f"no observations under hypothesis {truth.value!r}")
-        return count / total
-    k = len(table.categories)
-    return (count + smoothing.alpha) / (total + smoothing.alpha * k)
+    # alpha == 0 leaves (c + 0.0) / (N + 0.0), which is exactly c / N
+    denominator = table.row_total(truth) + smoothing.alpha * len(table.categories)
+    if denominator == 0:
+        raise DataError(f"no observations under hypothesis {truth.value!r}")
+    return (table.count(truth, statement) + smoothing.alpha) / denominator
 
 
 def likelihood_ratio(
@@ -118,10 +115,7 @@ def lr_from_error_rates(fnr: float, fpr: float) -> float | None:
     for name, value in (("fnr", fnr), ("fpr", fpr)):
         if not (0.0 <= value <= 1.0):
             raise DataError(f"{name} must be in [0, 1], got {value!r}")
-    hit_rate = 1.0 - fnr
-    if fpr > 0.0:
-        return hit_rate / fpr
-    return math.inf if hit_rate > 0.0 else None
+    return ratio(1.0 - fnr, fpr)
 
 
 def _round_half_up(x: float) -> int:

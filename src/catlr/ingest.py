@@ -52,6 +52,13 @@ def _rows(source: str | Iterable[str]) -> Iterator[tuple[int, list[str]]]:
         yield lineno, next(csv.reader([raw]))
 
 
+def _header(rows: Iterator, expected: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """Line number and trimmed cells of the first data row, the header."""
+    for lineno, header in rows:
+        return lineno, tuple(c.strip() for c in header)
+    raise IngestError(f"empty input: expected header {','.join(expected)}")
+
+
 def parse_records(source: str | Iterable[str]) -> list[EvaluationRecord]:
     """Parse raw per-evaluation rows into records.
 
@@ -59,13 +66,7 @@ def parse_records(source: str | Iterable[str]) -> list[EvaluationRecord]:
     text file).  Raises IngestError naming the offending line.
     """
     rows = _rows(source)
-    try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise IngestError(
-            f"empty input: expected header {','.join(RAW_HEADER)}"
-        ) from None
-    cells = [c.strip() for c in header]
+    lineno, cells = _header(rows, RAW_HEADER)
     indices = {}
     for name in RAW_HEADER:
         try:
@@ -113,25 +114,17 @@ def tally(
     Categories follow ``vocabulary`` order when given (zero-count
     categories are retained), else first appearance in the records.
     """
-    counts: Counter[tuple[GroundTruth, str]] = Counter()
-    if vocabulary is not None:
-        categories = [str(c) for c in vocabulary]
-        allowed = set(categories)
-        for record in records:
-            if record.statement not in allowed:
-                raise DataError(
-                    f"statement {record.statement!r} is not in the declared "
-                    f"vocabulary {categories}"
-                )
-            counts[(record.truth, record.statement)] += 1
-    else:
-        categories = []
-        seen = set()
-        for record in records:
-            if record.statement not in seen:
-                seen.add(record.statement)
-                categories.append(record.statement)
-            counts[(record.truth, record.statement)] += 1
+    counts = Counter((record.truth, record.statement) for record in records)
+    # A Counter keeps insertion order, so its keys meet each statement in
+    # order of first appearance in the records.
+    seen = list(dict.fromkeys(statement for _, statement in counts))
+    categories = seen if vocabulary is None else [str(c) for c in vocabulary]
+    allowed = set(categories)
+    unknown = [statement for statement in seen if statement not in allowed]
+    if unknown:
+        raise DataError(
+            f"statement {unknown[0]!r} is not in the declared vocabulary {categories}"
+        )
     if not categories:
         raise DataError("cannot tally zero records without a declared vocabulary")
     return ConfusionTable(
@@ -147,13 +140,7 @@ def tally(
 def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> ConfusionTable:
     """Parse an aggregated per-category count table."""
     rows = _rows(source)
-    try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise IngestError(
-            f"empty input: expected header {','.join(AGGREGATED_HEADER)}"
-        ) from None
-    cells = tuple(c.strip() for c in header)
+    lineno, cells = _header(rows, AGGREGATED_HEADER)
     if cells != AGGREGATED_HEADER:
         raise IngestError(
             f"line {lineno}: expected header {','.join(AGGREGATED_HEADER)}, "
@@ -197,24 +184,25 @@ def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> Confu
     )
 
 
-def emit_aggregated(table: ConfusionTable) -> str:
-    """Serialize a table in the aggregated schema (round-trips with parse_aggregated)."""
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of the header row then ``rows``, every line ending in a bare newline."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(AGGREGATED_HEADER)
-    for i, category in enumerate(table.categories):
-        writer.writerow([category, table.same_source[i], table.different_source[i]])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def emit_aggregated(table: ConfusionTable) -> str:
+    """Serialize a table in the aggregated schema (round-trips with parse_aggregated)."""
+    rows = zip(table.categories, table.same_source, table.different_source)
+    return _csv_text(AGGREGATED_HEADER, rows)
 
 
 def emit_records(records: Sequence[EvaluationRecord]) -> str:
     """Serialize records in the raw-records schema (round-trips with parse_records)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RAW_HEADER)
-    for r in records:
-        writer.writerow([r.examiner_id, r.item_id, r.truth.value, r.statement])
-    return buffer.getvalue()
+    rows = ((r.examiner_id, r.item_id, r.truth.value, r.statement) for r in records)
+    return _csv_text(RAW_HEADER, rows)
 
 
 class DatasetKind(enum.Enum):
@@ -235,14 +223,16 @@ def sniff_kind(path: str | Path) -> DatasetKind:
 
 def _kind_of(text: str, path: str | Path) -> DatasetKind:
     """Classify the text of the file at ``path`` by its header line."""
+    expected = f"expected {','.join(AGGREGATED_HEADER)} or {','.join(RAW_HEADER)}"
     for _, row in _rows(text):
         cells = tuple(c.strip() for c in row)
         if cells == AGGREGATED_HEADER:
             return DatasetKind.AGGREGATED_TABLE
         if set(RAW_HEADER) <= set(cells):
             return DatasetKind.RAW_RECORDS
-        raise IngestError(f"{path}: header {','.join(cells)} matches no known schema")
-    raise IngestError(f"{path}: no header line found")
+        header = ",".join(cells)
+        raise IngestError(f"{path}: header {header} matches no known schema; {expected}")
+    raise IngestError(f"{path}: no header line found; {expected}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,23 @@ class DataError(ValueError):
     """Input data or arguments violate a documented contract."""
 
 
+def ratio(numerator: float, denominator: float) -> float | None:
+    """numerator / denominator; ``math.inf`` for x/0 and ``None`` (undefined) for 0/0."""
+    if denominator > 0.0:
+        return numerator / denominator
+    return math.inf if numerator > 0.0 else None
+
+
+def category_index(categories: tuple[str, ...], statement: str) -> int:
+    """Position of ``statement`` in ``categories``; DataError when absent."""
+    try:
+        return categories.index(statement)
+    except ValueError:
+        raise DataError(
+            f"unknown statement {statement!r}; categories are {list(categories)}"
+        ) from None
+
+
 class GroundTruth(enum.Enum):
     """True relationship of a comparison pair.
 
@@ -93,12 +110,7 @@ class ConfusionTable:
         object.__setattr__(self, "different_source", rows["different_source"])
 
     def index_of(self, statement: str) -> int:
-        try:
-            return self.categories.index(statement)
-        except ValueError:
-            raise DataError(
-                f"unknown statement {statement!r}; categories are {list(self.categories)}"
-            ) from None
+        return category_index(self.categories, statement)
 
     def row(self, truth: GroundTruth) -> tuple[int, ...]:
         return self.same_source if truth is GroundTruth.SAME_SOURCE else self.different_source
@@ -129,8 +141,8 @@ class LrEstimate:
 
     ``lr`` is ``p_given_h1 / p_given_h2`` when the denominator is positive,
     ``math.inf`` when only the denominator is zero, and ``None`` when both
-    probabilities are zero: a 0/0 ratio carries no evidential meaning and
-    must never silently become a number.
+    probabilities are zero (see ``ratio``): a 0/0 ratio carries no
+    evidential meaning and must never silently become a number.
 
     The ``h*_count`` / ``h*_total`` fields record the integer counts the
     probabilities came from, when they came from a table at all.
@@ -159,12 +171,7 @@ class LrEstimate:
         for name, p in (("p_given_h1", p_given_h1), ("p_given_h2", p_given_h2)):
             if not (0.0 <= p <= 1.0):
                 raise DataError(f"{name} must be in [0, 1], got {p!r}")
-        if p_given_h2 > 0.0:
-            lr = p_given_h1 / p_given_h2
-        elif p_given_h1 > 0.0:
-            lr = math.inf
-        else:
-            lr = None
+        lr = ratio(p_given_h1, p_given_h2)
         return cls(statement, p_given_h1, p_given_h2, lr, smoothing, **provenance)
 
     @property

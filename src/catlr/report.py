@@ -13,18 +13,15 @@ and ``method``.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs, presentation_round
-from .ingest import parse_aggregated
+from .ingest import DatasetFile, DatasetKind, _csv_text, _rows
 from .model import ConfusionTable, DataError
-from .uncertainty import Interval, bootstrap_interval, dirichlet_interval
+from .uncertainty import INTERVAL_METHODS, Interval
 
 FORMATS = ("md", "csv", "json")
 
@@ -52,14 +49,6 @@ def _md_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     out = [line(header), line(["---"] * len(header))]
     out.extend(line(row) for row in rows)
     return "\n".join(out) + "\n"
-
-
-def _csv_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 def _json_number(value: float) -> float | None:
@@ -117,7 +106,7 @@ def render_lr_table(
         return canonical_json(rows)
     header = [""] + [r["statement"] for r in rows]
     body = [["LR"] + [r["lr_display"] for r in rows]]
-    return _md_table(header, body) if fmt == "md" else _csv_table(header, body)
+    return _md_table(header, body) if fmt == "md" else _csv_text(header, body)
 
 
 def render_summary_table(
@@ -152,7 +141,7 @@ def render_summary_table(
         return canonical_json(
             [{"name": e[0], "lr_displays": list(e[1:])} for e in entries]
         )
-    return _md_table(headers, entries) if fmt == "md" else _csv_table(headers, entries)
+    return _md_table(headers, entries) if fmt == "md" else _csv_text(headers, entries)
 
 
 def read_display_fixture(source: str | Iterable[str]) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
@@ -161,13 +150,9 @@ def read_display_fixture(source: str | Iterable[str]) -> tuple[tuple[str, ...], 
     The first non-comment row is the header; all rows must share its
     width.  Cells are display strings, taken verbatim after trimming.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
     parsed: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cells = tuple(c.strip() for c in next(csv.reader([raw])))
+    for lineno, row in _rows(source):
+        cells = tuple(c.strip() for c in row)
         if parsed and len(cells) != len(parsed[0]):
             raise DataError(
                 f"line {lineno}: expected {len(parsed[0])} cells, got {len(cells)}"
@@ -180,7 +165,11 @@ def read_display_fixture(source: str | Iterable[str]) -> tuple[tuple[str, ...], 
 
 @dataclass(frozen=True)
 class ReportSpec:
-    """A renderable report request over one or more aggregated datasets."""
+    """A renderable report request over one or more aggregated datasets.
+
+    Construction touches no file: a missing dataset surfaces as
+    ``FileNotFoundError`` when ``build_report`` reads it.
+    """
 
     datasets: tuple[str, ...]
     smoothing: SmoothingPolicy = NO_SMOOTHING
@@ -193,13 +182,10 @@ class ReportSpec:
         object.__setattr__(self, "datasets", tuple(str(p) for p in self.datasets))
         if not self.datasets:
             raise DataError("a report needs at least one dataset")
-        for path in self.datasets:
-            if not Path(path).is_file():
-                raise DataError(f"dataset does not exist: {path}")
         object.__setattr__(self, "output_format", _normalize_format(self.output_format))
-        if self.interval_method not in (None, "bootstrap", "dirichlet"):
+        if self.interval_method not in (None, *INTERVAL_METHODS):
             raise DataError(
-                f"interval method must be 'bootstrap' or 'dirichlet', "
+                f"interval method must be {' or '.join(map(repr, INTERVAL_METHODS))}, "
                 f"got {self.interval_method!r}"
             )
 
@@ -208,20 +194,11 @@ def build_report(spec: ReportSpec) -> str:
     """Render every dataset in the spec; JSON nests per-study sections."""
     sections = []
     for path in spec.datasets:
-        table = parse_aggregated(
-            Path(path).read_text(encoding="utf-8"), study_name=Path(path).stem
-        )
-        intervals = None
-        if spec.interval_method == "bootstrap":
-            intervals = {
-                s: bootstrap_interval(table, s, level=spec.level, seed=spec.seed)
-                for s in table.categories
-            }
-        elif spec.interval_method == "dirichlet":
-            intervals = {
-                s: dirichlet_interval(table, s, level=spec.level, seed=spec.seed)
-                for s in table.categories
-            }
+        table = DatasetFile(path, DatasetKind.AGGREGATED_TABLE).load()
+        method = INTERVAL_METHODS.get(spec.interval_method)
+        intervals = None if method is None else {
+            s: method(table, s, level=spec.level, seed=spec.seed) for s in table.categories
+        }
         sections.append((table, intervals))
     if spec.output_format == "json":
         payload = [

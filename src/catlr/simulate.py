@@ -18,9 +18,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
+from .model import (
+    ConfusionTable,
+    DataError,
+    EvaluationRecord,
+    GroundTruth,
+    category_index,
+    ratio,
+)
 from .rng import check_seed, stream
 
+MAX_RECORDS = 10_000_000
 _PANEL_SIZE = 10
 _SUM_TOLERANCE = 1e-12
 
@@ -55,6 +63,10 @@ class PanelProfile:
         for name in ("n_h1", "n_h2"):
             if not isinstance(getattr(self, name), int) or getattr(self, name) <= 0:
                 raise DataError(f"{name} must be a positive integer")
+        if self.n_h1 + self.n_h2 > MAX_RECORDS:
+            raise DataError(
+                f"n_h1 + n_h2 must be at most {MAX_RECORDS}, got {self.n_h1 + self.n_h2}"
+            )
         check_seed(self.seed)
 
     @classmethod
@@ -70,14 +82,6 @@ class PanelProfile:
             n_h2=n_h2,
             seed=seed,
         )
-
-    def index_of(self, statement: str) -> int:
-        try:
-            return self.categories.index(statement)
-        except ValueError:
-            raise DataError(
-                f"unknown statement {statement!r}; categories are {list(self.categories)}"
-            ) from None
 
 
 def simulate_study(profile: PanelProfile) -> list[EvaluationRecord]:
@@ -115,12 +119,8 @@ def true_lr(profile: PanelProfile, statement: str) -> float | None:
 
     ``math.inf`` when only the denominator is zero, ``None`` for 0/0.
     """
-    k = profile.index_of(statement)
-    p1 = profile.p_given_h1[k]
-    p2 = profile.p_given_h2[k]
-    if p2 > 0.0:
-        return p1 / p2
-    return math.inf if p1 > 0.0 else None
+    k = category_index(profile.categories, statement)
+    return ratio(profile.p_given_h1[k], profile.p_given_h2[k])
 
 
 def load_profile(source: str | Iterable[str]) -> PanelProfile:

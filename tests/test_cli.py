@@ -61,6 +61,32 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("report", "--format", "md"),
+            ("report", "--format", "json"),
+            ("interval", "--statement", "ID", "--method", "bootstrap"),
+        ],
+    )
+    def test_missing_table_is_data_error(self, argv):
+        code, out, err = invoke(*argv, "--table", "/does/not/exist.csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("data error")
+
+    @pytest.mark.parametrize("fmt", [(), ("--format", "md")])
+    def test_records_file_as_table_is_data_error(self, records_csv, fmt):
+        code, out, err = invoke("lr", "--table", records_csv, *fmt)
+        assert (code, out) == (2, "")
+        assert "declared aggregated-table but header says raw-records" in err
+
+    def test_unknown_header_names_expected_schemas(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("colA,colB\n1,2\n", encoding="utf-8")
+        code, _, err = invoke("lr", "--table", str(bad))
+        assert code == 2
+        assert "statement,same_source_count,different_source_count" in err
+
     def test_malformed_table_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("statement,same_source_count,different_source_count\na,-1,2\n")
@@ -219,6 +245,14 @@ class TestSimulateCommand:
         assert len(records) == 130
         table = tally(records)
         assert table.total() == 130
+
+    def test_record_count_above_ceiling_is_data_error(self, tmp_path):
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text(PROFILE_CFG.replace("n_h1 = 50", f"n_h1 = {10**12}"), encoding="utf-8")
+        code, out, err = invoke("simulate", "--profile", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("data error")
+        assert f"n_h1 + n_h2 must be at most 10000000, got {10**12 + 80}" in err
 
     def test_malformed_profile_is_data_error(self, tmp_path):
         cfg = tmp_path / "profile.cfg"

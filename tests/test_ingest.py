@@ -156,6 +156,46 @@ class TestTally:
         with pytest.raises(DataError, match="Surprise"):
             tally(records, vocabulary=("ID",))
 
+    def test_first_unknown_label_in_record_order_is_named(self):
+        records = [
+            EvaluationRecord("e", "i1", DIFF, "ID"),
+            EvaluationRecord("e", "i2", DIFF, "Later"),
+            EvaluationRecord("e", "i3", SAME, "Earlier"),
+            EvaluationRecord("e", "i4", SAME, "Later"),
+        ]
+        with pytest.raises(DataError, match="'Later' is not in"):
+            tally(records, vocabulary=("ID", "Earlier"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from((SAME, DIFF)), st.sampled_from("abcdef")),
+            max_size=40,
+        ),
+        st.booleans(),
+    )
+    def test_equals_explicit_per_record_loop(self, pairs, with_vocabulary):
+        records = [
+            EvaluationRecord("e", f"i{n}", truth, statement)
+            for n, (truth, statement) in enumerate(pairs)
+        ]
+        vocabulary = tuple("fedcba") if with_vocabulary else None
+        if vocabulary is None and not records:
+            with pytest.raises(DataError):
+                tally(records)
+            return
+        categories = list(vocabulary or ())
+        same, different = {}, {}
+        for record in records:
+            if record.statement not in categories:
+                categories.append(record.statement)
+            row = same if record.truth is SAME else different
+            row[record.statement] = row.get(record.statement, 0) + 1
+        table = tally(records, vocabulary=vocabulary)
+        assert table.categories == tuple(categories)
+        assert table.same_source == tuple(same.get(c, 0) for c in categories)
+        assert table.different_source == tuple(different.get(c, 0) for c in categories)
+
     def test_empty_records_need_vocabulary(self):
         with pytest.raises(DataError):
             tally([])

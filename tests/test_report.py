@@ -193,8 +193,10 @@ class TestDisplayFixtures:
 
 class TestReportSpec:
     def test_missing_dataset_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="does not exist"):
-            ReportSpec(datasets=(str(tmp_path / "nope.csv"),))
+        # the spec touches no file; the missing path surfaces on the read
+        spec = ReportSpec(datasets=(str(tmp_path / "nope.csv"),))
+        with pytest.raises(FileNotFoundError):
+            build_report(spec)
 
     def test_build_markdown(self, tmp_path, bullets, golden):
         path = tmp_path / "bullets.csv"
