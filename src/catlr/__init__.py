@@ -30,6 +30,7 @@ from .ingest import (
     parse_records,
     sniff_kind,
     tally,
+    tally_csv,
 )
 from .interpret import (
     BUNDLED_SCALES,
@@ -40,7 +41,14 @@ from .interpret import (
     posterior_probability,
     verbal_label,
 )
-from .model import ConfusionTable, DataError, EvaluationRecord, GroundTruth, LrEstimate
+from .model import (
+    ConfusionTable,
+    DataError,
+    EvaluationRecord,
+    GroundTruth,
+    LrEstimate,
+    RecordBatch,
+)
 from .report import (
     ReportSpec,
     build_report,
@@ -71,6 +79,7 @@ __all__ = [
     "LrEstimate",
     "NO_SMOOTHING",
     "PanelProfile",
+    "RecordBatch",
     "ReportSpec",
     "SmoothingPolicy",
     "VerbalScale",
@@ -97,6 +106,7 @@ __all__ = [
     "simulate_study",
     "sniff_kind",
     "tally",
+    "tally_csv",
     "true_lr",
     "verbal_label",
     "zero_count_lower_bound",

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs
 from .ingest import (
@@ -21,8 +21,7 @@ from .ingest import (
     DatasetKind,
     emit_aggregated,
     emit_records,
-    parse_records,
-    tally,
+    tally_csv,
 )
 from .interpret import hardness_adjust, posterior_probability
 from .model import DataError
@@ -72,17 +71,21 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_or_print(text: str, out_path: str | None, out: IO[str]) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        out.write(text)
+@contextmanager
+def _output(out_path: str | None, out: IO[str]) -> Iterator[IO[str]]:
+    """The file at ``out_path`` opened for writing, or ``out`` when no path is given."""
+    if not out_path:
+        yield out
+        return
+    with open(out_path, "w", encoding="utf-8") as handle:
+        yield handle
 
 
 def _cmd_tally(args, out):
     with open(args.infile, encoding="utf-8") as lines:
-        table = tally(parse_records(lines), study_name=Path(args.infile).stem)
-    _write_or_print(emit_aggregated(table), args.out, out)
+        table = tally_csv(lines, study_name=Path(args.infile).stem)
+    with _output(args.out, out) as handle:
+        handle.write(emit_aggregated(table))
 
 
 def _cmd_lr(args, out):
@@ -113,7 +116,8 @@ def _cmd_report(args, out):
             seed=args.seed,
         )
         text = build_report(spec)
-    _write_or_print(text, args.out, out)
+    with _output(args.out, out) as handle:
+        handle.write(text)
 
 
 def _cmd_posterior(args, out):
@@ -138,7 +142,8 @@ def _cmd_interval(args, out):
 
 def _cmd_simulate(args, out):
     records = simulate_study(load_profile(_read(args.profile)))
-    _write_or_print(emit_records(records), args.out, out)
+    with _output(args.out, out) as handle:
+        emit_records(records, handle)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,6 +227,15 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=err)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"data error: {_input_path(args)}: not valid UTF-8 ({exc.reason})", file=err)
+        return 2
+
+
+def _input_path(args) -> str:
+    """The input file a command reads; ``report`` reads --summary over --table."""
+    names = ("summary", "table", "infile", "profile")
+    return next(getattr(args, name) for name in names if getattr(args, name, None))
 
 
 def main() -> None:

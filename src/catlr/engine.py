@@ -70,10 +70,11 @@ def conditional_probability(
     smoothing: SmoothingPolicy = NO_SMOOTHING,
 ) -> float:
     """P(statement | truth) estimated from the table row."""
-    # alpha == 0 leaves (c + 0.0) / (N + 0.0), which is exactly c / N
-    denominator = table.row_total(truth) + smoothing.alpha * len(table.categories)
-    if denominator == 0:
-        raise DataError(f"no observations under hypothesis {truth.value!r}")
+    # smoothing gives an empty row a uniform distribution; without it the
+    # row needs observations.  alpha == 0 leaves (c + 0.0) / (N + 0.0),
+    # which is exactly c / N.
+    total = table.row_total(truth) if smoothing.alpha else table.observed_total(truth)
+    denominator = total + smoothing.alpha * len(table.categories)
     return (table.count(truth, statement) + smoothing.alpha) / denominator
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs, presentation_round
-from .ingest import DatasetFile, DatasetKind, _csv_text, _rows
+from .ingest import DatasetFile, DatasetKind, _csv_text, _DataRows
 from .model import ConfusionTable, DataError
 from .uncertainty import INTERVAL_METHODS, Interval
 
@@ -151,11 +151,12 @@ def read_display_fixture(source: str | Iterable[str]) -> tuple[tuple[str, ...], 
     width.  Cells are display strings, taken verbatim after trimming.
     """
     parsed: list[tuple[str, ...]] = []
-    for lineno, row in _rows(source):
+    rows = _DataRows(source)
+    for row in rows:
         cells = tuple(c.strip() for c in row)
         if parsed and len(cells) != len(parsed[0]):
             raise DataError(
-                f"line {lineno}: expected {len(parsed[0])} cells, got {len(cells)}"
+                f"line {rows.line}: expected {len(parsed[0])} cells, got {len(cells)}"
             )
         parsed.append(cells)
     if not parsed:

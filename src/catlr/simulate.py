@@ -3,8 +3,8 @@
 The generative model is deliberately the mirror image of the estimator: a
 single pooled categorical distribution per hypothesis, sampled
 independently per evaluation.  Examiner heterogeneity is out of scope;
-examiner ids are synthetic round-robin labels over a fixed panel so the
-records exercise the raw-records schema.
+examiner ids are synthetic round-robin labels over a fixed panel (see
+``RecordBatch``) so the records exercise the raw-records schema.
 
 Because the true probabilities are known, simulated studies serve as an
 oracle: ``true_lr`` is the estimand the tally-then-divide pipeline
@@ -13,23 +13,23 @@ targets, and consistency / coverage tests compare against it.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .model import (
     ConfusionTable,
     DataError,
-    EvaluationRecord,
     GroundTruth,
+    RecordBatch,
     category_index,
     ratio,
 )
 from .rng import check_seed, stream
 
 MAX_RECORDS = 10_000_000
-_PANEL_SIZE = 10
 _SUM_TOLERANCE = 1e-12
 
 
@@ -84,34 +84,18 @@ class PanelProfile:
         )
 
 
-def simulate_study(profile: PanelProfile) -> list[EvaluationRecord]:
+def simulate_study(profile: PanelProfile) -> RecordBatch:
     """Draw one study: n_h1 same-source then n_h2 different-source records.
 
     Single RNG stream per study (seeded by the profile), so a fixed seed
-    reproduces the record list exactly.
+    reproduces the records exactly.
     """
     g = stream(profile.seed)
     k = len(profile.categories)
     same = g.choice(k, size=profile.n_h1, p=profile.p_given_h1)
     different = g.choice(k, size=profile.n_h2, p=profile.p_given_h2)
-    examiners = [f"ex{j + 1:02d}" for j in range(_PANEL_SIZE)]
-    records = []
-    i = 0
-    for truth, indices in (
-        (GroundTruth.SAME_SOURCE, same),
-        (GroundTruth.DIFFERENT_SOURCE, different),
-    ):
-        for idx in indices:
-            records.append(
-                EvaluationRecord(
-                    examiner_id=examiners[i % _PANEL_SIZE],
-                    item_id=f"item{i + 1:06d}",
-                    truth=truth,
-                    statement=profile.categories[idx],
-                )
-            )
-            i += 1
-    return records
+    truth = np.repeat(np.arange(2, dtype=np.uint8), (profile.n_h1, profile.n_h2))
+    return RecordBatch(profile.categories, truth, np.concatenate((same, different)))
 
 
 def true_lr(profile: PanelProfile, statement: str) -> float | None:
@@ -129,6 +113,10 @@ def load_profile(source: str | Iterable[str]) -> PanelProfile:
     Keys: ``categories``, ``p_given_h1``, ``p_given_h2`` (comma-separated,
     so labels must not contain commas), ``n_h1``, ``n_h2``, ``seed``.
     """
+    # imported here, not at module level: every CLI call imports this module,
+    # only ``simulate`` reads a profile, and configparser costs ~3 ms to import
+    import configparser
+
     parser = configparser.ConfigParser()
     text = source if isinstance(source, str) else "\n".join(source)
     try:
@@ -139,15 +127,13 @@ def load_profile(source: str | Iterable[str]) -> PanelProfile:
         raise DataError("profile config needs a [profile] section")
     section = parser["profile"]
     try:
-        return PanelProfile(
-            categories=tuple(c.strip() for c in section["categories"].split(",")),
-            p_given_h1=tuple(float(p) for p in section["p_given_h1"].split(",")),
-            p_given_h2=tuple(float(p) for p in section["p_given_h2"].split(",")),
-            n_h1=section.getint("n_h1"),
-            n_h2=section.getint("n_h2"),
-            seed=section.getint("seed", fallback=0),
-        )
+        categories = tuple(c.strip() for c in section["categories"].split(","))
+        p_given_h1 = tuple(float(p) for p in section["p_given_h1"].split(","))
+        p_given_h2 = tuple(float(p) for p in section["p_given_h2"].split(","))
+        n_h1, n_h2 = section.getint("n_h1"), section.getint("n_h2")
+        seed = section.getint("seed", fallback=0)
     except KeyError as exc:
         raise DataError(f"profile config is missing key {exc.args[0]!r}") from None
     except ValueError as exc:
         raise DataError(f"malformed profile value: {exc}") from None
+    return PanelProfile(categories, p_given_h1, p_given_h2, n_h1, n_h2, seed)

@@ -155,8 +155,7 @@ def dirichlet_interval(
         raise DataError(f"draws must be positive, got {draws}")
     _check_replicates("draws", draws)
     for truth in GroundTruth:
-        if table.row_total(truth) == 0:
-            raise DataError(f"no observations under hypothesis {truth.value!r}")
+        table.observed_total(truth)  # raises for a row with no observations
     g = stream(seed)
     rest_alpha = (len(table.categories) - 1) * alpha
     cells = []
@@ -204,9 +203,7 @@ def zero_count_lower_bound(
         raise DataError(
             f"statement {statement!r} needs a positive same-source count for a bound"
         )
-    n2 = table.row_total(GroundTruth.DIFFERENT_SOURCE)
-    if n2 == 0:
-        raise DataError("no observations under hypothesis 'different'")
+    n2 = table.observed_total(GroundTruth.DIFFERENT_SOURCE)
     p1 = c1 / table.row_total(GroundTruth.SAME_SOURCE)
     p_upper = 1.0 - (1.0 - level) ** (1.0 / n2)
     return p1 / p_upper

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -103,6 +104,36 @@ class TestExitCodes:
         code, _, err = invoke("lr", "--table", bullets_csv, "--smoothing", "magic")
         assert code == 1
         assert "smoothing" in err
+
+
+class TestNonUtf8Input:
+    BAD = b"\xff\xfe"
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (("lr", "--table"), b"statement,same_source_count,different_source_count\n"),
+            (
+                ("interval", "--statement", "ID", "--method", "bootstrap", "--table"),
+                b"statement,same_source_count,different_source_count\nID,1,2\n",
+            ),
+            (("report", "--summary"), b"name,lr\n"),
+            (
+                ("tally", "--in"),
+                b"examiner_id,item_id,ground_truth,statement\n"
+                + b"".join(b"e%d,i%d,same,ID\n" % (n, n) for n in range(1000)),
+            ),
+            (("simulate", "--profile"), b"[profile]\ncategories = a\n"),
+        ],
+        ids=["lr", "interval", "report", "tally", "simulate"],
+    )
+    def test_is_data_error_naming_the_file(self, tmp_path, argv, content):
+        path = tmp_path / "input.txt"
+        path.write_bytes(content + self.BAD + b",1,2\n")
+        code, out, err = invoke(*argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"data error: {path}: not valid UTF-8 (")
+        assert "Traceback" not in err
 
 
 class TestTallyCommand:
@@ -251,8 +282,38 @@ class TestSimulateCommand:
         cfg.write_text(PROFILE_CFG.replace("n_h1 = 50", f"n_h1 = {10**12}"), encoding="utf-8")
         code, out, err = invoke("simulate", "--profile", str(cfg))
         assert (code, out) == (2, "")
-        assert err.startswith("data error")
-        assert f"n_h1 + n_h2 must be at most 10000000, got {10**12 + 80}" in err
+        assert err == f"data error: n_h1 + n_h2 must be at most 10000000, got {10**12 + 80}\n"
+
+    def test_probabilities_not_summing_to_one_is_data_error(self, tmp_path):
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text(PROFILE_CFG.replace("0.75, 0.2, 0.05", "0.75, 0.2, 0.15"), encoding="utf-8")
+        code, out, err = invoke("simulate", "--profile", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "data error: p_given_h1 must sum to 1, got 1.1\n"
+
+    def test_output_with_quoted_label_is_pinned(self, tmp_path):
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text(
+            "[profile]\n"
+            'categories = ID, say "no", Elimination\n'
+            "p_given_h1 = 0.6, 0.3, 0.1\n"
+            "p_given_h2 = 0.05, 0.35, 0.6\n"
+            "n_h1 = 400\nn_h2 = 600\nseed = 7\n",
+            encoding="utf-8",
+        )
+        code, out, _ = invoke("simulate", "--profile", str(cfg))
+        assert code == 0
+        assert out.splitlines()[1] == 'ex01,item000001,same,"say ""no"""'
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "b25ffcd0311298099a6598ceb2ec66f29c748a07ef4f2eabec1b50c8524e6bae"
+        )
+
+    def test_writes_file_equal_to_stdout(self, tmp_path):
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text(PROFILE_CFG, encoding="utf-8")
+        out_path = tmp_path / "records.csv"
+        assert invoke("simulate", "--profile", str(cfg), "--out", str(out_path))[:2] == (0, "")
+        assert out_path.read_text(encoding="utf-8") == invoke("simulate", "--profile", str(cfg))[1]
 
     def test_malformed_profile_is_data_error(self, tmp_path):
         cfg = tmp_path / "profile.cfg"

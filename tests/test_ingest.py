@@ -1,9 +1,13 @@
+import csv
+import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catlr.cli import run
 from catlr.ingest import (
     DatasetFile,
     DatasetKind,
@@ -14,8 +18,9 @@ from catlr.ingest import (
     parse_records,
     sniff_kind,
     tally,
+    tally_csv,
 )
-from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
+from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth, RecordBatch
 
 SAME = GroundTruth.SAME_SOURCE
 DIFF = GroundTruth.DIFFERENT_SOURCE
@@ -83,6 +88,70 @@ class TestParseRecords:
     def test_quoted_field_with_comma(self):
         records = parse_records(f'{RAW_HEADER}\ne1,i1,same,"Incl, weak"\n')
         assert records[0].statement == "Incl, weak"
+
+    def test_quoted_field_left_open_at_end_of_line(self):
+        text = f'{RAW_HEADER}\ne1,i1,same,"ID\ne2,i2,same,X"\ne3,i3,same,ID\n'
+        with pytest.raises(IngestError, match="^line 3: a quoted field left open"):
+            parse_records(text)
+
+    def test_field_over_csv_limit_is_an_ingest_error(self):
+        text = f"{RAW_HEADER}\ne1,i1,same,ID\ne2,i2,same,\"{'x' * 200_000}\"\n"
+        with pytest.raises(IngestError, match="^line 3: field larger than field limit"):
+            parse_records(text)
+
+
+# Comment, blank and whitespace lines come before the bad row, which is line 7.
+_PREAMBLE = f"# study export\n\n{RAW_HEADER}\n# note, with \"quote\n  \ne1,i1,same,ID\n"
+_ROW_ERRORS = [
+    ("e9,i9,same", "line 7: expected at least 4 fields, got 3"),
+    (
+        "e9,i9, Maybe ,ID",
+        "line 7: unknown ground-truth token 'maybe'; "
+        "allowed tokens: different, mated, nonmated, same",
+    ),
+    ("e9,i9,same,  ", "line 7: empty statement label"),
+]
+
+
+class TestRowErrorLines:
+    @pytest.mark.parametrize("bad, message", _ROW_ERRORS)
+    @pytest.mark.parametrize("read", [parse_records, tally_csv])
+    @pytest.mark.parametrize("as_file", [False, True], ids=["text", "file"])
+    def test_error_names_physical_line(self, bad, message, read, as_file):
+        text = f"{_PREAMBLE}{bad}\ne2,i2,different,ID\n"
+        with pytest.raises(IngestError) as info:
+            read(io.StringIO(text) if as_file else text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("read", [parse_records, tally_csv])
+    def test_line_numbers_hold_over_many_thousand_lines(self, read):
+        lines = [RAW_HEADER]
+        for n in range(12_000):
+            lines.append(f"e1,i{n},same,ID")
+            if n % 7 == 0:
+                lines.append("# comment")
+            if n % 11 == 0:
+                lines.append("")
+        lines.append("e1,ix,maybe,ID")
+        with pytest.raises(IngestError, match=f"^line {len(lines)}: unknown"):
+            read(io.StringIO("\n".join(lines) + "\n"))
+
+
+class TestTallyCsv:
+    def test_equals_tally_of_parsed_records(self):
+        text = (
+            f"# head\n{RAW_HEADER}\ne1,i1,nonmated,B\ne2,i2, SAME ,A\n\n"
+            'e3,i3,different," B "\ne4,i4,mated,B\n'
+        )
+        expected = tally(parse_records(text), study_name="s")
+        table = tally_csv(io.StringIO(text), study_name="s")
+        assert table == expected
+        assert table.study_name == "s"
+        assert table.categories == ("B", "A")
+
+    def test_header_only_has_no_categories(self):
+        with pytest.raises(DataError, match="zero records"):
+            tally_csv(f"{RAW_HEADER}\n")
 
 
 class TestTally:
@@ -234,6 +303,24 @@ class TestTally:
         } == as_map
 
 
+class TestTallyOfBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5)), max_size=40),
+        st.sampled_from([None, tuple("fedcba"), ("b", "a")]),
+    )
+    def test_equals_tally_of_its_rows(self, rows, vocabulary):
+        batch = RecordBatch(tuple("abcdef"), [t for t, _ in rows], [c for _, c in rows])
+        try:
+            expected = tally(list(batch), vocabulary=vocabulary)
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                tally(batch, vocabulary=vocabulary)
+            assert str(info.value) == str(exc)
+            return
+        assert tally(batch, vocabulary=vocabulary) == expected
+
+
 class TestParseAggregated:
     def test_bullets_fixture(self, bullets):
         assert bullets.categories == (
@@ -320,6 +407,82 @@ class TestRoundTrips:
             for n in range(200)
         ]
         assert parse_records(emit_records(records)) == records
+
+    def test_batch_round_trip(self):
+        rng = np.random.default_rng(5)
+        labels = ("ID", "Incl, weak", 'say "no"', "Elim")
+        batch = RecordBatch(labels, rng.integers(0, 2, 300), rng.integers(0, 4, 300))
+        assert list(batch) == parse_records(emit_records(batch))
+
+    def test_batch_text_equals_text_of_its_rows(self):
+        # more rows than one block of batch output
+        rng = np.random.default_rng(6)
+        n = 70_001
+        batch = RecordBatch(('say "no"', "ID"), rng.integers(0, 2, n), rng.integers(0, 2, n))
+        text = emit_records(batch)
+        assert _first_difference(text, emit_records(list(batch))) is None
+        buffer = io.StringIO()
+        assert emit_records(batch, buffer) is None
+        assert _first_difference(buffer.getvalue(), text) is None
+
+
+def _first_difference(text: str, expected: str) -> tuple[int, str, str] | None:
+    """First differing line as (index, line, expected line); a failure then
+    reports one line rather than a diff of megabytes."""
+    lines, wanted = text.splitlines(), expected.splitlines()
+    lines += [""] * (len(wanted) - len(lines))
+    wanted += [""] * (len(lines) - len(wanted))
+    return next(
+        ((i, got, want) for i, (got, want) in enumerate(zip(lines, wanted)) if got != want),
+        None,
+    )
+
+
+_TRUTH_SPELLINGS = {
+    SAME: ("same", "mated", " Mated ", "SAME"),
+    DIFF: ("different", "nonmated", "NonMated", " different"),
+}
+_COMMENTS = ("# comment", '# a "quote, left open', "", "   ", "  # indented")
+
+
+@st.composite
+def varied_records_csv(draw):
+    """Records, and raw-records text for them with the accepted input variations.
+
+    Comment and blank lines are injected, ground truth uses the aliases and
+    other spellings, labels are padded or quoted.
+    """
+    pairs = draw(
+        st.lists(st.tuples(st.sampled_from((SAME, DIFF)), label_strategy), min_size=1, max_size=25)
+    )
+    records = [
+        EvaluationRecord(f"ex{n % 3}", f"item{n}", truth, label)
+        for n, (truth, label) in enumerate(pairs)
+    ]
+    buffer = io.StringIO()
+    buffer.write(f"{draw(st.sampled_from(_COMMENTS))}\n{RAW_HEADER}\n")
+    for record in records:
+        if draw(st.booleans()):
+            buffer.write(draw(st.sampled_from(_COMMENTS)) + "\n")
+        quoting = csv.QUOTE_ALL if draw(st.booleans()) else csv.QUOTE_MINIMAL
+        label = draw(st.sampled_from((record.statement, f"  {record.statement} ")))
+        token = draw(st.sampled_from(_TRUTH_SPELLINGS[record.truth]))
+        csv.writer(buffer, lineterminator="\n", quoting=quoting).writerow(
+            (record.examiner_id, record.item_id, token, label)
+        )
+    return records, buffer.getvalue()
+
+
+class TestTallyCommandProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(case=varied_records_csv())
+    def test_cli_tally_equals_library_tally(self, tmp_path_factory, case):
+        records, text = case
+        path = tmp_path_factory.mktemp("tally") / "records.csv"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["tally", "--in", str(path)], stdout=out, stderr=err) == 0
+        assert out.getvalue() == emit_aggregated(tally(records))
 
 
 class TestDatasetFile:

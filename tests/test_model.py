@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from catlr.model import (
@@ -9,6 +10,7 @@ from catlr.model import (
     EvaluationRecord,
     GroundTruth,
     LrEstimate,
+    RecordBatch,
 )
 
 SAME = GroundTruth.SAME_SOURCE
@@ -46,6 +48,69 @@ class TestEvaluationRecord:
         r = EvaluationRecord("ex1", "item9", SAME, "ID")
         with pytest.raises(AttributeError):
             r.statement = "Elimination"
+
+
+class TestRecordBatch:
+    def test_rows_are_record_views(self):
+        batch = RecordBatch(("a", "b"), [0, 1, 1], [1, 0, 1])
+        assert len(batch) == 3
+        assert list(batch) == [
+            EvaluationRecord("ex01", "item000001", SAME, "b"),
+            EvaluationRecord("ex02", "item000002", DIFF, "a"),
+            EvaluationRecord("ex03", "item000003", DIFF, "b"),
+        ]
+        assert batch[-1] == batch[2] == list(batch)[2]
+        assert batch[1:] == list(batch)[1:]
+
+    def test_examiners_round_robin(self):
+        batch = RecordBatch(("a",), np.zeros(25, dtype=int), np.zeros(25, dtype=int))
+        examiners = [r.examiner_id for r in batch]
+        assert examiners == [f"ex{i % 10 + 1:02d}" for i in range(25)]
+        assert examiners[0] == examiners[10] == examiners[20] == "ex01"
+        assert batch[19].examiner_id == "ex10"
+
+    def test_item_ids_grow_past_six_digits(self):
+        n = 1_000_002
+        batch = RecordBatch(("a",), np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=int))
+        assert batch[999_998].item_id == "item999999"
+        assert batch[1_000_000].item_id == "item1000001"
+
+    @pytest.mark.parametrize("index", [3, -4])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(IndexError):
+            RecordBatch(("a",), [0, 0, 1], [0, 0, 0])[index]
+
+    def test_arrays_are_read_only_copies(self):
+        codes = np.array([0, 1])
+        batch = RecordBatch(("a", "b"), [0, 0], codes)
+        codes[0] = 1
+        assert batch[0].statement == "a"
+        with pytest.raises(ValueError):
+            batch.statement_codes[0] = 1
+        with pytest.raises(ValueError):
+            batch.truth_codes[0] = 1
+
+    @pytest.mark.parametrize(
+        "categories, truth, codes, match",
+        [
+            (("a",), [2], [0], "truth codes"),
+            (("a",), [-1], [0], "truth codes"),
+            (("a", "b"), [0], [2], "index the 2 categories"),
+            (("a",), [0, 1], [0], "equally long"),
+            (("a",), [0.0], [0.0], "integers"),
+            (("a", "a"), [0], [0], "duplicate"),
+            ((), [], [], "non-empty"),
+        ],
+    )
+    def test_invalid_columns_rejected(self, categories, truth, codes, match):
+        with pytest.raises(DataError, match=match):
+            RecordBatch(categories, truth, codes)
+
+    def test_equality_compares_rows(self):
+        batch = RecordBatch(("a", "b"), [0, 1], [0, 1])
+        assert batch == RecordBatch(("b", "a"), [0, 1], [1, 0])
+        assert batch != RecordBatch(("a", "b"), [0, 0], [0, 1])
+        assert batch != RecordBatch(("a", "b"), [0, 1, 1], [0, 1, 1])
 
 
 class TestConfusionTable:
@@ -91,6 +156,12 @@ class TestConfusionTable:
         t = ConfusionTable(("a",), (0,), (3,))
         with pytest.raises(DataError, match="no observations"):
             t.frequencies(SAME)
+
+    def test_observed_total(self):
+        t = ConfusionTable(("a", "b"), (0, 0), (3, 1))
+        assert t.observed_total(DIFF) == 4
+        with pytest.raises(DataError, match="^no observations under hypothesis 'same'$"):
+            t.observed_total(SAME)
 
     def test_negative_count_rejected(self):
         with pytest.raises(DataError, match="negative"):

@@ -4,7 +4,8 @@ import pytest
 
 from catlr.engine import full_table_lrs
 from catlr.ingest import tally
-from catlr.model import DataError, GroundTruth
+from catlr.model import DataError, GroundTruth, RecordBatch
+from catlr.rng import stream
 from catlr.simulate import PanelProfile, load_profile, simulate_study, true_lr
 
 SAME = GroundTruth.SAME_SOURCE
@@ -76,6 +77,17 @@ class TestSimulateStudy:
         assert records[0].examiner_id == "ex01"
         assert records[9].examiner_id == "ex10"
         assert records[10].examiner_id == "ex01"
+
+    def test_codes_are_the_two_choice_draws_same_source_first(self):
+        profile = PanelProfile(("a", "b", "c"), (0.2, 0.3, 0.5), (0.6, 0.3, 0.1), 50, 70, seed=11)
+        g = stream(11)
+        same = g.choice(3, size=50, p=profile.p_given_h1)
+        different = g.choice(3, size=70, p=profile.p_given_h2)
+        batch = simulate_study(profile)
+        assert isinstance(batch, RecordBatch)
+        assert batch.categories == profile.categories
+        assert batch.statement_codes.tolist() == same.tolist() + different.tolist()
+        assert batch.truth_codes.tolist() == [0] * 50 + [1] * 70
 
     def test_item_ids_unique(self):
         profile = PanelProfile(("a", "b"), (0.5, 0.5), (0.5, 0.5), 100, 100, seed=5)
@@ -170,5 +182,5 @@ class TestLoadProfile:
 
     def test_vector_sum_checked(self):
         bad = PROFILE_CFG.replace("0.75, 0.2, 0.05", "0.75, 0.2, 0.25")
-        with pytest.raises(DataError, match="sum to 1"):
+        with pytest.raises(DataError, match="^p_given_h1 must sum to 1"):
             load_profile(bad)
