@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ConfusionTable, DataError, GroundTruth, LrEstimate, ratio
+from .model import ConfusionTable, DataError, GroundTruth, LrEstimate, check_lr, ratio
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,7 @@ def presentation_round(lr: float | None, zero_count_bound: float | None = None) 
     """
     if lr is None:
         raise DataError("undefined likelihood ratio (0/0) has no display form")
-    if math.isnan(lr) or lr < 0:
-        raise DataError(f"likelihood ratio must be >= 0 or infinite, got {lr!r}")
-    if math.isinf(lr):
+    if math.isinf(check_lr(lr)):
         if zero_count_bound is None:
             return "∞"
         return f"> {presentation_round(zero_count_bound)}"

@@ -27,8 +27,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .model import ConfusionTable, DataError, EvaluationRecord, GroundTruth, RecordBatch
 
 
@@ -209,6 +207,9 @@ def tally(
 
 def _batch_counts(batch: RecordBatch) -> dict[tuple[GroundTruth, str], int]:
     """Nonzero (truth, statement) counts of a batch, statements in first-appearance order."""
+    # imported here, not at module level: only a RecordBatch needs numpy
+    import numpy as np
+
     k = len(batch.categories)
     codes = batch.statement_codes
     keys = batch.truth_codes.astype(np.intp) * k + codes
@@ -339,6 +340,8 @@ def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[str]:
         rows = ((r.examiner_id, r.item_id, r.truth.value, r.statement) for r in records)
         yield _csv_text(RAW_HEADER, rows)
         return
+    import numpy as np
+
     yield _csv_text(RAW_HEADER, ())
     k = len(records.categories)
     # The ground-truth and statement cells of each truth * k + code, CSV-encoded
@@ -364,28 +367,18 @@ class DatasetKind(enum.Enum):
     AGGREGATED_TABLE = "aggregated-table"
 
 
-_HEADERS = {
-    DatasetKind.RAW_RECORDS: RAW_HEADER,
-    DatasetKind.AGGREGATED_TABLE: AGGREGATED_HEADER,
-}
-
-
 def sniff_kind(path: str | Path) -> DatasetKind:
-    """Classify a file by its header line."""
-    return _kind_of(Path(path).read_text(encoding="utf-8"), path)
-
-
-def _kind_of(text: str, path: str | Path) -> DatasetKind:
-    """Classify the text of the file at ``path`` by its header line."""
+    """Classify a file by its header line, reading no further than the header's block."""
     expected = f"expected {','.join(AGGREGATED_HEADER)} or {','.join(RAW_HEADER)}"
-    for row in _DataRows(text):
-        cells = tuple(c.strip() for c in row)
-        if cells == AGGREGATED_HEADER:
-            return DatasetKind.AGGREGATED_TABLE
-        if set(RAW_HEADER) <= set(cells):
-            return DatasetKind.RAW_RECORDS
-        header = ",".join(cells)
-        raise IngestError(f"{path}: header {header} matches no known schema; {expected}")
+    with open(path, encoding="utf-8") as lines:
+        for row in _DataRows(lines):
+            cells = tuple(c.strip() for c in row)
+            if cells == AGGREGATED_HEADER:
+                return DatasetKind.AGGREGATED_TABLE
+            if set(RAW_HEADER) <= set(cells):
+                return DatasetKind.RAW_RECORDS
+            header = ",".join(cells)
+            raise IngestError(f"{path}: header {header} matches no known schema; {expected}")
     raise IngestError(f"{path}: no header line found; {expected}")
 
 
@@ -397,12 +390,14 @@ class DatasetFile:
     kind: DatasetKind
 
     def load(self) -> list[EvaluationRecord] | ConfusionTable:
-        text = Path(self.path).read_text(encoding="utf-8")
-        actual = _kind_of(text, self.path)
+        # the header is checked first, so a file of the wrong kind fails
+        # without the rest of it being read
+        actual = sniff_kind(self.path)
         if actual is not self.kind:
             raise IngestError(
                 f"{self.path}: declared {self.kind.value} but header says {actual.value}"
             )
+        text = Path(self.path).read_text(encoding="utf-8")
         if self.kind is DatasetKind.RAW_RECORDS:
             return parse_records(text)
         return parse_aggregated(text, study_name=Path(self.path).stem)

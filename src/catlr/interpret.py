@@ -14,15 +14,13 @@ from dataclasses import dataclass
 from importlib.resources import files
 from typing import Iterable
 
-from .model import DataError
+from .model import DataError, check_lr
 
 
 def _check_lr(lr: float | None) -> float:
     if lr is None:
         raise DataError("likelihood ratio is undefined (0/0)")
-    if math.isnan(lr) or lr < 0:
-        raise DataError(f"likelihood ratio must be >= 0 or infinite, got {lr!r}")
-    return lr
+    return check_lr(lr)
 
 
 def posterior_probability(prior: float, lr: float | None) -> float:

@@ -16,8 +16,10 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DataError(ValueError):
@@ -29,6 +31,13 @@ def ratio(numerator: float, denominator: float) -> float | None:
     if denominator > 0.0:
         return numerator / denominator
     return math.inf if numerator > 0.0 else None
+
+
+def check_lr(lr: float) -> float:
+    """``lr`` unchanged; DataError unless it is >= 0 or infinite."""
+    if math.isnan(lr) or lr < 0:
+        raise DataError(f"likelihood ratio must be >= 0 or infinite, got {lr!r}")
+    return lr
 
 
 def category_index(categories: tuple[str, ...], statement: str) -> int:
@@ -85,6 +94,10 @@ class RecordBatch(Sequence):
     __slots__ = ("_categories", "_truth", "_codes")
 
     def __init__(self, categories: Sequence[str], truth_codes, statement_codes):
+        # imported here, not at module level: every CLI call imports this
+        # module, and only commands that hold record columns need numpy
+        import numpy as np
+
         categories = tuple(str(c) for c in categories)
         if not categories or any(not c for c in categories):
             raise DataError(f"categories must be non-empty labels: {categories}")
@@ -152,6 +165,8 @@ class RecordBatch(Sequence):
     def __eq__(self, other):
         if not isinstance(other, RecordBatch):
             return NotImplemented
+        import numpy as np
+
         labels = np.array(self._categories, dtype=object)[self._codes]
         other_labels = np.array(other._categories, dtype=object)[other._codes]
         return np.array_equal(self._truth, other._truth) and np.array_equal(

@@ -13,9 +13,12 @@ results are reproducible bit-for-bit:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import DataError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_ALGORITHM = "pcg64-seedseq-v2"
 
@@ -29,4 +32,7 @@ def check_seed(seed: int) -> int:
 def stream(seed: int) -> np.random.Generator:
     """The single generator for ``seed``."""
     check_seed(seed)
+    # imported here, not at module level: only commands that draw need numpy
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .model import (
     ConfusionTable,
     DataError,
@@ -90,6 +88,9 @@ def simulate_study(profile: PanelProfile) -> RecordBatch:
     Single RNG stream per study (seeded by the profile), so a fixed seed
     reproduces the records exactly.
     """
+    # imported here, not at module level: every CLI call imports this module
+    import numpy as np
+
     g = stream(profile.seed)
     k = len(profile.categories)
     same = g.choice(k, size=profile.n_h1, p=profile.p_given_h1)

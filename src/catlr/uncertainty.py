@@ -37,11 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import ConfusionTable, DataError, GroundTruth
 from .rng import RNG_ALGORITHM, check_seed, stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_REPLICATES = 1_000_000
 
@@ -92,6 +94,9 @@ def _quantile(sorted_values: np.ndarray, q: float) -> float:
 
 
 def _percentile_interval(values: np.ndarray, level: float, method: str) -> Interval:
+    # imported here, not at module level: every CLI call imports this module
+    import numpy as np
+
     defined = np.sort(values[~np.isnan(values)])
     if defined.size == 0:
         raise DataError("every replicate was undefined (0/0); no interval exists")
@@ -103,6 +108,8 @@ def _percentile_interval(values: np.ndarray, level: float, method: str) -> Inter
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise num / den: inf where only den is 0, NaN where both are."""
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore"):
         return num / den
 

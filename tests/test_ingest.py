@@ -501,6 +501,17 @@ class TestDatasetFile:
         with pytest.raises(IngestError, match="declared raw-records"):
             DatasetFile(agg, DatasetKind.RAW_RECORDS).load()
 
+    def test_load_of_the_wrong_kind_reads_only_the_header_block(self, tmp_path):
+        # bytes that are not UTF-8 far past the header are never decoded
+        raw = tmp_path / "records.csv"
+        rows = b"".join(b"e1,i%d,same,ID\n" % n for n in range(20_000))
+        raw.write_bytes(b"examiner_id,item_id,ground_truth,statement\n" + rows + b"\xff\n")
+        with pytest.raises(IngestError) as raised:
+            DatasetFile(raw, DatasetKind.AGGREGATED_TABLE).load()
+        assert str(raised.value) == (
+            f"{raw}: declared aggregated-table but header says raw-records"
+        )
+
     def test_unrecognized_header(self, tmp_path):
         weird = tmp_path / "weird.csv"
         weird.write_text("colA,colB\n1,2\n", encoding="utf-8")

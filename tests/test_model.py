@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from catlr.engine import presentation_round
+from catlr.interpret import bundled_scale, hardness_adjust, posterior_probability
 from catlr.model import (
     ConfusionTable,
     DataError,
@@ -231,3 +233,17 @@ class TestLrEstimate:
             "ID", 0.5, 0.25, h1_count=1, h1_total=2, h2_count=1, h2_total=4
         )
         assert (est.h1_count, est.h1_total, est.h2_count, est.h2_total) == (1, 2, 1, 4)
+
+
+@pytest.mark.parametrize("lr", [math.nan, -1.0])
+def test_display_and_interpretation_reject_an_invalid_lr_alike(lr):
+    callers = (
+        presentation_round,
+        lambda lr: posterior_probability(0.5, lr),
+        lambda lr: hardness_adjust(lr, 0.5),
+        bundled_scale("forensic").label_for,
+    )
+    for call in callers:
+        with pytest.raises(DataError) as raised:
+            call(lr)
+        assert str(raised.value) == f"likelihood ratio must be >= 0 or infinite, got {lr!r}"
