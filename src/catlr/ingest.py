@@ -38,7 +38,7 @@ RAW_HEADER = ("examiner_id", "item_id", "ground_truth", "statement")
 AGGREGATED_HEADER = ("statement", "same_source_count", "different_source_count")
 
 _BLOCK_ROWS = 65_536  # rows of a RecordBatch formatted per piece of output
-_BLOCK_LINES = 4096  # input lines filtered per step of a _DataRows
+_BLOCK_LINES = 4096  # input lines filtered, and raw rows counted, per block
 
 _TRUTH_TOKENS = {
     "same": GroundTruth.SAME_SOURCE,
@@ -48,21 +48,38 @@ _TRUTH_TOKENS = {
 }
 
 
+def _blocks(source: str | Iterable[str]) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """(physical line numbers, lines) of the non-comment, non-blank lines of
+    ``source``, block by block; a string splits into lines as an open file does."""
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else iter(source)
+    end = 0  # physical number of the last line read
+    while block := list(islice(lines, _BLOCK_LINES)):
+        # "#" and every whitespace character sort below "$" or at "\x85" and
+        # above, so when every line starts between them none need stripping
+        if min(block) >= "$" and max(block) < "\x85":
+            yield range(end + 1, end + len(block) + 1), block
+        else:
+            # a blank line's first character after lstrip is "", which is "in" "#" too
+            numbers = [n for n, raw in enumerate(block, end + 1) if raw.lstrip()[:1] not in "#"]
+            yield numbers, [block[n - end - 1] for n in numbers]
+        end += len(block)
+
+
 class _DataRows:
     """The data rows of CSV text or an open text file, parsed by one csv.reader.
 
     Iterating yields each row's cells; a second loop continues where the
-    first stopped.  Comment and blank lines are dropped in blocks before
-    the reader sees them, so the reader's ``line_num`` counts data lines
-    only, and ``line`` maps it back to a physical line number through a
-    map kept for the current block alone.
+    first stopped.  The reader reads the lines of ``blocks``, so ``line``
+    maps its ``line_num`` to a physical line through the current block's
+    numbers.  Lines taken from ``blocks`` or ``rest_of_block`` bypass the
+    reader; a block put back in front of ``blocks`` is the next it parses.
     """
 
     def __init__(self, source: str | Iterable[str]):
-        lines = source.splitlines() if isinstance(source, str) else source
-        self._numbers: list[int] = []  # physical numbers of the block's data lines
-        self._before = 0  # data lines in the blocks before the current one
-        self._reader = csv.reader(chain.from_iterable(self._blocks(iter(lines))))
+        self.blocks = _blocks(source)
+        self._numbers: Sequence[int] = ()  # physical numbers of the block's data lines
+        self._before = 0  # lines the reader parsed before the current block
+        self._reader = csv.reader(chain.from_iterable(self._lines()))
         self._rows = self._checked()
 
     @property
@@ -70,23 +87,21 @@ class _DataRows:
         """Physical line number of the last line the reader parsed."""
         return self._numbers[self._reader.line_num - self._before - 1]
 
+    def rest_of_block(self) -> tuple[Sequence[int], list[str]]:
+        """Take the current block's unparsed lines from the reader, as (numbers, lines)."""
+        kept = list(self._unread)
+        return self._numbers[len(self._numbers) - len(kept) :], kept
+
     def __iter__(self) -> Iterator[list[str]]:
         return self._rows
 
-    def _blocks(self, lines: Iterator[str]) -> Iterator[list[str]]:
-        end = 0  # physical number of the last line read
-        while block := list(islice(lines, _BLOCK_LINES)):
-            self._before += len(self._numbers)
-            self._numbers = [
-                n
-                for n, raw in enumerate(block, start=end + 1)
-                if (text := raw.strip()) and text[0] != "#"
-            ]
-            kept = block
-            if len(self._numbers) < len(block):
-                kept = [block[n - end - 1] for n in self._numbers]
-            end += len(block)
-            yield kept
+    def _lines(self) -> Iterator[Iterator[str]]:
+        # ``self.blocks`` is looked up for every block, so a block put back is read
+        while (block := next(self.blocks, None)) is not None:
+            self._before = self._reader.line_num
+            self._numbers, kept = block
+            self._unread = iter(kept)
+            yield self._unread
 
     def _checked(self) -> Iterator[list[str]]:
         reader = self._reader
@@ -124,41 +139,40 @@ def _raw_columns(rows: _DataRows) -> dict[str, int]:
     return columns
 
 
+def _meaning(cells: tuple[str, str]) -> tuple[GroundTruth, str] | None:
+    """(truth, statement) of a raw (ground-truth, statement) cell pair; None if invalid."""
+    truth = _TRUTH_TOKENS.get(cells[0].strip().lower())
+    statement = cells[1].strip()
+    return (truth, statement) if truth is not None and statement else None
+
+
 def _checked_records(
     rows: _DataRows, columns: dict[str, int]
 ) -> Iterator[tuple[list[str], tuple[GroundTruth, str]]]:
     """(cells, (truth, statement)) for each raw-records data row, validated.
 
-    Each distinct raw ground-truth cell and statement cell is validated
-    once; later rows with the same cell reuse its cached meaning.
+    Each distinct raw (ground-truth cell, statement cell) pair is validated
+    once; later rows with the same pair reuse its cached meaning.
     """
     width = max(columns.values()) + 1
-    truth_at, statement_at = columns["ground_truth"], columns["statement"]
-    truths: dict[str, GroundTruth] = {}
-    statements: dict[str, str] = {}
+    pair = itemgetter(columns["ground_truth"], columns["statement"])
+    known: dict[tuple[str, str], tuple[GroundTruth, str]] = {}
     for row in rows:
         if len(row) < width:
             raise IngestError(
                 f"line {rows.line}: expected at least {width} fields, got {len(row)}"
             )
-        cell = row[truth_at]
-        truth = truths.get(cell)
-        if truth is None:
-            token = cell.strip().lower()
+        cells = pair(row)
+        key = known.get(cells) or known.setdefault(cells, _meaning(cells))
+        if key is None:
+            token = cells[0].strip().lower()
             if token not in _TRUTH_TOKENS:
                 raise IngestError(
                     f"line {rows.line}: unknown ground-truth token {token!r}; "
                     f"allowed tokens: {', '.join(sorted(_TRUTH_TOKENS))}"
                 )
-            truth = truths[cell] = _TRUTH_TOKENS[token]
-        cell = row[statement_at]
-        statement = statements.get(cell)
-        if statement is None:
-            statement = cell.strip()
-            if not statement:
-                raise IngestError(f"line {rows.line}: empty statement label")
-            statements[cell] = statement
-        yield row, (truth, statement)
+            raise IngestError(f"line {rows.line}: empty statement label")
+        yield row, key
 
 
 def parse_records(source: str | Iterable[str]) -> list[EvaluationRecord]:
@@ -180,11 +194,44 @@ def tally_csv(source: str | Iterable[str], study_name: str = "") -> ConfusionTab
     """Tally raw per-evaluation rows straight into a table, building no records.
 
     Equals ``tally(parse_records(source), study_name=study_name)``, with the
-    same errors, in memory that does not grow with the number of rows.
+    same errors, in memory that does not grow with the number of rows.  Python
+    code runs per row only from the first block with a fault on, to name its line.
     """
     rows = _DataRows(source)
-    checked = _checked_records(rows, _raw_columns(rows))
-    return _table(Counter(map(itemgetter(1), checked)), None, study_name)
+    columns = _raw_columns(rows)
+    at = columns["ground_truth"], columns["statement"]
+    pair, last = itemgetter(*at), max(columns.values())
+    # A row too short for a column the checked scan requires must raise
+    # IndexError, so a last column outside the pair is fetched too.
+    wide = None if last in at else itemgetter(last, *at)
+    # Each block's own csv.reader feeds a Counter of raw (ground-truth cell,
+    # statement cell) pairs in C, and each new pair is validated once.  A
+    # fault is a row that is too short, spans lines (a quoted field left
+    # open) or is rejected by the csv module, or an invalid pair.  As no row
+    # before the fault spans lines, the checked scan starting at its block
+    # parses it as one that read every line before would.
+    raw: Counter[tuple[str, str]] = Counter()
+    blocks = chain([rows.rest_of_block()], rows.blocks)
+    for block in blocks:
+        reader = csv.reader(chain(block[1], ("\n",)))
+        parsed = islice(reader, len(block[1]))
+        pairs = map(pair, parsed) if wide is None else map(itemgetter(1, 2), map(wide, parsed))
+        try:
+            found = Counter(pairs)
+            # the closing "\n" is a row of its own unless a quoted field is open
+            whole = next(reader, None) == []
+        except (IndexError, csv.Error):
+            whole = False
+        if not (whole and all(map(_meaning, found.keys() - raw.keys()))):
+            rows.blocks = chain([block], blocks)
+            break
+        raw.update(found)
+    counts: Counter[tuple[GroundTruth, str]] = Counter()
+    for cells, n in raw.items():
+        counts[_meaning(cells)] += n
+    # the block with a fault, if any, and every block after it
+    counts.update(map(itemgetter(1), _checked_records(rows, columns)))
+    return _table(counts, None, study_name)
 
 
 def tally(

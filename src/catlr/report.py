@@ -189,6 +189,13 @@ class ReportSpec:
                 f"interval method must be {' or '.join(map(repr, INTERVAL_METHODS))}, "
                 f"got {self.interval_method!r}"
             )
+        if self.interval_method is not None and not self.smoothing.is_none:
+            # the replicates are drawn from the raw counts, so a smoothed point
+            # LR could fall outside its own interval
+            raise DataError(
+                f"{self.interval_method} intervals are computed without smoothing; "
+                f"drop smoothing {self.smoothing.describe()} or the interval"
+            )
 
 
 def build_report(spec: ReportSpec) -> str:

@@ -357,3 +357,23 @@ class TestReportCommand:
         code, _, err = invoke("report", "--format", "md")
         assert code == 2
         assert "report needs" in err
+
+    @pytest.mark.parametrize("method", ["bootstrap", "dirichlet"])
+    def test_interval_with_smoothing_is_data_error(self, tmp_path, method):
+        # the replicates ignore smoothing, so the interval could exclude its point
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "statement,same_source_count,different_source_count\nID,30,1\nX,10,99\n",
+            encoding="utf-8",
+        )
+        code, out, err = invoke(
+            "report", "--table", str(path), "--smoothing", "alpha=5", "--interval", method
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"data error: {method} intervals are computed without smoothing; "
+            "drop smoothing add-alpha(5) or the interval\n"
+        )
+        assert invoke(
+            "report", "--table", str(path), "--smoothing", "none", "--interval", method
+        )[0] == 0

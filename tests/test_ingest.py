@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catlr import ingest
 from catlr.cli import run
 from catlr.ingest import (
     DatasetFile,
@@ -20,6 +21,7 @@ from catlr.ingest import (
     tally,
     tally_csv,
 )
+from catlr.ingest import _BLOCK_LINES, _blocks
 from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth, RecordBatch
 
 SAME = GroundTruth.SAME_SOURCE
@@ -124,6 +126,13 @@ class TestRowErrorLines:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("read", [parse_records, tally_csv])
+    def test_row_short_of_a_last_column_outside_truth_and_statement(self, read):
+        text = "ground_truth,statement,item_id,examiner_id\nsame,ID,i1,e1\nsame,ID,i2\n"
+        with pytest.raises(IngestError) as info:
+            read(text)
+        assert str(info.value) == "line 3: expected at least 4 fields, got 3"
+
+    @pytest.mark.parametrize("read", [parse_records, tally_csv])
     def test_line_numbers_hold_over_many_thousand_lines(self, read):
         lines = [RAW_HEADER]
         for n in range(12_000):
@@ -152,6 +161,146 @@ class TestTallyCsv:
     def test_header_only_has_no_categories(self):
         with pytest.raises(DataError, match="zero records"):
             tally_csv(f"{RAW_HEADER}\n")
+
+    def test_form_feed_in_a_label_is_counted_from_a_string_too(self):
+        text = f"{RAW_HEADER}\ne1,i1,same,ID\x0cx\ne2,i2,different,ID\n"
+        table = tally_csv(text)
+        assert table.categories == ("ID\x0cx", "ID")
+        assert table == tally_csv(io.StringIO(text, newline=None))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cells=st.lists(
+            st.sampled_from(
+                ["e1", "same", "mated", "different", "ID", " A ", '"B', 'C"', "", "#"]
+            ),
+            max_size=30,
+        ),
+        breaks=st.lists(
+            st.sampled_from(
+                [",", ",", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1e", "\x85"]
+                + ["\u2028", "\u2029", " "]
+            ),
+            min_size=30,
+            max_size=30,
+        ),
+    )
+    def test_a_string_reads_as_an_open_file_does(self, cells, breaks):
+        body = "".join(cell + sep for cell, sep in zip(cells, breaks))
+        text = f"{RAW_HEADER}\n{body}"
+        assert _outcome(tally_csv, text) == _outcome(
+            tally_csv, io.StringIO(text, newline=None)
+        )
+        assert _outcome(parse_records, text) == _outcome(
+            parse_records, io.StringIO(text, newline=None)
+        )
+
+
+def _outcome(read, source):
+    """What ``read(source)`` returns, or the type and message of what it raises."""
+    try:
+        return read(source)
+    except Exception as exc:  # the outcome under comparison
+        return type(exc), str(exc)
+
+
+# Some examiner ids start a data line below "$" or at "\x85" and above, where
+# the block filter strips every line instead of keeping the block whole
+_EXAMINERS = ("e1", "!e2", " e3", '"e,4"', "\xe94")
+_LABELS = ("ID", '"Incl, A"', " Incl. B ", '"ID"', "Elim")
+_JUNK = ("# comment", "", "   ", "  # indented", '# a "quote, left open', "\xa0# a,b,c,d", "\u3000")
+_FAULTS = (
+    {"statement": "  "},
+    {"ground_truth": " Maybe "},
+    {"statement": '"ID'},
+    {"statement": f'"{"x" * 140_000}"'},
+    {"statement": '"ID" x'},  # not a fault: the csv module reads the field as 'ID x'
+    {},  # with the last field dropped: a short row
+)
+
+
+@st.composite
+def records_lines(draw):
+    """Lines of raw-records text over more than one block, with at most one fault.
+
+    Columns come in any order.  The fault sits at the edge of the first
+    block, just after the header or on the last line; comment, blank and
+    whitespace lines fall anywhere.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    order = draw(st.permutations(RAW_HEADER.split(",")))
+
+    def line(cells):
+        return ",".join(cells[name] for name in order) + "\n"
+
+    lines = [line({name: name for name in order})]
+    for n in range(_BLOCK_LINES + 8):
+        truth = rng.choice(_TRUTH_SPELLINGS[rng.choice((SAME, DIFF))])
+        cells = {"examiner_id": rng.choice(_EXAMINERS), "item_id": f"i{n}"}
+        lines.append(line({**cells, "ground_truth": truth, "statement": rng.choice(_LABELS)}))
+    for junk in draw(st.lists(st.sampled_from(_JUNK), max_size=4)):
+        lines.insert(rng.randrange(len(lines) + 1), junk + "\n")
+    fault = draw(st.sampled_from((None, *_FAULTS)))
+    if fault is not None:
+        cells = {"examiner_id": "e9", "item_id": "i9", "ground_truth": "same", "statement": "ID"}
+        bad = line({**cells, **fault})
+        if not fault:
+            bad = bad[: bad.rindex(",")] + "\n"
+        # physical line numbers: the first block ends at line _BLOCK_LINES
+        at = draw(st.sampled_from((2, _BLOCK_LINES - 1, _BLOCK_LINES, _BLOCK_LINES + 1, None)))
+        lines.insert(len(lines) if at is None else at - 1, bad)
+    return lines
+
+
+class TestTallyCsvDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(lines=records_lines())
+    def test_equals_tally_of_parsed_records_including_errors(self, lines):
+        text = "".join(lines)
+        expected = _outcome(lambda t: tally(parse_records(t)), text)
+        assert _outcome(tally_csv, text) == expected
+        assert _outcome(tally_csv, io.StringIO(text)) == expected
+        assert _outcome(tally_csv, (line for line in lines)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(
+            st.sampled_from((*_JUNK, "e1,i1,same,ID", "\xe9,i,same,ID", "$")), max_size=12
+        )
+    )
+    def test_blocks_keep_the_lines_that_are_not_blank_once_stripped_nor_comments(self, lines):
+        kept = [(n, line) for numbers, block in _blocks(lines) for n, line in zip(numbers, block)]
+        assert kept == [
+            (n, line)
+            for n, line in enumerate(lines, start=1)
+            if line.strip() and not line.strip().startswith("#")
+        ]
+
+    @pytest.mark.parametrize("at", [_BLOCK_LINES, None], ids=["block-end", "input-end"])
+    def test_quoted_field_left_open_on_the_last_line_of_a_block(self, at):
+        lines = [f"{RAW_HEADER}\n"] + [f"e{n},i{n},same,ID\n" for n in range(_BLOCK_LINES + 9)]
+        lines.insert(len(lines) if at is None else at - 1, 'e9,i9,same,"ID\n')
+        text = "".join(lines)
+        assert _outcome(tally_csv, text) == _outcome(lambda t: tally(parse_records(t)), text)
+
+    def test_valid_input_never_enters_the_checked_scan(self, monkeypatch):
+        lines = [f"# export\n{RAW_HEADER}\n"]
+        for n in range(3 * _BLOCK_LINES):
+            if n % 1000 == 0:
+                lines.append("# block\n\n")
+            label = ('"Incl, A"', " Elim ", "ID")[n % 3]
+            lines.append(f"e{n % 7},i{n},{('mated', 'different', 'SAME')[n % 4 % 3]},{label}\n")
+        text = "".join(lines)
+        expected = tally(parse_records(text))
+
+        def checked_scan(rows, columns, scan=ingest._checked_records):
+            for _ in scan(rows, columns):
+                raise AssertionError("a row of valid input reached the checked scan")
+            yield from ()
+
+        monkeypatch.setattr(ingest, "_checked_records", checked_scan)
+        assert tally_csv(io.StringIO(text)) == expected
+        assert tally_csv(text) == expected
 
 
 class TestTally:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from catlr import fixtures
-from catlr.engine import presentation_round
+from catlr.engine import SmoothingPolicy, presentation_round
 from catlr.ingest import emit_aggregated
 from catlr.model import ConfusionTable, DataError
 from catlr.report import (
@@ -197,6 +197,17 @@ class TestReportSpec:
         spec = ReportSpec(datasets=(str(tmp_path / "nope.csv"),))
         with pytest.raises(FileNotFoundError):
             build_report(spec)
+
+    @pytest.mark.parametrize("method", ["bootstrap", "dirichlet"])
+    def test_interval_with_smoothing_rejected(self, method):
+        with pytest.raises(DataError, match="computed without smoothing"):
+            build_report(
+                ReportSpec(
+                    datasets=("unread.csv",),
+                    smoothing=SmoothingPolicy.add_alpha(5),
+                    interval_method=method,
+                )
+            )
 
     def test_build_markdown(self, tmp_path, bullets, golden):
         path = tmp_path / "bullets.csv"
