@@ -21,14 +21,12 @@ from .engine import (
     presentation_round,
 )
 from .ingest import (
-    DatasetFile,
-    DatasetKind,
     IngestError,
     emit_aggregated,
     emit_records,
+    load_table,
     parse_aggregated,
     parse_records,
-    sniff_kind,
     tally,
     tally_csv,
 )
@@ -70,8 +68,6 @@ __all__ = [
     "BUNDLED_SCALES",
     "ConfusionTable",
     "DataError",
-    "DatasetFile",
-    "DatasetKind",
     "EvaluationRecord",
     "GroundTruth",
     "IngestError",
@@ -95,6 +91,7 @@ __all__ = [
     "likelihood_ratio",
     "load_profile",
     "load_scale",
+    "load_table",
     "lr_from_error_rates",
     "parse_aggregated",
     "parse_records",
@@ -104,7 +101,6 @@ __all__ = [
     "render_lr_table",
     "render_summary_table",
     "simulate_study",
-    "sniff_kind",
     "tally",
     "tally_csv",
     "true_lr",

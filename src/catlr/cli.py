@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import IO, Iterator
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs
-from .ingest import (
-    DatasetFile,
-    DatasetKind,
-    emit_aggregated,
-    emit_records,
-    tally_csv,
-)
+from .ingest import emit_aggregated, emit_records, load_table, tally_csv
 from .interpret import hardness_adjust, posterior_probability
 from .model import DataError
 from .report import (
@@ -90,7 +84,7 @@ def _cmd_tally(args, out):
 
 def _cmd_lr(args, out):
     if args.format is None:
-        table = DatasetFile(args.table, DatasetKind.AGGREGATED_TABLE).load()
+        table = load_table(args.table)
         for est in full_table_lrs(table, args.smoothing):
             out.write(f"{est.statement}\t{_fmt(est.lr)}\n")
         return
@@ -129,7 +123,7 @@ def _cmd_adjust(args, out):
 
 
 def _cmd_interval(args, out):
-    table = DatasetFile(args.table, DatasetKind.AGGREGATED_TABLE).load()
+    table = load_table(args.table)
     if args.method == "bootstrap":
         options = {"replicates": args.replicates}
     else:

@@ -10,18 +10,16 @@ Two fixed text schemas, both UTF-8 CSV with ``#`` comment lines ignored:
   one row per category, file order = category order.
 
 Labels are whitespace-trimmed but case-sensitive ("Inconcl.-A" is an
-exact label).  Quoted fields are supported within a single line; a quoted
-field still open at the end of its line is an error, so values containing
-newlines are not supported.
+exact label).  Quoted fields are supported within a single line; one still
+open at the end of its line, the input's last included, is an error, so
+values containing newlines are not supported.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import io
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, cycle, islice
 from operator import itemgetter
 from pathlib import Path
@@ -50,7 +48,7 @@ _TRUTH_TOKENS = {
 
 def _blocks(source: str | Iterable[str]) -> Iterator[tuple[Sequence[int], list[str]]]:
     """(physical line numbers, lines) of the non-comment, non-blank lines of
-    ``source``, block by block; a string splits into lines as an open file does."""
+    ``source``, in non-empty blocks; a string splits into lines as an open file does."""
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else iter(source)
     end = 0  # physical number of the last line read
     while block := list(islice(lines, _BLOCK_LINES)):
@@ -61,25 +59,25 @@ def _blocks(source: str | Iterable[str]) -> Iterator[tuple[Sequence[int], list[s
         else:
             # a blank line's first character after lstrip is "", which is "in" "#" too
             numbers = [n for n, raw in enumerate(block, end + 1) if raw.lstrip()[:1] not in "#"]
-            yield numbers, [block[n - end - 1] for n in numbers]
+            if numbers:
+                yield numbers, [block[n - end - 1] for n in numbers]
         end += len(block)
 
 
 class _DataRows:
-    """The data rows of CSV text or an open text file, parsed by one csv.reader.
+    """The data rows of ``_blocks`` output, parsed by one csv.reader.
 
     Iterating yields each row's cells; a second loop continues where the
-    first stopped.  The reader reads the lines of ``blocks``, so ``line``
-    maps its ``line_num`` to a physical line through the current block's
-    numbers.  Lines taken from ``blocks`` or ``rest_of_block`` bypass the
-    reader; a block put back in front of ``blocks`` is the next it parses.
+    first stopped.  ``line`` maps the reader's ``line_num`` to a physical
+    line through the current block's numbers.  A closing newline read after
+    the last block makes a quoted field still open there an error.
     """
 
-    def __init__(self, source: str | Iterable[str]):
-        self.blocks = _blocks(source)
+    def __init__(self, blocks: Iterable[tuple[Sequence[int], list[str]]]):
         self._numbers: Sequence[int] = ()  # physical numbers of the block's data lines
         self._before = 0  # lines the reader parsed before the current block
-        self._reader = csv.reader(chain.from_iterable(self._lines()))
+        self._closing = 0  # the reader's line_num at the closing newline, once read
+        self._reader = csv.reader(chain.from_iterable(self._lines(blocks)))
         self._rows = self._checked()
 
     @property
@@ -87,32 +85,34 @@ class _DataRows:
         """Physical line number of the last line the reader parsed."""
         return self._numbers[self._reader.line_num - self._before - 1]
 
-    def rest_of_block(self) -> tuple[Sequence[int], list[str]]:
-        """Take the current block's unparsed lines from the reader, as (numbers, lines)."""
-        kept = list(self._unread)
-        return self._numbers[len(self._numbers) - len(kept) :], kept
-
     def __iter__(self) -> Iterator[list[str]]:
         return self._rows
 
-    def _lines(self) -> Iterator[Iterator[str]]:
-        # ``self.blocks`` is looked up for every block, so a block put back is read
-        while (block := next(self.blocks, None)) is not None:
-            self._before = self._reader.line_num
-            self._numbers, kept = block
-            self._unread = iter(kept)
-            yield self._unread
+    def _lines(self, blocks) -> Iterator[Sequence[str]]:
+        for numbers, lines in blocks:
+            self._before, self._numbers = self._reader.line_num, numbers
+            yield lines
+        # the closing newline is numbered as the last data line; it reads as an
+        # empty row of its own unless a quoted field is still open
+        self._before, self._numbers = self._reader.line_num, self._numbers[-1:]
+        self._closing = self._before + 1
+        yield ("\n",)
 
     def _checked(self) -> Iterator[list[str]]:
         reader = self._reader
         try:
             for count, row in enumerate(reader, start=1):
                 if reader.line_num != count:
+                    where = "left open on an earlier line ends here"
+                    # a row read up to the closing newline from the last data line
+                    if reader.line_num == self._closing == count + 1:
+                        where = "is still open at the end of the input"
                     raise IngestError(
-                        f"line {self.line}: a quoted field left open on an earlier "
-                        "line ends here; quoted fields must close on their own line"
+                        f"line {self.line}: a quoted field {where}; "
+                        "quoted fields must close on their own line"
                     )
-                yield row
+                if row:  # the closing newline alone reads as an empty row
+                    yield row
         except csv.Error as exc:
             raise IngestError(f"line {self.line}: {exc}") from None
 
@@ -181,7 +181,7 @@ def parse_records(source: str | Iterable[str]) -> list[EvaluationRecord]:
     ``source`` is file content (a string) or an iterable of lines (an open
     text file).  Raises IngestError naming the offending line.
     """
-    rows = _DataRows(source)
+    rows = _DataRows(_blocks(source))
     columns = _raw_columns(rows)
     examiner_at, item_at = columns["examiner_id"], columns["item_id"]
     return [
@@ -197,8 +197,10 @@ def tally_csv(source: str | Iterable[str], study_name: str = "") -> ConfusionTab
     same errors, in memory that does not grow with the number of rows.  Python
     code runs per row only from the first block with a fault on, to name its line.
     """
-    rows = _DataRows(source)
-    columns = _raw_columns(rows)
+    blocks = _blocks(source)
+    numbers, lines = next(blocks, ((), []))
+    # the header's reader may read on only to fail, naming the line parse_records would
+    columns = _raw_columns(_DataRows(chain([(numbers, lines)], blocks)))
     at = columns["ground_truth"], columns["statement"]
     pair, last = itemgetter(*at), max(columns.values())
     # A row too short for a column the checked scan requires must raise
@@ -211,7 +213,8 @@ def tally_csv(source: str | Iterable[str], study_name: str = "") -> ConfusionTab
     # before the fault spans lines, the checked scan starting at its block
     # parses it as one that read every line before would.
     raw: Counter[tuple[str, str]] = Counter()
-    blocks = chain([rows.rest_of_block()], rows.blocks)
+    # a header read without error is one line, so the rest of its block follows
+    blocks = chain([(numbers[1:], lines[1:])], blocks)
     for block in blocks:
         reader = csv.reader(chain(block[1], ("\n",)))
         parsed = islice(reader, len(block[1]))
@@ -223,14 +226,14 @@ def tally_csv(source: str | Iterable[str], study_name: str = "") -> ConfusionTab
         except (IndexError, csv.Error):
             whole = False
         if not (whole and all(map(_meaning, found.keys() - raw.keys()))):
-            rows.blocks = chain([block], blocks)
+            blocks = chain([block], blocks)
             break
         raw.update(found)
     counts: Counter[tuple[GroundTruth, str]] = Counter()
     for cells, n in raw.items():
         counts[_meaning(cells)] += n
     # the block with a fault, if any, and every block after it
-    counts.update(map(itemgetter(1), _checked_records(rows, columns)))
+    counts.update(map(itemgetter(1), _checked_records(_DataRows(blocks), columns)))
     return _table(counts, None, study_name)
 
 
@@ -304,14 +307,38 @@ def _table(
 
 def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> ConfusionTable:
     """Parse an aggregated per-category count table."""
-    rows = _DataRows(source)
+    rows = _DataRows(_blocks(source))
     lineno, cells = _header(rows, AGGREGATED_HEADER)
     if cells != AGGREGATED_HEADER:
         raise IngestError(
             f"line {lineno}: expected header {','.join(AGGREGATED_HEADER)}, "
             f"got {','.join(cells)}"
         )
+    return _aggregated(rows, study_name)
 
+
+def load_table(path: str | Path) -> ConfusionTable:
+    """The aggregated table in the file at ``path``, named after the file's stem.
+
+    The file is read once, and one with another header fails within its first block."""
+    expected = f"expected {','.join(AGGREGATED_HEADER)} or {','.join(RAW_HEADER)}"
+    with open(path, encoding="utf-8") as lines:
+        rows = _DataRows(_blocks(lines))
+        for row in rows:
+            cells = tuple(c.strip() for c in row)
+            if cells == AGGREGATED_HEADER:
+                return _aggregated(rows, Path(path).stem)
+            if set(RAW_HEADER) <= set(cells):
+                raise IngestError(
+                    f"{path}: declared aggregated-table but header says raw-records"
+                )
+            header = ",".join(cells)
+            raise IngestError(f"{path}: header {header} matches no known schema; {expected}")
+    raise IngestError(f"{path}: no header line found; {expected}")
+
+
+def _aggregated(rows: _DataRows, study_name: str) -> ConfusionTable:
+    """The table of the category rows that follow the header in ``rows``."""
     categories: list[str] = []
     same: list[int] = []
     different: list[int] = []
@@ -407,44 +434,3 @@ def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[str]:
         panel = islice(cycle(examiners), start % len(examiners), None)
         numbers = range(start + 1, stop + 1)
         yield "".join(map(line, zip(panel, numbers, map(tails.__getitem__, keys))))
-
-
-class DatasetKind(enum.Enum):
-    RAW_RECORDS = "raw-records"
-    AGGREGATED_TABLE = "aggregated-table"
-
-
-def sniff_kind(path: str | Path) -> DatasetKind:
-    """Classify a file by its header line, reading no further than the header's block."""
-    expected = f"expected {','.join(AGGREGATED_HEADER)} or {','.join(RAW_HEADER)}"
-    with open(path, encoding="utf-8") as lines:
-        for row in _DataRows(lines):
-            cells = tuple(c.strip() for c in row)
-            if cells == AGGREGATED_HEADER:
-                return DatasetKind.AGGREGATED_TABLE
-            if set(RAW_HEADER) <= set(cells):
-                return DatasetKind.RAW_RECORDS
-            header = ",".join(cells)
-            raise IngestError(f"{path}: header {header} matches no known schema; {expected}")
-    raise IngestError(f"{path}: no header line found; {expected}")
-
-
-@dataclass(frozen=True)
-class DatasetFile:
-    """A data file with its declared kind; ``load`` checks the header matches."""
-
-    path: Path
-    kind: DatasetKind
-
-    def load(self) -> list[EvaluationRecord] | ConfusionTable:
-        # the header is checked first, so a file of the wrong kind fails
-        # without the rest of it being read
-        actual = sniff_kind(self.path)
-        if actual is not self.kind:
-            raise IngestError(
-                f"{self.path}: declared {self.kind.value} but header says {actual.value}"
-            )
-        text = Path(self.path).read_text(encoding="utf-8")
-        if self.kind is DatasetKind.RAW_RECORDS:
-            return parse_records(text)
-        return parse_aggregated(text, study_name=Path(self.path).stem)

@@ -8,6 +8,7 @@ verbal strength label from a configurable scale.
 
 from __future__ import annotations
 
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -101,7 +102,7 @@ def load_scale(source: str | Iterable[str], name: str = "custom") -> VerbalScale
     ``#`` comment lines and an optional ``lower_lr,label`` header are
     skipped.  Row order must be ascending in lower_lr.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     bands = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

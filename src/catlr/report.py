@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs, presentation_round
-from .ingest import DatasetFile, DatasetKind, _csv_text, _DataRows
+from .ingest import _blocks, _csv_text, _DataRows, load_table
 from .model import ConfusionTable, DataError
 from .uncertainty import INTERVAL_METHODS, Interval
 
@@ -151,7 +151,7 @@ def read_display_fixture(source: str | Iterable[str]) -> tuple[tuple[str, ...], 
     width.  Cells are display strings, taken verbatim after trimming.
     """
     parsed: list[tuple[str, ...]] = []
-    rows = _DataRows(source)
+    rows = _DataRows(_blocks(source))
     for row in rows:
         cells = tuple(c.strip() for c in row)
         if parsed and len(cells) != len(parsed[0]):
@@ -202,7 +202,7 @@ def build_report(spec: ReportSpec) -> str:
     """Render every dataset in the spec; JSON nests per-study sections."""
     sections = []
     for path in spec.datasets:
-        table = DatasetFile(path, DatasetKind.AGGREGATED_TABLE).load()
+        table = load_table(path)
         method = INTERVAL_METHODS.get(spec.interval_method)
         intervals = None if method is None else {
             s: method(table, s, level=spec.level, seed=spec.seed) for s in table.categories

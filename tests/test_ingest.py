@@ -1,3 +1,4 @@
+import builtins
 import csv
 import io
 import random
@@ -10,19 +11,18 @@ from hypothesis import strategies as st
 from catlr import ingest
 from catlr.cli import run
 from catlr.ingest import (
-    DatasetFile,
-    DatasetKind,
     IngestError,
     emit_aggregated,
     emit_records,
+    load_table,
     parse_aggregated,
     parse_records,
-    sniff_kind,
     tally,
     tally_csv,
 )
 from catlr.ingest import _BLOCK_LINES, _blocks
 from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth, RecordBatch
+from catlr.report import read_display_fixture
 
 SAME = GroundTruth.SAME_SOURCE
 DIFF = GroundTruth.DIFFERENT_SOURCE
@@ -281,7 +281,33 @@ class TestTallyCsvDifferential:
         lines = [f"{RAW_HEADER}\n"] + [f"e{n},i{n},same,ID\n" for n in range(_BLOCK_LINES + 9)]
         lines.insert(len(lines) if at is None else at - 1, 'e9,i9,same,"ID\n')
         text = "".join(lines)
-        assert _outcome(tally_csv, text) == _outcome(lambda t: tally(parse_records(t)), text)
+        expected = _outcome(lambda t: tally(parse_records(t)), text)
+        assert _outcome(tally_csv, text) == expected
+        where = "left open on an earlier line ends here" if at else "is still open at the end"
+        assert expected[0] is IngestError and where in expected[1]
+
+    def test_header_after_a_block_of_nothing_but_comments(self):
+        text = "# comment\n\n" * _BLOCK_LINES + f"{RAW_HEADER}\ne1,i1,same,ID\ne2,i2,different,X\n"
+        expected = ConfusionTable(("ID", "X"), (1, 0), (0, 1))
+        assert tally_csv(text) == tally(parse_records(text)) == expected
+        bad = text.replace("different,X", "maybe,X")
+        fault = (
+            IngestError,
+            f"line {2 * _BLOCK_LINES + 3}: unknown ground-truth token 'maybe'; "
+            "allowed tokens: different, mated, nonmated, same",
+        )
+        assert _outcome(tally_csv, bad) == _outcome(parse_records, bad) == fault
+
+    def test_header_left_open_across_a_block_end(self):
+        # the header is the first block's last data line; its quote closes in the next
+        text = "# comment\n" * (_BLOCK_LINES - 1) + f'{RAW_HEADER[:-len("statement")]}"statement\n'
+        text += 'e1,i1,same,ID"\n' + "e2,i2,same,ID\n" * 3
+        fault = (
+            IngestError,
+            f"line {_BLOCK_LINES + 1}: a quoted field left open on an earlier line ends "
+            "here; quoted fields must close on their own line",
+        )
+        assert _outcome(tally_csv, text) == _outcome(parse_records, text) == fault
 
     def test_valid_input_never_enters_the_checked_scan(self, monkeypatch):
         lines = [f"# export\n{RAW_HEADER}\n"]
@@ -634,21 +660,80 @@ class TestTallyCommandProperty:
         assert out.getvalue() == emit_aggregated(tally(records))
 
 
-class TestDatasetFile:
-    def test_sniff_both_kinds(self, tmp_path, bullets):
-        agg = tmp_path / "table.csv"
-        agg.write_text(emit_aggregated(bullets), encoding="utf-8")
-        raw = tmp_path / "records.csv"
-        raw.write_text(f"{RAW_HEADER}\ne1,i1,same,ID\n", encoding="utf-8")
-        assert sniff_kind(agg) is DatasetKind.AGGREGATED_TABLE
-        assert sniff_kind(raw) is DatasetKind.RAW_RECORDS
+AGGREGATED_HEADER = "statement,same_source_count,different_source_count"
+_EXPECTED_SCHEMAS = f"expected {AGGREGATED_HEADER} or {RAW_HEADER}"
+_NO_SCHEMA = f"matches no known schema; {_EXPECTED_SCHEMAS}"
+_RAW_AS_TABLE = "declared aggregated-table but header says raw-records"
+_AGGREGATED_FAULTS = (
+    "s9,-3,1",
+    "s9,two,1",
+    " ,1,1",
+    "s0,1,1",  # a duplicate of the first row's label
+    "s9,1",
+    "s9,1,1,1",
+    '"s9,1,1',
+    's9,1,"1',
+    f's9,1,"{"1" * 140_000}"',
+)
+_AGGREGATED_LABELS = ("s{}", '"s,{}"', " s{} ", '"s""{}"', "\xe9{}")
 
-    def test_load_checks_declared_kind(self, tmp_path, bullets):
+
+@st.composite
+def aggregated_lines(draw):
+    """Lines, without their ends, of an aggregated table, with at most one fault.
+
+    Comment, blank and whitespace lines fall anywhere, labels are padded or
+    quoted, a table may span more than one block, the last line may end the
+    text, and the fault may sit on any line after the header, the last included.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    size = draw(st.sampled_from((1, 3, _BLOCK_LINES + 4)))
+    lines = [AGGREGATED_HEADER] + [
+        f"{rng.choice(_AGGREGATED_LABELS).format(n)},{rng.randrange(50)},{rng.randrange(50)}"
+        for n in range(size)
+    ]
+    for junk in draw(st.lists(st.sampled_from(_JUNK), max_size=4)):
+        lines.insert(rng.randrange(len(lines) + 1), junk)
+    fault = draw(st.sampled_from((None, *_AGGREGATED_FAULTS)))
+    if fault is not None:
+        # a physical line number after the header's, or the last line
+        at = draw(st.sampled_from((2, _BLOCK_LINES, _BLOCK_LINES + 1, len(lines) + 1)))
+        lines.insert(min(max(at - 1, lines.index(AGGREGATED_HEADER) + 1), len(lines)), fault)
+    if draw(st.booleans()):
+        lines.append("")  # the text ends in a line end
+    return lines
+
+
+class TestLoadTable:
+    def test_loads_the_table_named_after_the_file(self, tmp_path, bullets):
         agg = tmp_path / "table.csv"
         agg.write_text(emit_aggregated(bullets), encoding="utf-8")
-        assert DatasetFile(agg, DatasetKind.AGGREGATED_TABLE).load() == bullets
-        with pytest.raises(IngestError, match="declared raw-records"):
-            DatasetFile(agg, DatasetKind.RAW_RECORDS).load()
+        table = load_table(agg)
+        assert table == bullets
+        assert table.study_name == "table"
+        assert load_table(str(agg)).study_name == "table"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"# export\n{RAW_HEADER}\ne1,i1,same,ID\n", _RAW_AS_TABLE),
+            ("ground_truth,statement,item_id,examiner_id,x\n", _RAW_AS_TABLE),
+            ("colA, colB\n1,2\n", f"header colA,colB {_NO_SCHEMA}"),
+            (
+                "statement,same_source_count\ns,1\n",
+                f"header statement,same_source_count {_NO_SCHEMA}",
+            ),
+            ("", f"no header line found; {_EXPECTED_SCHEMAS}"),
+            ("# comment\n\n   \n", f"no header line found; {_EXPECTED_SCHEMAS}"),
+        ],
+        ids=["raw", "raw-reordered", "unknown", "short", "empty", "comments-only"],
+    )
+    def test_header_messages_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestError) as raised:
+            load_table(path)
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_load_of_the_wrong_kind_reads_only_the_header_block(self, tmp_path):
         # bytes that are not UTF-8 far past the header are never decoded
@@ -656,13 +741,104 @@ class TestDatasetFile:
         rows = b"".join(b"e1,i%d,same,ID\n" % n for n in range(20_000))
         raw.write_bytes(b"examiner_id,item_id,ground_truth,statement\n" + rows + b"\xff\n")
         with pytest.raises(IngestError) as raised:
-            DatasetFile(raw, DatasetKind.AGGREGATED_TABLE).load()
-        assert str(raised.value) == (
-            f"{raw}: declared aggregated-table but header says raw-records"
-        )
+            load_table(raw)
+        assert str(raised.value) == f"{raw}: {_RAW_AS_TABLE}"
 
-    def test_unrecognized_header(self, tmp_path):
-        weird = tmp_path / "weird.csv"
-        weird.write_text("colA,colB\n1,2\n", encoding="utf-8")
-        with pytest.raises(IngestError, match="no known schema"):
-            sniff_kind(weird)
+    def test_a_row_fault_is_named_before_later_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "table.csv"
+        # the bad bytes lie beyond the first block and the file reads that decode it
+        rows = b"".join(b"s%d,1,2\n" % n for n in range(2 * _BLOCK_LINES))
+        path.write_bytes(f"{AGGREGATED_HEADER}\ns,x,1\n".encode() + rows + b"\xff,1,1\n")
+        with pytest.raises(IngestError) as raised:
+            load_table(path)
+        assert str(raised.value) == "line 2: count 'x' is not an integer"
+
+    def test_opens_the_file_once(self, tmp_path, bullets, monkeypatch):
+        agg = tmp_path / "table.csv"
+        agg.write_text(emit_aggregated(bullets), encoding="utf-8")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return real_open(*args, **kwargs)
+
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert load_table(agg) == bullets
+        assert opened == [agg]
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=aggregated_lines(), newline=st.sampled_from(("\n", "\r\n", "\r")))
+    def test_equals_parse_aggregated_of_the_text_including_errors(
+        self, tmp_path_factory, lines, newline
+    ):
+        text = newline.join(lines)
+        path = tmp_path_factory.mktemp("load") / "study.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(lambda t: parse_aggregated(t, study_name="study"), text)
+        outcome = _outcome(load_table, path)
+        assert outcome == expected
+        if isinstance(outcome, ConfusionTable):
+            assert outcome.study_name == "study"
+
+
+_STILL_OPEN = (
+    "a quoted field is still open at the end of the input; "
+    "quoted fields must close on their own line"
+)
+_ENDS = ("", "\n", "\n# trailing comment\n\n")  # what follows the last data line
+
+
+def _via_file(tmp_path, read):
+    """``read`` applied to an open file of the text, rather than to the text."""
+
+    def read_file(text):
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8") as lines:
+            return read(lines)
+
+    return read_file
+
+
+class TestQuotedFieldOpenAtTheEnd:
+    @pytest.mark.parametrize("end", _ENDS, ids=["bare", "newline", "comment"])
+    @pytest.mark.parametrize("as_file", [False, True], ids=["text", "file"])
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (parse_records, f'{RAW_HEADER}\ne1,i1,same,ID\n# c\ne2,i2,same,"ID'),
+            (tally_csv, f'{RAW_HEADER}\ne1,i1,same,ID\n# c\ne2,i2,same,"ID'),
+            (parse_aggregated, f'{AGGREGATED_HEADER}\nA,1,2\n# c\nID,3,"4'),
+            (read_display_fixture, 'name,lr\nA,1\n# c\nB,"2'),
+        ],
+        ids=["parse_records", "tally_csv", "parse_aggregated", "read_display_fixture"],
+    )
+    def test_is_an_error_naming_the_last_data_line(self, tmp_path, read, text, as_file, end):
+        with pytest.raises(IngestError) as raised:
+            (_via_file(tmp_path, read) if as_file else read)(text + end)
+        assert str(raised.value) == f"line 4: {_STILL_OPEN}"
+
+    @pytest.mark.parametrize("end", _ENDS, ids=["bare", "newline", "comment"])
+    def test_load_table(self, tmp_path, end):
+        path = tmp_path / "table.csv"
+        path.write_text(f'{AGGREGATED_HEADER}\nA,1,2\n# c\nID,3,"4{end}', encoding="utf-8")
+        with pytest.raises(IngestError) as raised:
+            load_table(path)
+        assert str(raised.value) == f"line 4: {_STILL_OPEN}"
+
+    @pytest.mark.parametrize("read", [parse_records, tally_csv])
+    def test_the_header_line_too(self, read):
+        with pytest.raises(IngestError) as raised:
+            read(f'{RAW_HEADER[:-len("statement")]}"statement')
+        assert str(raised.value) == f"line 1: {_STILL_OPEN}"
+
+    @pytest.mark.parametrize("read", [parse_records, tally_csv])
+    def test_a_block_of_comments_after_a_row_left_open(self, read):
+        text = f'{RAW_HEADER}\ne1,i1,same,"ID\ne2,i2,same,ID\n' + "# c\n" * (_BLOCK_LINES + 1)
+        with pytest.raises(IngestError) as raised:
+            read(text)
+        assert str(raised.value) == (
+            "line 3: a quoted field left open on an earlier line ends here; "
+            "quoted fields must close on their own line"
+        )

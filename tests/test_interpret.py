@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -180,3 +181,34 @@ class TestLoadScale:
     def test_descending_edges_rejected(self):
         with pytest.raises(DataError, match="strictly increasing"):
             load_scale("0,a\n5,b\n2,c\n")
+
+    def test_separator_characters_stay_in_a_label(self):
+        scale = load_scale("lower_lr,label\n0,weak\x0cish\n10,strong\n")
+        assert scale.bands == ((0.0, "weak\x0cish"), (10.0, "strong"))
+
+    def test_line_numbers_are_physical(self):
+        with pytest.raises(DataError) as raised:
+            load_scale("0,a\x0bb\r\n# c\x1c d\r\n\x85\rx,high\n")
+        assert str(raised.value) == "line 4: lower edge 'x' is not a number"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labels=st.lists(
+            st.text(alphabet="ab #,\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", max_size=5),
+            max_size=6,
+        ),
+        end=st.sampled_from(("\n", "\r\n", "\r")),
+    )
+    def test_a_string_reads_as_an_open_file_does(self, labels, end):
+        text = "".join(f"{n},{label}{end}" for n, label in enumerate(labels))
+        assert _outcome(load_scale, text) == _outcome(
+            load_scale, io.StringIO(text, newline=None)
+        )
+
+
+def _outcome(read, source):
+    """What ``read(source)`` returns, or the type and message of what it raises."""
+    try:
+        return read(source)
+    except DataError as exc:
+        return type(exc), str(exc)
