@@ -48,7 +48,6 @@ from .model import (
     RecordBatch,
 )
 from .report import (
-    ReportSpec,
     build_report,
     read_display_fixture,
     render_lr_table,
@@ -76,7 +75,6 @@ __all__ = [
     "NO_SMOOTHING",
     "PanelProfile",
     "RecordBatch",
-    "ReportSpec",
     "SmoothingPolicy",
     "VerbalScale",
     "bootstrap_interval",

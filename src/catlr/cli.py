@@ -21,7 +21,6 @@ from .interpret import hardness_adjust, posterior_probability
 from .model import DataError
 from .report import (
     FORMATS,
-    ReportSpec,
     build_report,
     read_display_fixture,
     render_summary_table,
@@ -88,10 +87,7 @@ def _cmd_lr(args, out):
         for est in full_table_lrs(table, args.smoothing):
             out.write(f"{est.statement}\t{_fmt(est.lr)}\n")
         return
-    spec = ReportSpec(
-        datasets=(args.table,), smoothing=args.smoothing, output_format=args.format
-    )
-    out.write(build_report(spec))
+    out.write(build_report(args.table, args.format, args.smoothing))
 
 
 def _cmd_report(args, out):
@@ -101,15 +97,9 @@ def _cmd_report(args, out):
     else:
         if not args.table:
             raise DataError("report needs --table or --summary")
-        spec = ReportSpec(
-            datasets=(args.table,),
-            smoothing=args.smoothing,
-            interval_method=args.interval,
-            output_format=args.format,
-            level=args.level,
-            seed=args.seed,
+        text = build_report(
+            args.table, args.format, args.smoothing, args.interval, args.level, args.seed
         )
-        text = build_report(spec)
     with _output(args.out, out) as handle:
         handle.write(text)
 

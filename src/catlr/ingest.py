@@ -117,23 +117,20 @@ class _DataRows:
             raise IngestError(f"line {self.line}: {exc}") from None
 
 
-def _header(rows: _DataRows, expected: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
-    """Line number and trimmed cells of the first data row, the header."""
-    for header in rows:
-        return rows.line, tuple(c.strip() for c in header)
-    raise IngestError(f"empty input: expected header {','.join(expected)}")
-
-
 def _raw_columns(rows: _DataRows) -> dict[str, int]:
     """Position of each raw-records column, from the header row of ``rows``."""
-    lineno, cells = _header(rows, RAW_HEADER)
+    for header in rows:
+        cells = tuple(c.strip() for c in header)
+        break
+    else:
+        raise IngestError(f"empty input: expected header {','.join(RAW_HEADER)}")
     columns = {}
     for name in RAW_HEADER:
         try:
             columns[name] = cells.index(name)
         except ValueError:
             raise IngestError(
-                f"line {lineno}: header must contain column {name!r} "
+                f"line {rows.line}: header must contain column {name!r} "
                 f"(expected columns {', '.join(RAW_HEADER)}; got {cells})"
             ) from None
     return columns
@@ -306,39 +303,20 @@ def _table(
 
 
 def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> ConfusionTable:
-    """Parse an aggregated per-category count table."""
+    """Parse an aggregated per-category count table.
+
+    A file with another header fails on its header row, within the first block."""
     rows = _DataRows(_blocks(source))
-    lineno, cells = _header(rows, AGGREGATED_HEADER)
-    if cells != AGGREGATED_HEADER:
-        raise IngestError(
-            f"line {lineno}: expected header {','.join(AGGREGATED_HEADER)}, "
-            f"got {','.join(cells)}"
-        )
-    return _aggregated(rows, study_name)
-
-
-def load_table(path: str | Path) -> ConfusionTable:
-    """The aggregated table in the file at ``path``, named after the file's stem.
-
-    The file is read once, and one with another header fails within its first block."""
     expected = f"expected {','.join(AGGREGATED_HEADER)} or {','.join(RAW_HEADER)}"
-    with open(path, encoding="utf-8") as lines:
-        rows = _DataRows(_blocks(lines))
-        for row in rows:
-            cells = tuple(c.strip() for c in row)
-            if cells == AGGREGATED_HEADER:
-                return _aggregated(rows, Path(path).stem)
-            if set(RAW_HEADER) <= set(cells):
-                raise IngestError(
-                    f"{path}: declared aggregated-table but header says raw-records"
-                )
-            header = ",".join(cells)
-            raise IngestError(f"{path}: header {header} matches no known schema; {expected}")
-    raise IngestError(f"{path}: no header line found; {expected}")
-
-
-def _aggregated(rows: _DataRows, study_name: str) -> ConfusionTable:
-    """The table of the category rows that follow the header in ``rows``."""
+    for row in rows:
+        cells = tuple(c.strip() for c in row)
+        if cells == AGGREGATED_HEADER:
+            break
+        if set(RAW_HEADER) <= set(cells):
+            raise IngestError("declared aggregated-table but header says raw-records")
+        raise IngestError(f"header {','.join(cells)} matches no known schema; {expected}")
+    else:
+        raise IngestError(f"no header line found; {expected}")
     categories: list[str] = []
     same: list[int] = []
     different: list[int] = []
@@ -375,6 +353,17 @@ def _aggregated(rows: _DataRows, study_name: str) -> ConfusionTable:
         different_source=tuple(different),
         study_name=study_name,
     )
+
+
+def load_table(path: str | Path) -> ConfusionTable:
+    """The aggregated table in the file at ``path``, named after the file's stem.
+
+    The file is opened once; every IngestError names the file."""
+    try:
+        with open(path, encoding="utf-8") as lines:
+            return parse_aggregated(lines, Path(path).stem)
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -8,13 +8,13 @@ verbal strength label from a configurable scale.
 
 from __future__ import annotations
 
-import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from importlib.resources import files
 from typing import Iterable
 
+from .ingest import _blocks, _DataRows
 from .model import DataError, check_lr
 
 
@@ -97,27 +97,24 @@ def verbal_label(lr: float | None, scale: VerbalScale) -> str:
 
 
 def load_scale(source: str | Iterable[str], name: str = "custom") -> VerbalScale:
-    """Read a scale from ``lower_lr,label`` rows.
+    """Read a scale from ``lower_lr,label`` CSV rows of exactly two fields.
 
     ``#`` comment lines and an optional ``lower_lr,label`` header are
     skipped.  Row order must be ascending in lower_lr.
     """
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    rows = _DataRows(_blocks(source))
     bands = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cell, _, label = line.partition(",")
-        if cell.strip() == "lower_lr" and label.strip() == "label":
+    for row in rows:
+        if len(row) != 2:
+            raise DataError(f"line {rows.line}: expected 2 fields, got {len(row)}")
+        cell, label = (c.strip() for c in row)
+        if (cell, label) == ("lower_lr", "label"):
             continue
         try:
-            lower = float(cell.strip())
+            lower = float(cell)
         except ValueError:
-            raise DataError(
-                f"line {lineno}: lower edge {cell.strip()!r} is not a number"
-            ) from None
-        bands.append((lower, label.strip()))
+            raise DataError(f"line {rows.line}: lower edge {cell!r} is not a number") from None
+        bands.append((lower, label))
     return VerbalScale(name=name, bands=tuple(bands))
 
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs, presentation_round
 from .ingest import _blocks, _csv_text, _DataRows, load_table
 from .model import ConfusionTable, DataError
-from .uncertainty import INTERVAL_METHODS, Interval
+from .rng import check_seed
+from .uncertainty import INTERVAL_METHODS, Interval, _check_level
 
 FORMATS = ("md", "csv", "json")
 
@@ -164,61 +165,41 @@ def read_display_fixture(source: str | Iterable[str]) -> tuple[tuple[str, ...], 
     return parsed[0], parsed[1:]
 
 
-@dataclass(frozen=True)
-class ReportSpec:
-    """A renderable report request over one or more aggregated datasets.
+def build_report(
+    path: str | Path,
+    output_format: str = "md",
+    smoothing: SmoothingPolicy = NO_SMOOTHING,
+    interval_method: str | None = None,
+    level: float = 0.95,
+    seed: int = 0,
+) -> str:
+    """The LR table of the aggregated table file at ``path``.
 
-    Construction touches no file: a missing dataset surfaces as
-    ``FileNotFoundError`` when ``build_report`` reads it.
+    Every option is checked before the file is read.  Intervals are drawn
+    for JSON only, nested per study; md and csv show the point LRs.
     """
-
-    datasets: tuple[str, ...]
-    smoothing: SmoothingPolicy = NO_SMOOTHING
-    interval_method: str | None = None
-    output_format: str = "md"
-    level: float = 0.95
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "datasets", tuple(str(p) for p in self.datasets))
-        if not self.datasets:
-            raise DataError("a report needs at least one dataset")
-        object.__setattr__(self, "output_format", _normalize_format(self.output_format))
-        if self.interval_method not in (None, *INTERVAL_METHODS):
-            raise DataError(
-                f"interval method must be {' or '.join(map(repr, INTERVAL_METHODS))}, "
-                f"got {self.interval_method!r}"
-            )
-        if self.interval_method is not None and not self.smoothing.is_none:
+    fmt = _normalize_format(output_format)
+    if interval_method not in (None, *INTERVAL_METHODS):
+        raise DataError(
+            f"interval method must be {' or '.join(map(repr, INTERVAL_METHODS))}, "
+            f"got {interval_method!r}"
+        )
+    if interval_method is not None:
+        if not smoothing.is_none:
             # the replicates are drawn from the raw counts, so a smoothed point
             # LR could fall outside its own interval
             raise DataError(
-                f"{self.interval_method} intervals are computed without smoothing; "
-                f"drop smoothing {self.smoothing.describe()} or the interval"
+                f"{interval_method} intervals are computed without smoothing; "
+                f"drop smoothing {smoothing.describe()} or the interval"
             )
-
-
-def build_report(spec: ReportSpec) -> str:
-    """Render every dataset in the spec; JSON nests per-study sections."""
-    sections = []
-    for path in spec.datasets:
-        table = load_table(path)
-        method = INTERVAL_METHODS.get(spec.interval_method)
-        intervals = None if method is None else {
-            s: method(table, s, level=spec.level, seed=spec.seed) for s in table.categories
-        }
-        sections.append((table, intervals))
-    if spec.output_format == "json":
-        payload = [
-            {
-                "study": table.study_name,
-                "statements": lr_rows_payload(table, spec.smoothing, intervals),
-            }
-            for table, intervals in sections
-        ]
-        return canonical_json(payload)
-    rendered = [
-        render_lr_table(table, spec.output_format, spec.smoothing, intervals)
-        for table, intervals in sections
-    ]
-    return "\n".join(rendered)
+        _check_level(level)
+        check_seed(seed)
+    table = load_table(path)
+    if fmt != "json":
+        return render_lr_table(table, fmt, smoothing)
+    method = INTERVAL_METHODS.get(interval_method)
+    intervals = None if method is None else {
+        s: method(table, s, level=level, seed=seed) for s in table.categories
+    }
+    statements = lr_rows_payload(table, smoothing, intervals)
+    return canonical_json([{"study": table.study_name, "statements": statements}])

@@ -377,3 +377,24 @@ class TestReportCommand:
         assert invoke(
             "report", "--table", str(path), "--smoothing", "none", "--interval", method
         )[0] == 0
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--level", "2"), "level must be in (0, 1), got 2.0"),
+            (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
+            (
+                ("--smoothing", "alpha=1"),
+                "bootstrap intervals are computed without smoothing; "
+                "drop smoothing add-alpha(1) or the interval",
+            ),
+        ],
+        ids=["level", "seed", "smoothing"],
+    )
+    def test_md_interval_options_are_checked_though_no_interval_is_drawn(
+        self, bullets_csv, option, message
+    ):
+        code, out, err = invoke(
+            "report", "--table", bullets_csv, "--format", "md", "--interval", "bootstrap", *option
+        )
+        assert (code, out, err) == (2, "", f"data error: {message}\n")

@@ -536,8 +536,9 @@ class TestParseAggregated:
             )
 
     def test_wrong_header_rejected(self):
-        with pytest.raises(IngestError, match="expected header"):
+        with pytest.raises(IngestError) as raised:
             parse_aggregated("statement,same,different\ns,1,1\n")
+        assert str(raised.value) == f"header statement,same,different {_NO_SCHEMA}"
 
     def test_header_only_rejected(self):
         with pytest.raises(IngestError, match="no category rows"):
@@ -734,6 +735,9 @@ class TestLoadTable:
         with pytest.raises(IngestError) as raised:
             load_table(path)
         assert str(raised.value) == f"{path}: {message}"
+        with pytest.raises(IngestError) as raised:
+            parse_aggregated(text)
+        assert str(raised.value) == message
 
     def test_load_of_the_wrong_kind_reads_only_the_header_block(self, tmp_path):
         # bytes that are not UTF-8 far past the header are never decoded
@@ -751,7 +755,7 @@ class TestLoadTable:
         path.write_bytes(f"{AGGREGATED_HEADER}\ns,x,1\n".encode() + rows + b"\xff,1,1\n")
         with pytest.raises(IngestError) as raised:
             load_table(path)
-        assert str(raised.value) == "line 2: count 'x' is not an integer"
+        assert str(raised.value) == f"{path}: line 2: count 'x' is not an integer"
 
     def test_opens_the_file_once(self, tmp_path, bullets, monkeypatch):
         agg = tmp_path / "table.csv"
@@ -776,6 +780,8 @@ class TestLoadTable:
         path = tmp_path_factory.mktemp("load") / "study.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = _outcome(lambda t: parse_aggregated(t, study_name="study"), text)
+        if not isinstance(expected, ConfusionTable):
+            expected = (expected[0], f"{path}: {expected[1]}")
         outcome = _outcome(load_table, path)
         assert outcome == expected
         if isinstance(outcome, ConfusionTable):
@@ -825,7 +831,7 @@ class TestQuotedFieldOpenAtTheEnd:
         path.write_text(f'{AGGREGATED_HEADER}\nA,1,2\n# c\nID,3,"4{end}', encoding="utf-8")
         with pytest.raises(IngestError) as raised:
             load_table(path)
-        assert str(raised.value) == f"line 4: {_STILL_OPEN}"
+        assert str(raised.value) == f"{path}: line 4: {_STILL_OPEN}"
 
     @pytest.mark.parametrize("read", [parse_records, tally_csv])
     def test_the_header_line_too(self, read):

@@ -186,6 +186,18 @@ class TestLoadScale:
         scale = load_scale("lower_lr,label\n0,weak\x0cish\n10,strong\n")
         assert scale.bands == ((0.0, "weak\x0cish"), (10.0, "strong"))
 
+    def test_a_quoted_label_may_hold_a_comma(self):
+        scale = load_scale('lower_lr,label\n0,"weak, but"\n10,strong\n')
+        assert scale.bands == ((0.0, "weak, but"), (10.0, "strong"))
+
+    @pytest.mark.parametrize(
+        "row, fields", [("0,weak, but", 3), ("0", 1)], ids=["unquoted-comma", "no-label"]
+    )
+    def test_a_row_has_exactly_two_fields(self, row, fields):
+        with pytest.raises(DataError) as raised:
+            load_scale(f"# c\n{row}\n10,strong\n")
+        assert str(raised.value) == f"line 2: expected 2 fields, got {fields}"
+
     def test_line_numbers_are_physical(self):
         with pytest.raises(DataError) as raised:
             load_scale("0,a\x0bb\r\n# c\x1c d\r\n\x85\rx,high\n")

@@ -10,7 +10,6 @@ from catlr.engine import SmoothingPolicy, presentation_round
 from catlr.ingest import emit_aggregated
 from catlr.model import ConfusionTable, DataError
 from catlr.report import (
-    ReportSpec,
     build_report,
     canonical_json,
     read_display_fixture,
@@ -191,61 +190,52 @@ class TestDisplayFixtures:
             read_display_fixture("# nothing\n")
 
 
-class TestReportSpec:
+class TestBuildReport:
     def test_missing_dataset_rejected(self, tmp_path):
-        # the spec touches no file; the missing path surfaces on the read
-        spec = ReportSpec(datasets=(str(tmp_path / "nope.csv"),))
         with pytest.raises(FileNotFoundError):
-            build_report(spec)
+            build_report(str(tmp_path / "nope.csv"))
 
-    @pytest.mark.parametrize("method", ["bootstrap", "dirichlet"])
-    def test_interval_with_smoothing_rejected(self, method):
-        with pytest.raises(DataError, match="computed without smoothing"):
-            build_report(
-                ReportSpec(
-                    datasets=("unread.csv",),
-                    smoothing=SmoothingPolicy.add_alpha(5),
-                    interval_method=method,
-                )
-            )
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"output_format": "html"}, "unknown output format"),
+            ({"interval_method": "jackknife"}, "interval method"),
+            (
+                {"interval_method": "bootstrap", "smoothing": SmoothingPolicy.add_alpha(5)},
+                "computed without smoothing",
+            ),
+            (
+                {"interval_method": "dirichlet", "smoothing": SmoothingPolicy.add_alpha(5)},
+                "computed without smoothing",
+            ),
+            ({"interval_method": "bootstrap", "level": 2.0}, "level must be in"),
+            ({"interval_method": "dirichlet", "seed": -1}, "seed must be"),
+        ],
+        ids=["format", "method", "smoothing-bootstrap", "smoothing-dirichlet", "level", "seed"],
+    )
+    def test_options_checked_before_the_file_is_read(self, options, message):
+        # the file does not exist, so any other order fails with FileNotFoundError
+        with pytest.raises(DataError, match=message):
+            build_report("unread.csv", **options)
 
     def test_build_markdown(self, tmp_path, bullets, golden):
         path = tmp_path / "bullets.csv"
         path.write_text(emit_aggregated(bullets), encoding="utf-8")
-        spec = ReportSpec(datasets=(str(path),))
-        assert build_report(spec) == golden("bullets_lr.md")
+        assert build_report(str(path)) == golden("bullets_lr.md")
+        assert build_report(path, "csv") == golden("bullets_lr.csv")
 
     def test_build_json_with_intervals(self, tmp_path, bullets):
         path = tmp_path / "bullets.csv"
         path.write_text(emit_aggregated(bullets), encoding="utf-8")
-        spec = ReportSpec(
-            datasets=(str(path),),
-            interval_method="bootstrap",
-            output_format="json",
-            seed=11,
-        )
-        text = build_report(spec)
+        options = {"output_format": "json", "interval_method": "bootstrap", "seed": 11}
+        text = build_report(str(path), **options)
         payload = json.loads(text)
         assert payload[0]["study"] == "bullets"
         statements = payload[0]["statements"]
         assert all("interval" in row for row in statements)
         id_row = statements[0]
         assert id_row["interval"]["lower"] < 108.84 < id_row["interval"]["upper"]
-        assert build_report(spec) == text  # deterministic
-
-    def test_bad_interval_method(self, tmp_path, bullets):
-        path = tmp_path / "t.csv"
-        path.write_text(emit_aggregated(bullets), encoding="utf-8")
-        with pytest.raises(DataError, match="interval method"):
-            ReportSpec(datasets=(str(path),), interval_method="jackknife")
-
-    def test_multiple_datasets_concatenate(self, tmp_path, bullets):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        a.write_text(emit_aggregated(bullets), encoding="utf-8")
-        b.write_text(emit_aggregated(bullets), encoding="utf-8")
-        text = build_report(ReportSpec(datasets=(str(a), str(b))))
-        assert text.count("| LR |") == 2
+        assert build_report(str(path), **options) == text  # deterministic
 
 
 def test_infinite_interval_endpoint_serializes_as_null():

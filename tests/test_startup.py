@@ -96,6 +96,16 @@ def test_command_that_draws_nothing_loads_no_numpy(bullets_csv, records_csv, arg
     assert not numpy_loaded
 
 
+@pytest.mark.parametrize("fmt", ["md", "csv"])
+@pytest.mark.parametrize("method", ["bootstrap", "dirichlet"])
+def test_md_or_csv_report_draws_no_interval(bullets_csv, fmt, method):
+    # md and csv show point LRs only, so --interval changes nothing they print
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["report", "--table", bullets_csv, "--format", fmt], stdout=out, stderr=err) == 0
+    argv = ("report", "--table", bullets_csv, "--format", fmt, "--interval", method)
+    assert cold_run(*argv) == (0, out.getvalue(), "", False)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -139,6 +139,34 @@ class TestDirichlet:
             dirichlet_interval(bullets, "ID", seed=-1)
 
 
+class TestDirichletCoverage:
+    # The simulator is the oracle: 300 seeded studies of 1000 evaluations per
+    # row, with statement w common under both hypotheses, rare under H2 only,
+    # and rare under both.  Coverage of the true LR at level 0.95 must lie
+    # within 3 binomial standard errors of 0.95.
+    CATEGORIES = ("w", "x", "y", "z")
+    STUDIES = 300
+
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [
+            ((0.55, 0.25, 0.12, 0.08), (0.05, 0.35, 0.30, 0.30)),
+            ((0.55, 0.25, 0.12, 0.08), (0.004, 0.35, 0.30, 0.346)),
+            ((0.01, 0.45, 0.30, 0.24), (0.003, 0.35, 0.30, 0.347)),
+        ],
+        ids=["common", "sparse-denominator", "both-rare"],
+    )
+    def test_coverage_of_the_true_lr(self, p1, p2):
+        covered = 0
+        for s in range(self.STUDIES):
+            profile = PanelProfile(self.CATEGORIES, p1, p2, 1000, 1000, seed=1000 + s)
+            table = tally(simulate_study(profile), vocabulary=self.CATEGORIES)
+            interval = dirichlet_interval(table, "w", level=0.95, seed=777 + s)
+            covered += interval.contains(true_lr(profile, "w"))
+        margin = 3 * math.sqrt(0.95 * 0.05 / self.STUDIES)
+        assert abs(covered / self.STUDIES - 0.95) <= margin
+
+
 class TestMarginalDrawLaw:
     """Each interval draws only statement k's cell of a row; its endpoints
     must follow the law of the whole-row draws that cell is taken from."""
