@@ -11,97 +11,85 @@ hardest-fraction sensitivity, verbal strength labels).
 The command-line entry point is ``catlr`` (see ``catlr --help``).
 """
 
-from .engine import (
-    NO_SMOOTHING,
-    SmoothingPolicy,
-    conditional_probability,
-    full_table_lrs,
-    likelihood_ratio,
-    lr_from_error_rates,
-    presentation_round,
-)
-from .ingest import (
-    IngestError,
-    emit_aggregated,
-    emit_records,
-    load_table,
-    parse_aggregated,
-    parse_records,
-    tally,
-    tally_csv,
-)
-from .interpret import (
-    BUNDLED_SCALES,
-    VerbalScale,
-    bundled_scale,
-    hardness_adjust,
-    load_scale,
-    posterior_probability,
-    verbal_label,
-)
-from .model import (
-    ConfusionTable,
-    DataError,
-    EvaluationRecord,
-    GroundTruth,
-    LrEstimate,
-    RecordBatch,
-)
-from .report import (
-    build_report,
-    read_display_fixture,
-    render_lr_table,
-    render_summary_table,
-)
-from .simulate import PanelProfile, load_profile, simulate_study, true_lr
-from .uncertainty import (
-    Interval,
-    bootstrap_interval,
-    dirichlet_interval,
-    zero_count_lower_bound,
-)
+# Public names and their defining modules.  A module is imported on first
+# access to one of its names (PEP 562), so ``import catlr`` loads none of
+# them and the CLI loads only what a command runs.
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "engine": (
+            "NO_SMOOTHING",
+            "SmoothingPolicy",
+            "conditional_probability",
+            "full_table_lrs",
+            "likelihood_ratio",
+            "lr_from_error_rates",
+            "presentation_round",
+        ),
+        "ingest": (
+            "IngestError",
+            "emit_aggregated",
+            "emit_records",
+            "load_table",
+            "parse_aggregated",
+            "parse_records",
+            "tally",
+            "tally_csv",
+        ),
+        "interpret": (
+            "BUNDLED_SCALES",
+            "VerbalScale",
+            "bundled_scale",
+            "hardness_adjust",
+            "load_scale",
+            "posterior_probability",
+            "verbal_label",
+        ),
+        "model": (
+            "ConfusionTable",
+            "DataError",
+            "EvaluationRecord",
+            "GroundTruth",
+            "LrEstimate",
+            "RecordBatch",
+        ),
+        "report": (
+            "build_report",
+            "read_display_fixture",
+            "render_lr_table",
+            "render_summary_table",
+        ),
+        "simulate": ("PanelProfile", "load_profile", "simulate_study", "true_lr"),
+        "uncertainty": (
+            "Interval",
+            "bootstrap_interval",
+            "dirichlet_interval",
+            "zero_count_lower_bound",
+        ),
+    }.items()
+    for name in names
+}
+
+# Submodules reachable as attributes of a bare ``import catlr``.
+_SUBMODULES = {*_MODULE_OF.values(), "rng"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUNDLED_SCALES",
-    "ConfusionTable",
-    "DataError",
-    "EvaluationRecord",
-    "GroundTruth",
-    "IngestError",
-    "Interval",
-    "LrEstimate",
-    "NO_SMOOTHING",
-    "PanelProfile",
-    "RecordBatch",
-    "SmoothingPolicy",
-    "VerbalScale",
-    "bootstrap_interval",
-    "build_report",
-    "bundled_scale",
-    "conditional_probability",
-    "dirichlet_interval",
-    "emit_aggregated",
-    "emit_records",
-    "full_table_lrs",
-    "hardness_adjust",
-    "likelihood_ratio",
-    "load_profile",
-    "load_scale",
-    "load_table",
-    "lr_from_error_rates",
-    "parse_aggregated",
-    "parse_records",
-    "posterior_probability",
-    "presentation_round",
-    "read_display_fixture",
-    "render_lr_table",
-    "render_summary_table",
-    "simulate_study",
-    "tally",
-    "tally_csv",
-    "true_lr",
-    "verbal_label",
-    "zero_count_lower_bound",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)  # the import binds it here
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

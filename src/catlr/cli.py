@@ -13,20 +13,14 @@ import math
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, TYPE_CHECKING, Iterator
 
-from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs
-from .ingest import emit_aggregated, emit_records, load_table, tally_csv
-from .interpret import hardness_adjust, posterior_probability
-from .model import DataError
-from .report import (
-    FORMATS,
-    build_report,
-    read_display_fixture,
-    render_summary_table,
-)
-from .simulate import load_profile, simulate_study
-from .uncertainty import INTERVAL_METHODS
+# Each command imports the modules it runs when it runs: a call pays only
+# for its own code, and only drawing commands load numpy.
+from .model import FORMATS, INTERVAL_METHOD_NAMES, DataError
+
+if TYPE_CHECKING:
+    from .engine import SmoothingPolicy
 
 
 class _UsageError(Exception):
@@ -47,9 +41,11 @@ def _fmt(value: float | None) -> str:
 
 
 def _smoothing_arg(text: str) -> SmoothingPolicy:
+    from .engine import NO_SMOOTHING, SmoothingPolicy
+
     token = text.strip().lower()
     if token in ("none", "raw"):
-        return SmoothingPolicy.none()
+        return NO_SMOOTHING
     if token.startswith("alpha="):
         try:
             return SmoothingPolicy.add_alpha(float(token[len("alpha="):]))
@@ -75,6 +71,8 @@ def _output(out_path: str | None, out: IO[str]) -> Iterator[IO[str]]:
 
 
 def _cmd_tally(args, out):
+    from .ingest import emit_aggregated, tally_csv
+
     with open(args.infile, encoding="utf-8") as lines:
         table = tally_csv(lines, study_name=Path(args.infile).stem)
     with _output(args.out, out) as handle:
@@ -83,14 +81,21 @@ def _cmd_tally(args, out):
 
 def _cmd_lr(args, out):
     if args.format is None:
+        from .engine import full_table_lrs
+        from .ingest import load_table
+
         table = load_table(args.table)
         for est in full_table_lrs(table, args.smoothing):
             out.write(f"{est.statement}\t{_fmt(est.lr)}\n")
         return
+    from .report import build_report
+
     out.write(build_report(args.table, args.format, args.smoothing))
 
 
 def _cmd_report(args, out):
+    from .report import build_report, read_display_fixture, render_summary_table
+
     if args.summary:
         headers, rows = read_display_fixture(_read(args.summary))
         text = render_summary_table(rows, args.format, headers=headers)
@@ -105,14 +110,21 @@ def _cmd_report(args, out):
 
 
 def _cmd_posterior(args, out):
+    from .interpret import posterior_probability
+
     out.write(_fmt(posterior_probability(args.prior, args.lr)) + "\n")
 
 
 def _cmd_adjust(args, out):
+    from .interpret import hardness_adjust
+
     out.write(_fmt(hardness_adjust(args.lr, args.fraction)) + "\n")
 
 
 def _cmd_interval(args, out):
+    from .ingest import load_table
+    from .uncertainty import INTERVAL_METHODS
+
     table = load_table(args.table)
     if args.method == "bootstrap":
         options = {"replicates": args.replicates}
@@ -125,6 +137,9 @@ def _cmd_interval(args, out):
 
 
 def _cmd_simulate(args, out):
+    from .ingest import emit_records
+    from .simulate import load_profile, simulate_study
+
     records = simulate_study(load_profile(_read(args.profile)))
     with _output(args.out, out) as handle:
         emit_records(records, handle)
@@ -147,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lr", help="likelihood ratios for every statement in a table")
     p.add_argument("--table", required=True, metavar="TABLE_CSV")
-    p.add_argument("--smoothing", type=_smoothing_arg, default=NO_SMOOTHING)
+    # argparse passes a string default through type=, so catlr.engine loads
+    # only when a command that takes --smoothing is parsed
+    p.add_argument("--smoothing", type=_smoothing_arg, default="none")
     p.add_argument("--format", choices=FORMATS, default=None)
     p.set_defaults(func=_cmd_lr)
 
@@ -155,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", default=None, metavar="TABLE_CSV")
     p.add_argument("--summary", default=None, metavar="FIXTURE_CSV")
     p.add_argument("--format", choices=FORMATS, default="md")
-    p.add_argument("--smoothing", type=_smoothing_arg, default=NO_SMOOTHING)
-    p.add_argument("--interval", choices=INTERVAL_METHODS, default=None)
+    p.add_argument("--smoothing", type=_smoothing_arg, default="none")
+    p.add_argument("--interval", choices=INTERVAL_METHOD_NAMES, default=None)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, metavar="OUT_FILE")
@@ -175,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interval", help="uncertainty interval for one statement's LR")
     p.add_argument("--table", required=True, metavar="TABLE_CSV")
     p.add_argument("--statement", required=True)
-    p.add_argument("--method", choices=INTERVAL_METHODS, required=True)
+    p.add_argument("--method", choices=INTERVAL_METHOD_NAMES, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--replicates", type=int, default=2000)

@@ -19,13 +19,11 @@ keeps the human convention predictable: a reciprocal of 7.51 reads "1 / 8".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import ConfusionTable, DataError, GroundTruth, LrEstimate, check_lr, ratio
+from .model import ConfusionTable, DataError, Frozen, GroundTruth, LrEstimate, check_lr, ratio
 
 
-@dataclass(frozen=True)
-class SmoothingPolicy:
+class SmoothingPolicy(Frozen):
     """Additive (add-alpha) smoothing of row frequencies.
 
     ``alpha == 0`` means no smoothing: probabilities are raw relative
@@ -34,13 +32,14 @@ class SmoothingPolicy:
     ``(c + alpha) / (N + alpha * K)``.
     """
 
-    alpha: float = 0.0
+    __slots__ = _fields = ("alpha",)
 
-    def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)):
-            raise DataError(f"alpha must be a finite number, got {self.alpha!r}")
-        if self.alpha < 0:
-            raise DataError(f"alpha must be non-negative, got {self.alpha}")
+    def __init__(self, alpha: float = 0.0):
+        if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+            raise DataError(f"alpha must be a finite number, got {alpha!r}")
+        if alpha < 0:
+            raise DataError(f"alpha must be non-negative, got {alpha}")
+        self._init(alpha)
 
     @classmethod
     def none(cls) -> "SmoothingPolicy":

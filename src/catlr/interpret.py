@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from importlib.resources import files
 from typing import Iterable
 
-from .ingest import _blocks, _DataRows
-from .model import DataError, check_lr
+from .model import DataError, Frozen, check_lr
 
 
 def _check_lr(lr: float | None) -> float:
@@ -55,8 +52,7 @@ def hardness_adjust(lr: float | None, retained_fraction: float) -> float:
     return lr / (1.0 / q)
 
 
-@dataclass(frozen=True)
-class VerbalScale:
+class VerbalScale(Frozen):
     """Ordered bands mapping LR ranges to verbal strength labels.
 
     ``bands`` is a sequence of (lower_lr, label); each band runs from its
@@ -65,11 +61,10 @@ class VerbalScale:
     tile (0, oo) with no gaps.
     """
 
-    name: str
-    bands: tuple[tuple[float, str], ...]
+    __slots__ = _fields = ("name", "bands")
 
-    def __post_init__(self):
-        bands = tuple((float(lo), str(label)) for lo, label in self.bands)
+    def __init__(self, name: str, bands: Iterable[tuple[float, str]]):
+        bands = tuple((float(lo), str(label)) for lo, label in bands)
         if not bands:
             raise DataError("a verbal scale needs at least one band")
         if bands[0][0] != 0.0:
@@ -81,7 +76,7 @@ class VerbalScale:
             raise DataError("band edges must be finite")
         if any(not label.strip() for _, label in bands):
             raise DataError("band labels must be non-empty")
-        object.__setattr__(self, "bands", bands)
+        self._init(name, bands)
 
     def label_for(self, lr: float | None) -> str:
         lr = _check_lr(lr)
@@ -102,6 +97,9 @@ def load_scale(source: str | Iterable[str], name: str = "custom") -> VerbalScale
     ``#`` comment lines and an optional ``lower_lr,label`` header are
     skipped.  Row order must be ascending in lower_lr.
     """
+    # imported here, not at module level: ``posterior`` and ``adjust`` read no file
+    from .ingest import _blocks, _DataRows
+
     rows = _DataRows(_blocks(source))
     bands = []
     for row in rows:
@@ -125,5 +123,7 @@ def bundled_scale(name: str) -> VerbalScale:
     """One of the scales shipped with the package (illustrative band edges)."""
     if name not in BUNDLED_SCALES:
         raise DataError(f"unknown scale {name!r}; bundled scales: {BUNDLED_SCALES}")
+    from importlib.resources import files
+
     text = (files("catlr") / "scales" / f"{name}.csv").read_text(encoding="utf-8")
     return load_scale(text, name=name)

@@ -15,11 +15,17 @@ import enum
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+# Output formats (rendered by ``report``) and interval methods (drawn by
+# ``uncertainty``), named here so that a name can be checked without loading
+# the module that implements it.
+FORMATS = ("md", "csv", "json")
+INTERVAL_METHOD_NAMES = ("bootstrap", "dirichlet")
 
 
 class DataError(ValueError):
@@ -38,6 +44,20 @@ def check_lr(lr: float) -> float:
     if math.isnan(lr) or lr < 0:
         raise DataError(f"likelihood ratio must be >= 0 or infinite, got {lr!r}")
     return lr
+
+
+def check_level(level: float) -> float:
+    """``level`` unchanged; DataError unless it is strictly between 0 and 1."""
+    if not (0.0 < level < 1.0):
+        raise DataError(f"level must be in (0, 1), got {level!r}")
+    return level
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` unchanged; DataError unless it is a non-negative integer."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def category_index(categories: tuple[str, ...], statement: str) -> int:
@@ -61,20 +81,67 @@ class GroundTruth(enum.Enum):
     DIFFERENT_SOURCE = "different"
 
 
-@dataclass(frozen=True)
-class EvaluationRecord:
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value types: equality, hashing and repr over fields.
+
+    A subclass lists its fields in constructor order as ``__slots__ =
+    _fields = (...)``, validates in ``__init__`` and stores the final
+    values with ``_init``.  Equality and hashing use ``_key``, all fields
+    unless a subclass narrows it; instances of different classes are
+    never equal.  Assigning or deleting any attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    _key = _values
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through the constructor: copy and pickle would otherwise
+        # restore slots with setattr, which is refused
+        return type(self), self._values()
+
+
+class EvaluationRecord(Frozen):
     """One examiner conclusion on one comparison pair of known ground truth."""
 
-    examiner_id: str
-    item_id: str
-    truth: GroundTruth
-    statement: str
+    __slots__ = _fields = ("examiner_id", "item_id", "truth", "statement")
 
-    def __post_init__(self):
-        if not isinstance(self.truth, GroundTruth):
-            raise DataError(f"truth must be a GroundTruth, got {self.truth!r}")
-        if not self.statement:
+    def __init__(self, examiner_id: str, item_id: str, truth: GroundTruth, statement: str):
+        if not isinstance(truth, GroundTruth):
+            raise DataError(f"truth must be a GroundTruth, got {truth!r}")
+        if not statement:
             raise DataError("statement label must be non-empty")
+        self._init(examiner_id, item_id, truth, statement)
 
 
 class RecordBatch(Sequence):
@@ -183,8 +250,7 @@ class RecordBatch(Sequence):
 _TRUTHS = tuple(GroundTruth)
 
 
-@dataclass(frozen=True)
-class ConfusionTable:
+class ConfusionTable(Frozen):
     """Counts of each statement category under same- and different-source truth.
 
     Category order is preserved exactly as supplied (the source study's
@@ -196,22 +262,24 @@ class ConfusionTable:
     evidence.
     """
 
-    categories: tuple[str, ...]
-    same_source: tuple[int, ...]
-    different_source: tuple[int, ...]
-    study_name: str = field(default="", compare=False)
+    __slots__ = _fields = ("categories", "same_source", "different_source", "study_name")
 
-    def __post_init__(self):
-        categories = tuple(str(c) for c in self.categories)
+    def __init__(
+        self,
+        categories: Sequence[str],
+        same_source: Sequence[int],
+        different_source: Sequence[int],
+        study_name: str = "",
+    ):
+        categories = tuple(str(c) for c in categories)
         if not categories:
             raise DataError("a confusion table needs at least one category")
         if any(not c for c in categories):
             raise DataError("category labels must be non-empty")
         if len(set(categories)) != len(categories):
             raise DataError(f"duplicate category label in {categories}")
-        rows = {}
-        for name in ("same_source", "different_source"):
-            raw = getattr(self, name)
+        rows = []
+        for name, raw in (("same_source", same_source), ("different_source", different_source)):
             try:
                 row = tuple(operator.index(c) for c in raw)
             except TypeError:
@@ -222,10 +290,11 @@ class ConfusionTable:
                 )
             if any(c < 0 for c in row):
                 raise DataError(f"negative count in {name}: {row}")
-            rows[name] = row
-        object.__setattr__(self, "categories", categories)
-        object.__setattr__(self, "same_source", rows["same_source"])
-        object.__setattr__(self, "different_source", rows["different_source"])
+            rows.append(row)
+        self._init(categories, *rows, study_name)
+
+    def _key(self) -> tuple:
+        return self.categories, self.same_source, self.different_source
 
     def index_of(self, statement: str) -> int:
         return category_index(self.categories, statement)
@@ -258,8 +327,7 @@ class ConfusionTable:
         return tuple(c / total for c in self.row(truth))
 
 
-@dataclass(frozen=True)
-class LrEstimate:
+class LrEstimate(Frozen):
     """A per-statement likelihood ratio with its two conditional probabilities.
 
     ``lr`` is ``p_given_h1 / p_given_h2`` when the denominator is positive,
@@ -271,15 +339,25 @@ class LrEstimate:
     probabilities came from, when they came from a table at all.
     """
 
-    statement: str
-    p_given_h1: float
-    p_given_h2: float
-    lr: float | None
-    smoothing: str = "none"
-    h1_count: int | None = None
-    h1_total: int | None = None
-    h2_count: int | None = None
-    h2_total: int | None = None
+    __slots__ = _fields = (
+        "statement", "p_given_h1", "p_given_h2", "lr", "smoothing",
+        "h1_count", "h1_total", "h2_count", "h2_total",
+    )
+
+    def __init__(
+        self,
+        statement: str,
+        p_given_h1: float,
+        p_given_h2: float,
+        lr: float | None,
+        smoothing: str = "none",
+        h1_count: int | None = None,
+        h1_total: int | None = None,
+        h2_count: int | None = None,
+        h2_total: int | None = None,
+    ):
+        self._init(statement, p_given_h1, p_given_h2, lr, smoothing,
+                   h1_count, h1_total, h2_count, h2_total)
 
     @classmethod
     def from_probabilities(

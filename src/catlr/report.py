@@ -13,18 +13,23 @@ and ``method``.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs, presentation_round
 from .ingest import _blocks, _csv_text, _DataRows, load_table
-from .model import ConfusionTable, DataError
-from .rng import check_seed
-from .uncertainty import INTERVAL_METHODS, Interval, _check_level
+from .model import (
+    FORMATS,
+    INTERVAL_METHOD_NAMES,
+    ConfusionTable,
+    DataError,
+    check_level,
+    check_seed,
+)
 
-FORMATS = ("md", "csv", "json")
+if TYPE_CHECKING:
+    from .uncertainty import Interval
 
 _SUMMARY_HEADERS_TWO = ("", "LR (identification)", "LR (exclusion)")
 _SUMMARY_HEADERS_ONE = ("", "LR")
@@ -39,6 +44,9 @@ def _normalize_format(fmt: str) -> str:
 
 def canonical_json(payload) -> str:
     """The one JSON serialization used everywhere; idempotent under re-parse."""
+    # imported here, not at module level: md and csv output never need it
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False,
                       allow_nan=False) + "\n"
 
@@ -179,27 +187,30 @@ def build_report(
     for JSON only, nested per study; md and csv show the point LRs.
     """
     fmt = _normalize_format(output_format)
-    if interval_method not in (None, *INTERVAL_METHODS):
+    if interval_method not in (None, *INTERVAL_METHOD_NAMES):
         raise DataError(
-            f"interval method must be {' or '.join(map(repr, INTERVAL_METHODS))}, "
+            f"interval method must be {' or '.join(map(repr, INTERVAL_METHOD_NAMES))}, "
             f"got {interval_method!r}"
         )
-    if interval_method is not None:
-        if not smoothing.is_none:
-            # the replicates are drawn from the raw counts, so a smoothed point
-            # LR could fall outside its own interval
-            raise DataError(
-                f"{interval_method} intervals are computed without smoothing; "
-                f"drop smoothing {smoothing.describe()} or the interval"
-            )
-        _check_level(level)
-        check_seed(seed)
+    if interval_method is not None and not smoothing.is_none:
+        # the replicates are drawn from the raw counts, so a smoothed point
+        # LR could fall outside its own interval
+        raise DataError(
+            f"{interval_method} intervals are computed without smoothing; "
+            f"drop smoothing {smoothing.describe()} or the interval"
+        )
+    check_level(level)
+    check_seed(seed)
     table = load_table(path)
     if fmt != "json":
         return render_lr_table(table, fmt, smoothing)
-    method = INTERVAL_METHODS.get(interval_method)
-    intervals = None if method is None else {
-        s: method(table, s, level=level, seed=seed) for s in table.categories
-    }
+    intervals = None
+    if interval_method is not None:
+        # imported here, not at module level: only a JSON report with
+        # intervals draws, and drawing loads numpy
+        from .uncertainty import INTERVAL_METHODS
+
+        method = INTERVAL_METHODS[interval_method]
+        intervals = {s: method(table, s, level=level, seed=seed) for s in table.categories}
     statements = lr_rows_payload(table, smoothing, intervals)
     return canonical_json([{"study": table.study_name, "statements": statements}])

@@ -15,18 +15,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .model import DataError
+from .model import check_seed
 
 if TYPE_CHECKING:
     import numpy as np
 
 RNG_ALGORITHM = "pcg64-seedseq-v2"
-
-
-def check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
 
 
 def stream(seed: int) -> np.random.Generator:

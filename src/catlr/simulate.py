@@ -14,41 +14,44 @@ targets, and consistency / coverage tests compare against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .model import (
     ConfusionTable,
     DataError,
+    Frozen,
     GroundTruth,
     RecordBatch,
     category_index,
+    check_seed,
     ratio,
 )
-from .rng import check_seed, stream
+from .rng import stream
 
 MAX_RECORDS = 10_000_000
 _SUM_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class PanelProfile:
+class PanelProfile(Frozen):
     """True category distributions and sample sizes for one synthetic study."""
 
-    categories: tuple[str, ...]
-    p_given_h1: tuple[float, ...]
-    p_given_h2: tuple[float, ...]
-    n_h1: int
-    n_h2: int
-    seed: int = 0
+    __slots__ = _fields = ("categories", "p_given_h1", "p_given_h2", "n_h1", "n_h2", "seed")
 
-    def __post_init__(self):
-        categories = tuple(str(c) for c in self.categories)
+    def __init__(
+        self,
+        categories: Sequence[str],
+        p_given_h1: Sequence[float],
+        p_given_h2: Sequence[float],
+        n_h1: int,
+        n_h2: int,
+        seed: int = 0,
+    ):
+        categories = tuple(str(c) for c in categories)
         if not categories or len(set(categories)) != len(categories):
             raise DataError(f"categories must be non-empty and unique: {categories}")
-        object.__setattr__(self, "categories", categories)
-        for name in ("p_given_h1", "p_given_h2"):
-            vector = tuple(float(p) for p in getattr(self, name))
+        vectors = []
+        for name, raw in (("p_given_h1", p_given_h1), ("p_given_h2", p_given_h2)):
+            vector = tuple(float(p) for p in raw)
             if len(vector) != len(categories):
                 raise DataError(
                     f"{name} has {len(vector)} entries for {len(categories)} categories"
@@ -57,15 +60,16 @@ class PanelProfile:
                 raise DataError(f"{name} entries must be probabilities: {vector}")
             if abs(math.fsum(vector) - 1.0) > _SUM_TOLERANCE:
                 raise DataError(f"{name} must sum to 1, got {math.fsum(vector)!r}")
-            object.__setattr__(self, name, vector)
-        for name in ("n_h1", "n_h2"):
-            if not isinstance(getattr(self, name), int) or getattr(self, name) <= 0:
+            vectors.append(vector)
+        for name, n in (("n_h1", n_h1), ("n_h2", n_h2)):
+            if not isinstance(n, int) or n <= 0:
                 raise DataError(f"{name} must be a positive integer")
-        if self.n_h1 + self.n_h2 > MAX_RECORDS:
+        if n_h1 + n_h2 > MAX_RECORDS:
             raise DataError(
-                f"n_h1 + n_h2 must be at most {MAX_RECORDS}, got {self.n_h1 + self.n_h2}"
+                f"n_h1 + n_h2 must be at most {MAX_RECORDS}, got {n_h1 + n_h2}"
             )
-        check_seed(self.seed)
+        check_seed(seed)
+        self._init(categories, *vectors, n_h1, n_h2, seed)
 
     @classmethod
     def from_table(
@@ -88,7 +92,7 @@ def simulate_study(profile: PanelProfile) -> RecordBatch:
     Single RNG stream per study (seeded by the profile), so a fixed seed
     reproduces the records exactly.
     """
-    # imported here, not at module level: every CLI call imports this module
+    # imported here, not at module level: a profile is read without numpy
     import numpy as np
 
     g = stream(profile.seed)
@@ -114,8 +118,8 @@ def load_profile(source: str | Iterable[str]) -> PanelProfile:
     Keys: ``categories``, ``p_given_h1``, ``p_given_h2`` (comma-separated,
     so labels must not contain commas), ``n_h1``, ``n_h2``, ``seed``.
     """
-    # imported here, not at module level: every CLI call imports this module,
-    # only ``simulate`` reads a profile, and configparser costs ~3 ms to import
+    # imported here, not at module level: configparser costs ~3 ms to import
+    # and nothing else in the package reads INI text
     import configparser
 
     parser = configparser.ConfigParser()

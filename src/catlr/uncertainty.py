@@ -36,11 +36,18 @@ no information about the ratio and are excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import ConfusionTable, DataError, GroundTruth
-from .rng import RNG_ALGORITHM, check_seed, stream
+from .model import (
+    INTERVAL_METHOD_NAMES,
+    ConfusionTable,
+    DataError,
+    Frozen,
+    GroundTruth,
+    check_level,
+    check_seed,
+)
+from .rng import RNG_ALGORITHM, stream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,30 +55,21 @@ if TYPE_CHECKING:
 MAX_REPLICATES = 1_000_000
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """An uncertainty interval for a likelihood ratio."""
 
-    lower: float
-    upper: float
-    level: float
-    method: str
+    __slots__ = _fields = ("lower", "upper", "level", "method")
 
-    def __post_init__(self):
-        _check_level(self.level)
-        if math.isnan(self.lower) or math.isnan(self.upper):
+    def __init__(self, lower: float, upper: float, level: float, method: str):
+        check_level(level)
+        if math.isnan(lower) or math.isnan(upper):
             raise DataError("interval endpoints must not be NaN")
-        if self.lower > self.upper:
-            raise DataError(f"lower {self.lower} exceeds upper {self.upper}")
+        if lower > upper:
+            raise DataError(f"lower {lower} exceeds upper {upper}")
+        self._init(lower, upper, level, method)
 
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
-
-
-def _check_level(level: float) -> float:
-    if not (0.0 < level < 1.0):
-        raise DataError(f"level must be in (0, 1), got {level!r}")
-    return level
 
 
 def _check_replicates(name: str, count: int) -> None:
@@ -94,7 +92,8 @@ def _quantile(sorted_values: np.ndarray, q: float) -> float:
 
 
 def _percentile_interval(values: np.ndarray, level: float, method: str) -> Interval:
-    # imported here, not at module level: every CLI call imports this module
+    # imported here, not at module level: Interval and zero_count_lower_bound
+    # need no numpy
     import numpy as np
 
     defined = np.sort(values[~np.isnan(values)])
@@ -123,7 +122,7 @@ def bootstrap_interval(
 ) -> Interval:
     """Stratified percentile-bootstrap interval for one statement's LR."""
     k = table.index_of(statement)
-    _check_level(level)
+    check_level(level)
     check_seed(seed)
     if replicates < 100:
         raise DataError(f"bootstrap needs at least 100 replicates, got {replicates}")
@@ -154,7 +153,7 @@ def dirichlet_interval(
     Jeffreys-style choice.
     """
     k = table.index_of(statement)
-    _check_level(level)
+    check_level(level)
     check_seed(seed)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise DataError(f"alpha must be a positive finite number, got {alpha!r}")
@@ -179,12 +178,19 @@ def dirichlet_interval(
     return _percentile_interval(values, level, method)
 
 
-# Each entry resolves its function at call time, so a wrapper later bound
-# onto this module (a profiler or tracer) also sees dispatched calls.
-INTERVAL_METHODS = {
-    "bootstrap": lambda *args, **options: bootstrap_interval(*args, **options),
-    "dirichlet": lambda *args, **options: dirichlet_interval(*args, **options),
-}
+# Keyed by ``model.INTERVAL_METHOD_NAMES``, in its order.  Each entry
+# resolves its function at call time, so a wrapper later bound onto this
+# module (a profiler or tracer) also sees dispatched calls.
+INTERVAL_METHODS = dict(
+    zip(
+        INTERVAL_METHOD_NAMES,
+        (
+            lambda *args, **options: bootstrap_interval(*args, **options),
+            lambda *args, **options: dirichlet_interval(*args, **options),
+        ),
+        strict=True,
+    )
+)
 
 
 def zero_count_lower_bound(
@@ -198,7 +204,7 @@ def zero_count_lower_bound(
     by that.  The display layer renders it as "> bound".
     """
     k = table.index_of(statement)
-    _check_level(level)
+    check_level(level)
     c2 = table.different_source[k]
     if c2 != 0:
         raise DataError(

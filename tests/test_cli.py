@@ -398,3 +398,18 @@ class TestReportCommand:
             "report", "--table", bullets_csv, "--format", "md", "--interval", "bootstrap", *option
         )
         assert (code, out, err) == (2, "", f"data error: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--level", "2"), "level must be in (0, 1), got 2.0"),
+            (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
+        ],
+        ids=["level", "seed"],
+    )
+    def test_level_and_seed_are_checked_without_an_interval(
+        self, bullets_csv, fmt, option, message
+    ):
+        code, out, err = invoke("report", "--table", bullets_csv, "--format", fmt, *option)
+        assert (code, out, err) == (2, "", f"data error: {message}\n")

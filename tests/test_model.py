@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 
-from catlr.engine import presentation_round
-from catlr.interpret import bundled_scale, hardness_adjust, posterior_probability
+from catlr.engine import SmoothingPolicy, presentation_round
+from catlr.interpret import VerbalScale, bundled_scale, hardness_adjust, posterior_probability
 from catlr.model import (
     ConfusionTable,
     DataError,
@@ -13,7 +15,11 @@ from catlr.model import (
     GroundTruth,
     LrEstimate,
     RecordBatch,
+    check_level,
+    check_seed,
 )
+from catlr.simulate import PanelProfile
+from catlr.uncertainty import Interval
 
 SAME = GroundTruth.SAME_SOURCE
 DIFF = GroundTruth.DIFFERENT_SOURCE
@@ -247,3 +253,97 @@ def test_display_and_interpretation_reject_an_invalid_lr_alike(lr):
         with pytest.raises(DataError) as raised:
             call(lr)
         assert str(raised.value) == f"likelihood ratio must be >= 0 or infinite, got {lr!r}"
+
+
+# (type, keyword arguments, keyword arguments of an unequal value, repr)
+# The reprs are those the earlier dataclass versions printed.
+VALUE_TYPES = [
+    (
+        EvaluationRecord,
+        {"examiner_id": "ex1", "item_id": "item9", "truth": SAME, "statement": "ID"},
+        {"examiner_id": "ex1", "item_id": "item9", "truth": DIFF, "statement": "ID"},
+        "EvaluationRecord(examiner_id='ex1', item_id='item9', "
+        "truth=<GroundTruth.SAME_SOURCE: 'same'>, statement='ID')",
+    ),
+    (
+        ConfusionTable,
+        {"categories": ["ID", "Elim"], "same_source": [3, 1], "different_source": (0, 4),
+         "study_name": "s"},
+        {"categories": ["ID", "Elim"], "same_source": [3, 1], "different_source": (1, 4),
+         "study_name": "s"},
+        "ConfusionTable(categories=('ID', 'Elim'), same_source=(3, 1), "
+        "different_source=(0, 4), study_name='s')",
+    ),
+    (
+        LrEstimate,
+        {"statement": "ID", "p_given_h1": 0.75, "p_given_h2": 0.0, "lr": math.inf,
+         "smoothing": "none", "h1_count": 3, "h1_total": 4, "h2_count": 0, "h2_total": 4},
+        {"statement": "ID", "p_given_h1": 0.75, "p_given_h2": 0.0, "lr": math.inf},
+        "LrEstimate(statement='ID', p_given_h1=0.75, p_given_h2=0.0, lr=inf, "
+        "smoothing='none', h1_count=3, h1_total=4, h2_count=0, h2_total=4)",
+    ),
+    (SmoothingPolicy, {"alpha": 0.5}, {}, "SmoothingPolicy(alpha=0.5)"),
+    (
+        Interval,
+        {"lower": 0.5, "upper": math.inf, "level": 0.95, "method": "bootstrap"},
+        {"lower": 0.5, "upper": math.inf, "level": 0.9, "method": "bootstrap"},
+        "Interval(lower=0.5, upper=inf, level=0.95, method='bootstrap')",
+    ),
+    (
+        VerbalScale,
+        {"name": "s", "bands": [(0, "weak"), (10, "strong")]},
+        {"name": "t", "bands": [(0, "weak"), (10, "strong")]},
+        "VerbalScale(name='s', bands=((0.0, 'weak'), (10.0, 'strong')))",
+    ),
+    (
+        PanelProfile,
+        {"categories": ["a", "b"], "p_given_h1": (0.5, 0.5), "p_given_h2": [1, 0],
+         "n_h1": 10, "n_h2": 20, "seed": 3},
+        {"categories": ["a", "b"], "p_given_h1": (0.5, 0.5), "p_given_h2": [1, 0],
+         "n_h1": 10, "n_h2": 20},
+        "PanelProfile(categories=('a', 'b'), p_given_h1=(0.5, 0.5), "
+        "p_given_h2=(1.0, 0.0), n_h1=10, n_h2=20, seed=3)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, other_fields, text", VALUE_TYPES, ids=[c[0].__name__ for c in VALUE_TYPES]
+)
+def test_value_type_contract(cls, fields, other_fields, text):
+    value = cls(**fields)
+    assert value == cls(*fields.values())
+    assert hash(value) == hash(cls(*fields.values()))
+    assert value != cls(**other_fields)
+    assert value != tuple(fields.values())
+    assert len({value, cls(**fields), cls(**other_fields)}) == 2
+    assert repr(value) == text
+    assert copy.copy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    name = next(iter(fields))
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == text
+
+
+def test_study_name_ignored_by_table_equality_and_hash():
+    a = ConfusionTable(("x", "y"), (1, 2), (3, 4), study_name="a")
+    b = ConfusionTable(("x", "y"), (1, 2), (3, 4), study_name="b")
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_option_checks():
+    assert check_level(0.5) == 0.5
+    assert check_seed(7) == 7
+    for level in (0.0, 1.0, 2.0, math.nan):
+        with pytest.raises(DataError, match="level must be in"):
+            check_level(level)
+    for seed in (-1, True, 1.5):
+        with pytest.raises(DataError, match="seed must be"):
+            check_seed(seed)

@@ -210,8 +210,12 @@ class TestBuildReport:
             ),
             ({"interval_method": "bootstrap", "level": 2.0}, "level must be in"),
             ({"interval_method": "dirichlet", "seed": -1}, "seed must be"),
+            ({"level": 2.0}, "level must be in"),
+            ({"output_format": "json", "level": 0.0}, "level must be in"),
+            ({"output_format": "csv", "seed": -1}, "seed must be"),
         ],
-        ids=["format", "method", "smoothing-bootstrap", "smoothing-dirichlet", "level", "seed"],
+        ids=["format", "method", "smoothing-bootstrap", "smoothing-dirichlet", "level", "seed",
+             "level-no-interval", "level-json-no-interval", "seed-no-interval"],
     )
     def test_options_checked_before_the_file_is_read(self, options, message):
         # the file does not exist, so any other order fails with FileNotFoundError

@@ -1,6 +1,7 @@
-"""Startup cost: commands that draw nothing must not import numpy.
+"""Startup cost: each command loads only the modules it runs.
 
-The suite itself has numpy loaded, so each check runs a fresh interpreter.
+The suite itself has every module loaded, so each check runs a fresh
+interpreter and compares what it loaded with what ``python -c pass`` loads.
 """
 
 import io
@@ -8,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -19,14 +21,19 @@ from catlr.ingest import emit_aggregated
 SRC = Path(catlr.__file__).resolve().parents[1]
 SUMMARY_CSV = Path(catlr.__file__).resolve().parent / "data" / "summary_published.csv"
 
-# runs catlr.cli.run(sys.argv[1:]) and reports the result and whether numpy loaded
+# runs catlr.cli.run(sys.argv[1:]) and reports the result and the loaded
+# modules; json is imported only after the modules are listed
 _RUN = """
-import io, json, sys
+import io, sys
 import catlr.cli
 out, err = io.StringIO(), io.StringIO()
 code = catlr.cli.run(sys.argv[1:], stdout=out, stderr=err)
-json.dump([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules], sys.stdout)
+loaded = sorted(sys.modules)
+import json
+json.dump([code, out.getvalue(), err.getvalue(), loaded], sys.stdout)
 """
+
+_LOADED = "import sys; print(*sorted(sys.modules))"
 
 
 def cold(script, *argv):
@@ -42,9 +49,17 @@ def cold(script, *argv):
     return done.stdout
 
 
+@cache
+def bare_modules():
+    """The modules a fresh interpreter loads before running any code."""
+    return frozenset(cold(_LOADED).split())
+
+
 def cold_run(*argv):
-    """(exit code, stdout, stderr, numpy loaded) of ``catlr.cli.run(argv)`` in a fresh interpreter."""
-    return tuple(json.loads(cold(_RUN, *argv)))
+    """(exit code, stdout, stderr, modules loaded beyond a bare interpreter's)
+    of ``catlr.cli.run(argv)`` in a fresh interpreter."""
+    code, out, err, loaded = json.loads(cold(_RUN, *argv))
+    return code, out, err, frozenset(loaded) - bare_modules()
 
 
 @pytest.fixture
@@ -66,34 +81,109 @@ def records_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def profile_cfg(tmp_path):
+    path = tmp_path / "profile.cfg"
+    path.write_text(
+        "[profile]\ncategories = ID, Inconclusive, Elimination\n"
+        "p_given_h1 = 0.75, 0.2, 0.05\np_given_h2 = 0.007, 0.5, 0.493\n"
+        "n_h1 = 50\nn_h2 = 80\nseed = 42\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 def test_import_loads_no_numpy():
     script = "import sys, catlr, catlr.cli; print('numpy' in sys.modules)"
     assert cold(script) == "False\n"
 
 
+LIGHT = {"catlr", "catlr.cli", "catlr.model"}
+TABLE = LIGHT | {"catlr.engine", "catlr.ingest"}
+REPORT = TABLE | {"catlr.report"}
+DRAW = {"catlr.ingest", "catlr.rng", "catlr.uncertainty"}
+
+
+# (argv, the catlr modules it loads, whether it loads json)
+COMMANDS = [
+    (("lr", "--table", "{table}"), TABLE, False),
+    (("lr", "--table", "{table}", "--format", "md"), REPORT, False),
+    (("lr", "--table", "{table}", "--format", "csv"), REPORT, False),
+    (("lr", "--table", "{table}", "--format", "json"), REPORT, True),
+    (("report", "--table", "{table}"), REPORT, False),
+    (("report", "--table", "{table}", "--format", "csv", "--interval", "bootstrap"),
+     REPORT, False),
+    (("report", "--table", "{table}", "--format", "json"), REPORT, True),
+    (("report", "--table", "{table}", "--format", "json", "--interval", "dirichlet"),
+     REPORT | DRAW, True),
+    (("report", "--summary", str(SUMMARY_CSV)), REPORT, False),
+    (("posterior", "--prior", "0.1", "--lr", "1000"), LIGHT | {"catlr.interpret"}, False),
+    (("adjust", "--lr", "109", "--fraction", "0.01"), LIGHT | {"catlr.interpret"}, False),
+    (("interval", "--table", "{table}", "--statement", "ID", "--method", "bootstrap"),
+     LIGHT | DRAW, False),
+    (("tally", "--in", "{records}"), LIGHT | {"catlr.ingest"}, False),
+    (("simulate", "--profile", "{profile}"),
+     LIGHT | {"catlr.ingest", "catlr.rng", "catlr.simulate"}, False),
+    (("--help",), LIGHT, False),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("lr", "--table", "{table}"),
-        ("lr", "--table", "{table}", "--format", "md"),
-        ("lr", "--table", "{table}", "--format", "csv"),
-        ("lr", "--table", "{table}", "--format", "json"),
-        ("report", "--table", "{table}", "--format", "md"),
-        ("report", "--table", "{table}", "--format", "json"),
-        ("report", "--summary", str(SUMMARY_CSV)),
-        ("posterior", "--prior", "0.1", "--lr", "1000"),
-        ("adjust", "--lr", "109", "--fraction", "0.01"),
-        ("tally", "--in", "{records}"),
-        ("--help",),
-    ],
-    ids=lambda argv: " ".join(a for a in argv if "{" not in a and "/" not in a),
+    "argv, catlr_modules, json_loaded",
+    COMMANDS,
+    ids=[" ".join(a for a in argv if "{" not in a and "/" not in a) for argv, *_ in COMMANDS],
 )
-def test_command_that_draws_nothing_loads_no_numpy(bullets_csv, records_csv, argv):
-    argv = [a.format(table=bullets_csv, records=records_csv) for a in argv]
-    code, out, err, numpy_loaded = cold_run(*argv)
+def test_command_loads_only_the_modules_it_runs(
+    bullets_csv, records_csv, profile_cfg, argv, catlr_modules, json_loaded
+):
+    # simulate alone loads catlr.simulate, posterior and adjust alone
+    # catlr.interpret, and only the commands that draw catlr.rng,
+    # catlr.uncertainty and numpy
+    argv = [a.format(table=bullets_csv, records=records_csv, profile=profile_cfg) for a in argv]
+    code, out, err, loaded = cold_run(*argv)
     assert (code, err) == (0, "")
     assert out
-    assert not numpy_loaded
+    assert {m for m in loaded if m.partition(".")[0] == "catlr"} == catlr_modules
+    assert ("numpy" in loaded) == ("catlr.rng" in loaded)
+    assert ("json" in loaded) == json_loaded
+    assert "dataclasses" not in loaded
+
+
+def test_import_catlr_loads_no_submodule():
+    script = "import sys, catlr; print(*sorted(m for m in sys.modules if m.startswith('catlr')))"
+    assert cold(script) == "catlr\n"
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(catlr)
+    for name in catlr.__all__:
+        getattr(catlr, name)
+        assert name in listed
+
+
+def test_submodules_are_package_attributes_after_a_bare_import():
+    # in a fresh interpreter, so that no earlier import has bound them
+    script = (
+        "import catlr, types\n"
+        "names = ('engine', 'ingest', 'interpret', 'model', 'report', 'rng',"
+        " 'simulate', 'uncertainty')\n"
+        "assert all(isinstance(getattr(catlr, n), types.ModuleType) for n in names)\n"
+        "assert set(names) <= set(dir(catlr))\n"
+        "print(catlr.report.render_lr_table.__module__)"
+    )
+    assert cold(script) == "catlr.report\n"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from catlr import *", namespace)
+    assert set(catlr.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_is_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'tabulate'"):
+        catlr.tabulate
+    assert not hasattr(catlr, "_private")
 
 
 @pytest.mark.parametrize("fmt", ["md", "csv"])
@@ -103,7 +193,9 @@ def test_md_or_csv_report_draws_no_interval(bullets_csv, fmt, method):
     out, err = io.StringIO(), io.StringIO()
     assert run(["report", "--table", bullets_csv, "--format", fmt], stdout=out, stderr=err) == 0
     argv = ("report", "--table", bullets_csv, "--format", fmt, "--interval", method)
-    assert cold_run(*argv) == (0, out.getvalue(), "", False)
+    code, cold_out, err, loaded = cold_run(*argv)
+    assert (code, cold_out, err) == (0, out.getvalue(), "")
+    assert "numpy" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -117,15 +209,10 @@ def test_md_or_csv_report_draws_no_interval(bullets_csv, fmt, method):
     ],
     ids=["simulate", "bootstrap", "dirichlet"],
 )
-def test_drawing_command_prints_the_same_bytes_cold(tmp_path, bullets_csv, argv):
-    profile = tmp_path / "profile.cfg"
-    profile.write_text(
-        "[profile]\ncategories = ID, Inconclusive, Elimination\n"
-        "p_given_h1 = 0.75, 0.2, 0.05\np_given_h2 = 0.007, 0.5, 0.493\n"
-        "n_h1 = 50\nn_h2 = 80\nseed = 42\n",
-        encoding="utf-8",
-    )
-    argv = [a.format(table=bullets_csv, profile=profile) for a in argv]
+def test_drawing_command_prints_the_same_bytes_cold(bullets_csv, profile_cfg, argv):
+    argv = [a.format(table=bullets_csv, profile=profile_cfg) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     assert run(argv, stdout=out, stderr=err) == 0
-    assert cold_run(*argv) == (0, out.getvalue(), err.getvalue(), True)
+    code, cold_out, cold_err, loaded = cold_run(*argv)
+    assert (code, cold_out, cold_err) == (0, out.getvalue(), err.getvalue())
+    assert "numpy" in loaded
