@@ -51,7 +51,6 @@ _MODULE_OF = {
             "EvaluationRecord",
             "GroundTruth",
             "LrEstimate",
-            "RecordBatch",
         ),
         "report": (
             "build_report",
@@ -59,7 +58,13 @@ _MODULE_OF = {
             "render_lr_table",
             "render_summary_table",
         ),
-        "simulate": ("PanelProfile", "load_profile", "simulate_study", "true_lr"),
+        "simulate": (
+            "PanelProfile",
+            "RecordBatch",
+            "load_profile",
+            "simulate_study",
+            "true_lr",
+        ),
         "uncertainty": (
             "Interval",
             "bootstrap_interval",

@@ -20,12 +20,15 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from itertools import chain, cycle, islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .model import ConfusionTable, DataError, EvaluationRecord, GroundTruth, RecordBatch
+from .model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
+
+if TYPE_CHECKING:
+    from .simulate import RecordBatch
 
 
 class IngestError(DataError):
@@ -35,7 +38,7 @@ class IngestError(DataError):
 RAW_HEADER = ("examiner_id", "item_id", "ground_truth", "statement")
 AGGREGATED_HEADER = ("statement", "same_source_count", "different_source_count")
 
-_BLOCK_ROWS = 65_536  # rows of a RecordBatch formatted per piece of output
+_BLOCK_ROWS = 64_000  # item numbers of a RecordBatch read per block of codes, whole chunks of 1000
 _BLOCK_LINES = 4096  # input lines filtered, and raw rows counted, per block
 
 _TRUTH_TOKENS = {
@@ -245,6 +248,8 @@ def tally(
     categories are retained), else first appearance in the records.  A
     ``RecordBatch`` is counted from its code arrays without row views.
     """
+    from .simulate import RecordBatch
+
     if isinstance(records, RecordBatch):
         counts = _batch_counts(records)
     else:
@@ -398,7 +403,9 @@ def emit_records(
 
 
 def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[str]:
-    """Raw-records CSV text in pieces: a batch in blocks of rows formatted from its codes."""
+    """Raw-records CSV text in pieces: a batch one chunk of 1000 item numbers per piece."""
+    from .simulate import RecordBatch
+
     if not isinstance(records, RecordBatch):
         rows = ((r.examiner_id, r.item_id, r.truth.value, r.statement) for r in records)
         yield _csv_text(RAW_HEADER, rows)
@@ -414,12 +421,22 @@ def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[str]:
         for truth in GroundTruth
         for label in records.categories
     ]
-    line = f"%s,{RecordBatch.ITEM_ID},%s".__mod__
+    # Row i has item number i + 1.  The item numbers c * 1000 + j of chunk c
+    # share the leading digits f"{c:03d}" of RecordBatch.ITEM_ID ("item%06d"),
+    # and as the panel's period divides 1000, their examiners depend on j
+    # alone.  So one template of the rows j = 0..999 serves every chunk: "{0}"
+    # takes the chunk's digits, then one % takes its cells.
     examiners = RecordBatch.EXAMINER_IDS
-    for start in range(0, len(records), _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, len(records))
-        truth = records.truth_codes[start:stop].astype(np.intp)
-        keys = (truth * k + records.statement_codes[start:stop]).tolist()
-        panel = islice(cycle(examiners), start % len(examiners), None)
-        numbers = range(start + 1, stop + 1)
-        yield "".join(map(line, zip(panel, numbers, map(tails.__getitem__, keys))))
+    rows = [f"{examiners[(j - 1) % len(examiners)]},item{{0}}{j:03d},%s" for j in range(1000)]
+    chunk = "".join(rows)
+    n = len(records)
+    # each block holds the item numbers first .. last - 1; there is no item 0
+    for first in range(0, n + 1, _BLOCK_ROWS):
+        last = min(first + _BLOCK_ROWS, n + 1)
+        block = slice(max(first - 1, 0), last - 1)
+        truth = records.truth_codes[block].astype(np.intp)
+        cells = map(tails.__getitem__, (truth * k + records.statement_codes[block]).tolist())
+        for c in range(first // 1000, (last + 999) // 1000):
+            j0, j1 = (1 if c == 0 else 0), min(last - c * 1000, 1000)
+            template = chunk if j1 - j0 == 1000 else "".join(rows[j0:j1])
+            yield template.replace("{0}", f"{c:03d}") % tuple(islice(cells, j1 - j0))

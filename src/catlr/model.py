@@ -15,10 +15,6 @@ import enum
 import math
 import operator
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # Output formats (rendered by ``report``) and interval methods (drawn by
@@ -142,112 +138,6 @@ class EvaluationRecord(Frozen):
         if not statement:
             raise DataError("statement label must be non-empty")
         self._init(examiner_id, item_id, truth, statement)
-
-
-class RecordBatch(Sequence):
-    """Evaluation records held as columns: a read-only sequence of row views.
-
-    Row ``i`` has ground truth ``tuple(GroundTruth)[truth_codes[i]]`` (0 same
-    source, 1 different source), statement ``categories[statement_codes[i]]``,
-    and the synthetic ids of a round-robin examiner panel: examiner
-    ``EXAMINER_IDS[i % 10]`` and item ``ITEM_ID % (i + 1)``.  Indexing and
-    iteration build each ``EvaluationRecord`` only when it is read.  The code
-    arrays are read-only copies, so a batch never changes after construction.
-    """
-
-    EXAMINER_IDS = tuple(f"ex{j + 1:02d}" for j in range(10))
-    ITEM_ID = "item%06d"
-
-    __slots__ = ("_categories", "_truth", "_codes")
-
-    def __init__(self, categories: Sequence[str], truth_codes, statement_codes):
-        # imported here, not at module level: every CLI call imports this
-        # module, and only commands that hold record columns need numpy
-        import numpy as np
-
-        categories = tuple(str(c) for c in categories)
-        if not categories or any(not c for c in categories):
-            raise DataError(f"categories must be non-empty labels: {categories}")
-        if len(set(categories)) != len(categories):
-            raise DataError(f"duplicate category label in {categories}")
-        truth, codes = np.asarray(truth_codes), np.asarray(statement_codes)
-        if truth.ndim != 1 or truth.shape != codes.shape:
-            raise DataError(
-                "truth and statement codes must be 1-d and equally long, "
-                f"got shapes {truth.shape} and {codes.shape}"
-            )
-        if truth.size and not (
-            truth.dtype.kind in "biu" and codes.dtype.kind in "biu"
-        ):
-            raise DataError("truth and statement codes must be integers")
-        if truth.size and (truth.min() < 0 or truth.max() > 1):
-            raise DataError("truth codes must be 0 (same source) or 1 (different source)")
-        if codes.size and (codes.min() < 0 or codes.max() >= len(categories)):
-            raise DataError(f"statement codes must index the {len(categories)} categories")
-        self._categories = categories
-        self._truth = truth.astype(np.uint8)
-        # the narrowest unsigned type that holds every code: one byte for up to 256 categories
-        self._codes = codes.astype(np.min_scalar_type(len(categories) - 1))
-        self._truth.flags.writeable = False
-        self._codes.flags.writeable = False
-
-    @property
-    def categories(self) -> tuple[str, ...]:
-        return self._categories
-
-    @property
-    def truth_codes(self) -> np.ndarray:
-        return self._truth
-
-    @property
-    def statement_codes(self) -> np.ndarray:
-        return self._codes
-
-    def __len__(self) -> int:
-        return self._codes.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"record index {index} out of range for {len(self)} records")
-        return self._row(i, self._truth[i], self._codes[i])
-
-    def __iter__(self):
-        rows = zip(self._truth.tolist(), self._codes.tolist())
-        for i, (truth, code) in enumerate(rows):
-            yield self._row(i, truth, code)
-
-    def _row(self, i: int, truth: int, code: int) -> EvaluationRecord:
-        return EvaluationRecord(
-            self.EXAMINER_IDS[i % len(self.EXAMINER_IDS)],
-            self.ITEM_ID % (i + 1),
-            _TRUTHS[truth],
-            self._categories[code],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, RecordBatch):
-            return NotImplemented
-        import numpy as np
-
-        labels = np.array(self._categories, dtype=object)[self._codes]
-        other_labels = np.array(other._categories, dtype=object)[other._codes]
-        return np.array_equal(self._truth, other._truth) and np.array_equal(
-            labels, other_labels
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"RecordBatch({len(self)} records, categories={list(self._categories)})"
-
-
-# the GroundTruth of each RecordBatch truth code
-_TRUTHS = tuple(GroundTruth)
 
 
 class ConfusionTable(Frozen):

@@ -308,6 +308,40 @@ class TestSimulateCommand:
             "b25ffcd0311298099a6598ceb2ec66f29c748a07ef4f2eabec1b50c8524e6bae"
         )
 
+    def test_output_at_benchmark_scale_is_pinned(self, tmp_path):
+        # 1 000 001 records: the item ids grow to seven digits at the end, and
+        # the labels hold a quote, a "%" ("%%" in the profile) and a "{0}"
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text(
+            "[profile]\n"
+            'categories = ID, say "no", 50%% sure, {0}, Elimination\n'
+            "p_given_h1 = 0.5, 0.2, 0.1, 0.15, 0.05\n"
+            "p_given_h2 = 0.02, 0.1, 0.2, 0.18, 0.5\n"
+            "n_h1 = 400000\nn_h2 = 600001\nseed = 2024\n",
+            encoding="utf-8",
+        )
+        code, out, _ = invoke("simulate", "--profile", str(cfg))
+        assert code == 0
+        assert out.endswith("ex01,item1000001,different,50% sure\n")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "54951558c034db77ada88fca59c5c23c6364eeb4a16dceafb9e061fd28790377"
+        )
+
+    def test_lone_percent_in_profile_is_data_error(self, tmp_path):
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text(PROFILE_CFG.replace("Elimination", "50% sure"), encoding="utf-8")
+        code, out, err = invoke("simulate", "--profile", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("data error: malformed profile value: '%' must be followed by")
+
+    def test_label_that_cannot_read_back_is_data_error(self, tmp_path):
+        # an indented line continues the categories value, so a label spans two lines
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text(PROFILE_CFG.replace("Elimination\n", "Elim\n  ination\n"), encoding="utf-8")
+        code, out, err = invoke("simulate", "--profile", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("data error: category label 'Elim\\nination' would not read back")
+
     def test_writes_file_equal_to_stdout(self, tmp_path):
         cfg = tmp_path / "profile.cfg"
         cfg.write_text(PROFILE_CFG, encoding="utf-8")

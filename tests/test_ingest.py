@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catlr import ingest
@@ -20,9 +20,10 @@ from catlr.ingest import (
     tally,
     tally_csv,
 )
-from catlr.ingest import _BLOCK_LINES, _blocks
-from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth, RecordBatch
+from catlr.ingest import _BLOCK_LINES, _BLOCK_ROWS, _blocks
+from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
 from catlr.report import read_display_fixture
+from catlr.simulate import RecordBatch
 
 SAME = GroundTruth.SAME_SOURCE
 DIFF = GroundTruth.DIFFERENT_SOURCE
@@ -600,6 +601,53 @@ class TestRoundTrips:
         buffer = io.StringIO()
         assert emit_records(batch, buffer) is None
         assert _first_difference(buffer.getvalue(), text) is None
+
+
+def _random_batch(labels, n: int, seed: int) -> RecordBatch:
+    rng = np.random.default_rng(seed)
+    return RecordBatch(labels, rng.integers(0, 2, n), rng.integers(0, len(labels), n))
+
+
+class TestBatchTemplate:
+    """A batch is written in chunks of the 1000 item numbers that share
+    their leading digits, each chunk one % over one prebuilt template; the
+    text must equal that of the batch's row views, written row by row."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 999, 1000, 1001, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+    )
+    def test_equals_row_text_at_chunk_and_block_edges(self, n):
+        assert _BLOCK_ROWS % 1000 == 0
+        batch = _random_batch(("ID", "Elim"), n, n)
+        assert _first_difference(emit_records(batch), emit_records(list(batch))) is None
+
+    def test_equals_row_text_where_item_ids_grow_to_seven_digits(self):
+        batch = _random_batch(("ID", "Elim"), 1_000_002, 3)
+        lines = emit_records(batch).splitlines()
+        assert len(lines) == 1 + len(batch)
+        # line i + 1 holds row i; rows 999 998 .. 1 000 001 are items 999999 .. 1000002
+        assert lines[999_999:] == emit_records(batch[999_998:]).splitlines()[1:]
+        assert lines[-1].startswith("ex02,item1000002,")
+
+    def test_labels_with_format_characters(self):
+        labels = ("50% sure", "%s", "%(x)s", "{0}", "{}", 'say "no"', "a, b")
+        batch = _random_batch(labels, 2500, 8)
+        text = emit_records(batch)
+        assert _first_difference(text, emit_records(list(batch))) is None
+        assert parse_records(text) == list(batch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=5, unique=True),
+        st.integers(0, 3000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_batch_reads_back(self, labels, n, seed):
+        try:
+            batch = _random_batch(labels, n, seed)
+        except DataError:
+            assume(False)
+        assert parse_records(emit_records(batch)) == list(batch)
 
 
 def _first_difference(text: str, expected: str) -> tuple[int, str, str] | None:

@@ -14,11 +14,10 @@ from catlr.model import (
     EvaluationRecord,
     GroundTruth,
     LrEstimate,
-    RecordBatch,
     check_level,
     check_seed,
 )
-from catlr.simulate import PanelProfile
+from catlr.simulate import PanelProfile, RecordBatch
 from catlr.uncertainty import Interval
 
 SAME = GroundTruth.SAME_SOURCE
@@ -108,6 +107,12 @@ class TestRecordBatch:
             (("a",), [0.0], [0.0], "integers"),
             (("a", "a"), [0], [0], "duplicate"),
             ((), [], [], "non-empty"),
+            (("a", "b\nc"), [0], [0], r"label 'b\\nc' would not read back"),
+            (("a\r",), [0], [0], r"label 'a\\r' would not read back"),
+            (("ID ",), [0], [0], "label 'ID ' would not read back"),
+            ((" ID",), [0], [0], "label ' ID' would not read back"),
+            (("\tID",), [0], [0], r"label '\\tID' would not read back"),
+            (("x" * 131_073,), [0], [0], "131073 characters, more than the csv field limit 131072"),
         ],
     )
     def test_invalid_columns_rejected(self, categories, truth, codes, match):

@@ -4,9 +4,9 @@ import pytest
 
 from catlr.engine import full_table_lrs
 from catlr.ingest import tally
-from catlr.model import DataError, GroundTruth, RecordBatch
+from catlr.model import DataError, GroundTruth
 from catlr.rng import stream
-from catlr.simulate import PanelProfile, load_profile, simulate_study, true_lr
+from catlr.simulate import PanelProfile, RecordBatch, load_profile, simulate_study, true_lr
 
 SAME = GroundTruth.SAME_SOURCE
 DIFF = GroundTruth.DIFFERENT_SOURCE
