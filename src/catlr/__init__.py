@@ -29,12 +29,8 @@ _MODULE_OF = {
         "ingest": (
             "IngestError",
             "emit_aggregated",
-            "emit_records",
             "load_table",
             "parse_aggregated",
-            "parse_records",
-            "tally",
-            "tally_csv",
         ),
         "interpret": (
             "BUNDLED_SCALES",
@@ -51,6 +47,12 @@ _MODULE_OF = {
             "EvaluationRecord",
             "GroundTruth",
             "LrEstimate",
+        ),
+        "records": (
+            "emit_records",
+            "parse_records",
+            "tally",
+            "tally_csv",
         ),
         "report": (
             "build_report",

@@ -71,7 +71,8 @@ def _output(out_path: str | None, out: IO[str]) -> Iterator[IO[str]]:
 
 
 def _cmd_tally(args, out):
-    from .ingest import emit_aggregated, tally_csv
+    from .ingest import emit_aggregated
+    from .records import tally_csv
 
     with open(args.infile, encoding="utf-8") as lines:
         table = tally_csv(lines, study_name=Path(args.infile).stem)
@@ -137,7 +138,7 @@ def _cmd_interval(args, out):
 
 
 def _cmd_simulate(args, out):
-    from .ingest import emit_records
+    from .records import emit_records
     from .simulate import load_profile, simulate_study
 
     records = simulate_study(load_profile(_read(args.profile)))
@@ -145,7 +146,13 @@ def _cmd_simulate(args, out):
         emit_records(records, handle)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The catlr parser; given a ``command`` name, only that command's subparser.
+
+    A parse that reaches a command's subparser prints the same help and
+    errors either way: the other commands show only in the main parser's
+    help and errors, which come from a parser with every command built.
+    """
     parser = _Parser(
         prog="catlr",
         description=(
@@ -155,57 +162,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tally", help="tally raw evaluation records into a table")
-    p.add_argument("--in", dest="infile", required=True, metavar="RECORDS_CSV")
-    p.add_argument("--out", default=None, metavar="TABLE_CSV")
-    p.set_defaults(func=_cmd_tally)
+    def add(name: str, help: str) -> argparse.ArgumentParser | None:
+        return sub.add_parser(name, help=help) if command in (None, name) else None
 
-    p = sub.add_parser("lr", help="likelihood ratios for every statement in a table")
-    p.add_argument("--table", required=True, metavar="TABLE_CSV")
-    # argparse passes a string default through type=, so catlr.engine loads
-    # only when a command that takes --smoothing is parsed
-    p.add_argument("--smoothing", type=_smoothing_arg, default="none")
-    p.add_argument("--format", choices=FORMATS, default=None)
-    p.set_defaults(func=_cmd_lr)
+    if p := add("tally", help="tally raw evaluation records into a table"):
+        p.add_argument("--in", dest="infile", required=True, metavar="RECORDS_CSV")
+        p.add_argument("--out", default=None, metavar="TABLE_CSV")
+        p.set_defaults(func=_cmd_tally)
 
-    p = sub.add_parser("report", help="render an LR table or a display-value summary")
-    p.add_argument("--table", default=None, metavar="TABLE_CSV")
-    p.add_argument("--summary", default=None, metavar="FIXTURE_CSV")
-    p.add_argument("--format", choices=FORMATS, default="md")
-    p.add_argument("--smoothing", type=_smoothing_arg, default="none")
-    p.add_argument("--interval", choices=INTERVAL_METHOD_NAMES, default=None)
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, metavar="OUT_FILE")
-    p.set_defaults(func=_cmd_report)
+    if p := add("lr", help="likelihood ratios for every statement in a table"):
+        p.add_argument("--table", required=True, metavar="TABLE_CSV")
+        # argparse passes a string default through type=, so catlr.engine loads
+        # only when a command that takes --smoothing is parsed
+        p.add_argument("--smoothing", type=_smoothing_arg, default="none")
+        p.add_argument("--format", choices=FORMATS, default=None)
+        p.set_defaults(func=_cmd_lr)
 
-    p = sub.add_parser("posterior", help="posterior probability from prior and LR")
-    p.add_argument("--prior", type=float, required=True)
-    p.add_argument("--lr", type=float, required=True)
-    p.set_defaults(func=_cmd_posterior)
+    if p := add("report", help="render an LR table or a display-value summary"):
+        p.add_argument("--table", default=None, metavar="TABLE_CSV")
+        p.add_argument("--summary", default=None, metavar="FIXTURE_CSV")
+        p.add_argument("--format", choices=FORMATS, default="md")
+        p.add_argument("--smoothing", type=_smoothing_arg, default="none")
+        p.add_argument("--interval", choices=INTERVAL_METHOD_NAMES, default=None)
+        p.add_argument("--level", type=float, default=0.95)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None, metavar="OUT_FILE")
+        p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("adjust", help="hardest-fraction sensitivity adjustment")
-    p.add_argument("--lr", type=float, required=True)
-    p.add_argument("--fraction", type=float, required=True)
-    p.set_defaults(func=_cmd_adjust)
+    if p := add("posterior", help="posterior probability from prior and LR"):
+        p.add_argument("--prior", type=float, required=True)
+        p.add_argument("--lr", type=float, required=True)
+        p.set_defaults(func=_cmd_posterior)
 
-    p = sub.add_parser("interval", help="uncertainty interval for one statement's LR")
-    p.add_argument("--table", required=True, metavar="TABLE_CSV")
-    p.add_argument("--statement", required=True)
-    p.add_argument("--method", choices=INTERVAL_METHOD_NAMES, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--replicates", type=int, default=2000)
-    p.add_argument("--draws", type=int, default=10000)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--workers", type=int, default=1, help="deprecated; ignored")
-    p.set_defaults(func=_cmd_interval)
+    if p := add("adjust", help="hardest-fraction sensitivity adjustment"):
+        p.add_argument("--lr", type=float, required=True)
+        p.add_argument("--fraction", type=float, required=True)
+        p.set_defaults(func=_cmd_adjust)
 
-    p = sub.add_parser("simulate", help="generate a synthetic study from a profile")
-    p.add_argument("--profile", required=True, metavar="PROFILE_CFG")
-    p.add_argument("--out", default=None, metavar="RECORDS_CSV")
-    p.set_defaults(func=_cmd_simulate)
+    if p := add("interval", help="uncertainty interval for one statement's LR"):
+        p.add_argument("--table", required=True, metavar="TABLE_CSV")
+        p.add_argument("--statement", required=True)
+        p.add_argument("--method", choices=INTERVAL_METHOD_NAMES, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--level", type=float, default=0.95)
+        p.add_argument("--replicates", type=int, default=2000)
+        p.add_argument("--draws", type=int, default=10000)
+        p.add_argument("--alpha", type=float, default=0.5)
+        p.add_argument("--workers", type=int, default=1, help="deprecated; ignored")
+        p.set_defaults(func=_cmd_interval)
 
+    if p := add("simulate", help="generate a synthetic study from a profile"):
+        p.add_argument("--profile", required=True, metavar="PROFILE_CFG")
+        p.add_argument("--out", default=None, metavar="RECORDS_CSV")
+        p.set_defaults(func=_cmd_simulate)
+
+    if command is not None and command not in sub.choices:
+        return build_parser()  # not a command name: help, or an error listing them all
     return parser
 
 
@@ -213,7 +225,8 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
     """Parse and execute; returns the exit code instead of exiting."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             args = parser.parse_args(argv)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from catlr import fixtures
+from catlr import cli, fixtures
 from catlr.cli import run
 from catlr.ingest import emit_aggregated, parse_aggregated, parse_records, tally
 
@@ -104,6 +104,43 @@ class TestExitCodes:
         code, _, err = invoke("lr", "--table", bullets_csv, "--smoothing", "magic")
         assert code == 1
         assert "smoothing" in err
+
+
+COMMAND_NAMES = ("tally", "lr", "report", "posterior", "adjust", "interval", "simulate")
+
+
+class TestParserPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("--help",),
+            ("-h",),
+            ("bogus",),
+            ("--bogus", "lr"),
+            ("lr",),
+            ("tally", "--in"),
+            ("posterior", "--prior", "x", "--lr", "2"),
+            ("lr", "--table", "t.csv", "report"),
+            *[(name, "--help") for name in COMMAND_NAMES],
+        ],
+    )
+    def test_prints_what_the_parser_of_every_command_prints(self, monkeypatch, argv):
+        expected = invoke(*argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert invoke(*argv) == expected
+
+    @pytest.mark.parametrize("argv", [("--help",), ("bogus",)])
+    def test_main_parser_help_and_invalid_choice_list_every_command(self, argv):
+        code, out, err = invoke(*argv)
+        listing = out if code == 0 else err
+        assert all(name in listing for name in COMMAND_NAMES)
+
+    def test_a_command_builds_only_its_own_subparser(self):
+        parser = cli.build_parser("lr")
+        with pytest.raises(cli._UsageError, match=r"'posterior' \(choose from 'lr'\)"):
+            parser.parse_args(["posterior", "--prior", "0.1", "--lr", "2"])
 
 
 class TestNonUtf8Input:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catlr import ingest
+import catlr.records
 from catlr.cli import run
 from catlr.ingest import (
     IngestError,
@@ -320,14 +320,142 @@ class TestTallyCsvDifferential:
         text = "".join(lines)
         expected = tally(parse_records(text))
 
-        def checked_scan(rows, columns, scan=ingest._checked_records):
+        def checked_scan(rows, columns, scan=catlr.records._checked_records):
             for _ in scan(rows, columns):
                 raise AssertionError("a row of valid input reached the checked scan")
             yield from ()
 
-        monkeypatch.setattr(ingest, "_checked_records", checked_scan)
+        monkeypatch.setattr(catlr.records, "_checked_records", checked_scan)
         assert tally_csv(io.StringIO(text)) == expected
         assert tally_csv(text) == expected
+
+
+# The benchmark's layout: the pair after three other columns, so each line's
+# tail is the text after its third comma
+_TIER_HEADER = "item_id,examiner_id,session,statement,ground_truth,notes\n"
+_TIER_LABELS = ('"ID"', '"Inconclusive, A"', " Elimination ", "Unsuitable")
+
+
+def _tier_lines(n=2 * _BLOCK_LINES + 50):
+    """Benchmark-shaped raw-records lines: reordered and extra columns, quoted
+    labels with commas, aliases, padded labels and comments."""
+    lines = ["# export\n", _TIER_HEADER]
+    for i in range(n):
+        if i % 1000 == 0:
+            lines.append(f"# block {i // 1000}\n\n")
+        truth = ("same", "mated", "different", "nonmated")[i % 4]
+        lines.append(f"it{i},ex{i % 37},s{i % 5},{_TIER_LABELS[i % 7 % 4]},{truth},n/a\n")
+    return lines
+
+
+# Lines whose text after the third comma reads as a valid pair, although the
+# cut there is not where csv.reader splits the line, or the line is not data
+_HAZARDS = {
+    "quoted prefix cell with a comma, a fault": 'i1,"e,1",s1,same,ID,n\n',
+    "quoted prefix cell with a comma, valid": 'i1,"e,1",s1,ID,same,n\n',
+    "CR in the prefix": "i1,e\r1,s1,ID,same,n\n",
+    "LF in the prefix": "i1,e\n1,s1,ID,same,n\n",
+    "prefix field over the field limit": f"i1,{'e' * 140_000},s1,ID,same,n\n",
+    "comment": "# x,y,z,ID,same,n\n",
+    "indented comment": "  # x,y,z,ID,same,n\n",
+}
+
+
+def _sources(lines):
+    """Makers of ``lines`` as a string, an open file and a generator of the items."""
+    text = "".join(lines)
+    return {
+        "text": lambda: text,
+        "file": lambda: io.StringIO(text),
+        "generator": lambda: (line for line in lines),
+    }
+
+
+@pytest.fixture
+def reader_calls(monkeypatch):
+    """The number of csv.reader calls made so far, as a one-item list."""
+    calls = [0]
+    reader = csv.reader
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting)
+    return calls
+
+
+@pytest.fixture
+def field_limit():
+    """Restores the csv module's field size limit after the test."""
+    limit = csv.field_size_limit()
+    yield limit
+    csv.field_size_limit(limit)
+
+
+class TestTailTier:
+    @pytest.mark.parametrize("source", ["text", "file", "generator"])
+    @pytest.mark.parametrize("hazard", list(_HAZARDS))
+    # physical line numbers: the first block ends at line _BLOCK_LINES
+    @pytest.mark.parametrize("at", [3, _BLOCK_LINES, _BLOCK_LINES + 1, None])
+    def test_hazard_in_a_column_before_the_pair(self, hazard, at, source):
+        lines = _tier_lines()
+        lines.insert(len(lines) if at is None else at - 1, _HAZARDS[hazard])
+        make = _sources(lines)[source]
+        expected = _outcome(lambda s: tally(parse_records(s)), make())
+        assert _outcome(tally_csv, make()) == expected
+        if "comment" in hazard:
+            assert expected == tally(parse_records("".join(_tier_lines())))
+
+    @pytest.mark.parametrize("source", ["text", "file", "generator"])
+    @pytest.mark.parametrize(
+        "where", [(_BLOCK_LINES,), (_BLOCK_LINES, _BLOCK_LINES + 2), (_BLOCK_LINES + 1,)]
+    )
+    def test_tail_first_seen_at_a_block_edge(self, where, source):
+        lines = _tier_lines()
+        for at in where:
+            lines.insert(at - 1, "i1,e1,s1, Rare ,different,n\n")
+        make = _sources(lines)[source]
+        table = tally_csv(make())
+        assert table == tally(parse_records(make()))
+        assert table.different_source[table.categories.index("Rare")] == len(where)
+
+    @pytest.mark.parametrize("source", ["text", "file", "generator"])
+    def test_benchmark_shaped_input_is_counted_by_tails_alone(self, source, reader_calls):
+        lines = _tier_lines(3 * _BLOCK_LINES)
+        make = _sources(lines)[source]
+        expected = tally(parse_records(make()))
+        data = [line for line in lines[2:] if line.strip() and not line.startswith("#")]
+        tails = {line.split(",", 3)[3] for line in data}
+        reader_calls[0] = 0
+        assert tally_csv(make()) == expected
+        # one reader for the header, then one per distinct tail, none per block
+        assert reader_calls[0] <= 1 + len(tails)
+
+    def test_field_limit_is_read_at_call_time(self, reader_calls, field_limit):
+        lines = _tier_lines()
+        expected = tally(parse_records("".join(lines)))
+        # each block's prefixes together exceed the limit, but no line does
+        csv.field_size_limit(1000)
+        reader_calls[0] = 0
+        assert tally_csv("".join(lines)) == expected
+        assert reader_calls[0] <= 1 + 4 * len(_TIER_LABELS)
+        lines.insert(_BLOCK_LINES + 5, f"i1,{'e' * 1001},s1,ID,same,n\n")
+        text = "".join(lines)
+        fault = _outcome(parse_records, text)
+        assert _outcome(tally_csv, text) == fault
+        assert fault[0] is IngestError and fault[1].endswith(": field larger than field limit (1000)")
+
+    def test_moved_names_resolve_through_ingest(self):
+        moved = (
+            "_BLOCK_ROWS", "_TRUTH_TOKENS", "_batch_counts", "_checked_records", "_meaning",
+            "_raw_columns", "_record_pieces", "emit_records", "parse_records", "tally",
+            "tally_csv",
+        )
+        for name in moved:
+            assert getattr(catlr.ingest, name) is getattr(catlr.records, name)
+        with pytest.raises(AttributeError, match="no attribute 'tally_rows'"):
+            catlr.ingest.tally_rows
 
 
 class TestTally:

@@ -121,9 +121,9 @@ COMMANDS = [
     (("adjust", "--lr", "109", "--fraction", "0.01"), LIGHT | {"catlr.interpret"}, False),
     (("interval", "--table", "{table}", "--statement", "ID", "--method", "bootstrap"),
      LIGHT | DRAW, False),
-    (("tally", "--in", "{records}"), LIGHT | {"catlr.ingest"}, False),
+    (("tally", "--in", "{records}"), LIGHT | {"catlr.ingest", "catlr.records"}, False),
     (("simulate", "--profile", "{profile}"),
-     LIGHT | {"catlr.ingest", "catlr.rng", "catlr.simulate"}, False),
+     LIGHT | {"catlr.ingest", "catlr.records", "catlr.rng", "catlr.simulate"}, False),
     (("--help",), LIGHT, False),
 ]
 
