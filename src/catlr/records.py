@@ -112,84 +112,50 @@ def tally_csv(source: str | Iterable[str], study_name: str = "") -> ConfusionTab
     Equals ``tally(parse_records(source), study_name=study_name)``, with the
     same errors, in memory that does not grow with the number of rows.
 
-    Each block of data lines is counted by the first of three tiers that
-    takes it, and Python code runs per row only in the last:
-
-    * the tail tier (``_tail_counter``) counts the text after each line's
-      ``skip``-th comma, ``skip`` being the first of the ground-truth and
-      statement columns, and parses each distinct such tail once.  It is
-      tried until the first block it declines;
-    * a csv.reader per block feeds a Counter of raw (ground-truth cell,
-      statement cell) pairs in C, each new pair validated once;
-    * from the first block with a fault on, the checked scan, which names
-      the fault's line.
+    Blocks of data lines are counted by the tail tier (``_tail_counter``),
+    which runs Python code per distinct line tail, not per row, until the
+    first block it declines.  From that block on, the checked scan that
+    ``parse_records`` reads through counts every row and names the line of
+    any fault.
     """
     blocks = _blocks(source)
     numbers, lines = next(blocks, ((), []))
     # the header's reader may read on only to fail, naming the line parse_records would
     columns = _raw_columns(_DataRows(chain([(numbers, lines)], blocks)))
-    at = columns["ground_truth"], columns["statement"]
-    pair, last = itemgetter(*at), max(columns.values())
-    # A row too short for a column the checked scan requires must raise
-    # IndexError, so a last column outside the pair is fetched too.
-    wide = None if last in at else itemgetter(last, *at)
     tails = _tail_counter(columns)
-    # A fault is a row that is too short, spans lines (a quoted field left
-    # open) or is rejected by the csv module, or an invalid pair.  As no row
-    # before the fault spans lines, the checked scan starting at its block
-    # parses it as one that read every line before would.
-    raw: Counter[tuple[str, str]] = Counter()
-    rest = None  # the block with a fault, if any, and every block after it
+    counts: Counter[tuple[GroundTruth, str]] = Counter()
+    # As no row the tail tier counts spans lines, the checked scan starting at
+    # the block it declines parses it as one that read every line before would.
+    rest = None  # the block the tail tier declines, if any, and every block after it
     # a header read without error is one line, so the rest of its block follows
     blocks = chain([(numbers[1:], lines[1:])], blocks)
     for block in blocks:
-        found = tails(block[1]) if tails else None
+        found = tails(block[1])
         if found is None:
-            tails = None
-            found = _row_pairs(block[1], pair, wide)
-            if found is None or not all(map(_meaning, found.keys() - raw.keys())):
-                rest = chain([block], blocks)
-                break
-        raw.update(found)
-    counts: Counter[tuple[GroundTruth, str]] = Counter()
-    for cells, n in raw.items():
-        counts[_meaning(cells)] += n
+            rest = chain([block], blocks)
+            break
+        counts.update(found)
     if rest is not None:
         counts.update(map(itemgetter(1), _checked_records(_DataRows(rest), columns)))
     return _table(counts, None, study_name)
 
 
-def _row_pairs(
-    lines: list[str], pair: Callable, wide: Callable | None
-) -> Counter[tuple[str, str]] | None:
-    """Counter of the raw pairs of ``lines`` read by one csv.reader; None if a
-    row is too short, spans lines or is rejected by the csv module."""
-    reader = csv.reader(chain(lines, ("\n",)))
-    parsed = islice(reader, len(lines))
-    pairs = map(pair, parsed) if wide is None else map(itemgetter(1, 2), map(wide, parsed))
-    try:
-        found = Counter(pairs)
-        # the closing "\n" is a row of its own unless a quoted field is open
-        return found if next(reader, None) == [] else None
-    except (IndexError, csv.Error):
-        return None
-
-
 def _tail_counter(
     columns: dict[str, int],
-) -> Callable[[list[str]], Counter[tuple[str, str]] | None]:
+) -> Callable[[list[str]], Counter[tuple[GroundTruth, str]] | None]:
     """The tail tier: a function from a block of data lines to the Counter of
-    their raw (ground-truth, statement) cell pairs, or None where it declines.
+    their (truth, statement) pairs, or None where it declines.
 
     Each line is cut at its ``skip``-th comma, ``skip`` being the lower of the
     two columns, and the pieces after the cut (the tails) are counted in C.
-    Each new tail is parsed once by csv.reader: into its pair if it reads as
-    one whole row on one line with enough cells and a valid pair, else None.
-    The cut falls where csv.reader splits the line if the text before it
-    (the prefix) holds no ``"``, CR or LF and no prefix field reaches the csv
-    field limit.  So a block is counted only when
+    Each new tail is parsed once by csv.reader, and its (truth, statement)
+    meaning cached: None unless it reads as one whole row on one line with
+    enough cells and a valid pair.  The cut falls where csv.reader splits
+    the line if the text before it (the prefix) holds no ``"``, CR or LF and
+    no prefix field reaches the csv field limit.  So a block is counted only
+    when
 
-    * every line has a tail, and every tail a pair;
+    * every line has a tail, and every tail a meaning;
     * every ``"`` and LF of the block lies in a tail, and it holds no CR or
       NUL (csv.reader before Python 3.11 rejects a NUL anywhere);
     * its prefixes together, or failing that its longest line, are shorter
@@ -203,9 +169,9 @@ def _tail_counter(
     tail_of = itemgetter(skip)
     cells_of = itemgetter(*(column - skip for column in at))
     width = max(columns.values()) - skip + 1  # cells a tail needs
-    known: dict[str, tuple[str, str] | None] = {}
+    known: dict[str, tuple[GroundTruth, str] | None] = {}
 
-    def parsed(tail: str) -> tuple[str, str] | None:
+    def meaning(tail: str) -> tuple[GroundTruth, str] | None:
         reader = csv.reader((tail, "\n"))
         try:
             cells, closing = next(reader), next(reader, None)
@@ -214,10 +180,9 @@ def _tail_counter(
         # the closing "\n" is a row of its own unless a quoted field is open
         if closing != [] or len(cells) < width:
             return None
-        cells = cells_of(cells)
-        return cells if _meaning(cells) else None
+        return _meaning(cells_of(cells))
 
-    def count(lines: list[str]) -> Counter[tuple[str, str]] | None:
+    def count(lines: list[str]) -> Counter[tuple[GroundTruth, str]] | None:
         try:
             # map over str.split runs faster than over a methodcaller
             tails = Counter(map(tail_of, map(str.split, lines, repeat(","), repeat(skip))))
@@ -227,9 +192,9 @@ def _tail_counter(
         if len(known) + len(new) > _BLOCK_LINES:
             return None
         for tail in new:
-            known[tail] = parsed(tail)
-        pairs = list(map(known.__getitem__, tails))
-        if not all(pairs):
+            known[tail] = meaning(tail)
+        keys = list(map(known.__getitem__, tails))
+        if not all(keys):
             return None
         text = "".join(lines)
         if "\r" in text or "\0" in text:
@@ -241,9 +206,9 @@ def _tail_counter(
         prefixes = len(text) - sum(n * len(tail) for tail, n in tails.items())
         if prefixes >= limit and max(map(len, lines)) >= limit:
             return None
-        found: Counter[tuple[str, str]] = Counter()
-        for cells, n in zip(pairs, tails.values()):
-            found[cells] += n
+        found: Counter[tuple[GroundTruth, str]] = Counter()
+        for key, n in zip(keys, tails.values()):
+            found[key] += n
         return found
 
     return count
