@@ -26,30 +26,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import ConfusionTable, DataError, GroundTruth
 
-# Names that moved to catlr.records, still importable from here.
-_MOVED = {
-    "_BLOCK_ROWS",
-    "_TRUTH_TOKENS",
-    "_batch_counts",
-    "_checked_records",
-    "_meaning",
-    "_raw_columns",
-    "_record_pieces",
-    "emit_records",
-    "parse_records",
-    "tally",
-    "tally_csv",
-}
-
-
-def __getattr__(name: str):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import records
-
-    return getattr(records, name)
-
-
 class IngestError(DataError):
     """A file does not conform to its declared schema."""
 

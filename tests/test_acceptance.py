@@ -16,9 +16,10 @@ from catlr.engine import (
     likelihood_ratio,
     lr_from_error_rates,
 )
-from catlr.ingest import emit_aggregated, parse_aggregated, tally
+from catlr.ingest import emit_aggregated, parse_aggregated
 from catlr.interpret import hardness_adjust, posterior_probability
 from catlr.model import ConfusionTable, GroundTruth
+from catlr.records import tally
 from catlr.report import render_lr_table, render_summary_table
 from catlr.simulate import PanelProfile, simulate_study, true_lr
 from catlr.uncertainty import bootstrap_interval

@@ -6,7 +6,8 @@ import pytest
 
 from catlr import cli, fixtures
 from catlr.cli import run
-from catlr.ingest import emit_aggregated, parse_aggregated, parse_records, tally
+from catlr.ingest import emit_aggregated, parse_aggregated
+from catlr.records import parse_records, tally
 
 PROFILE_CFG = """
 [profile]

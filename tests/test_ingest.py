@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 import catlr.records
 from catlr.cli import run
 from catlr.ingest import (
+    _BLOCK_LINES,
     IngestError,
+    _blocks,
     emit_aggregated,
-    emit_records,
     load_table,
     parse_aggregated,
-    parse_records,
-    tally,
-    tally_csv,
 )
-from catlr.ingest import _BLOCK_LINES, _BLOCK_ROWS, _blocks
 from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
+from catlr.records import _BLOCK_ROWS, emit_records, parse_records, tally, tally_csv
 from catlr.report import read_display_fixture
 from catlr.simulate import RecordBatch
 
@@ -445,17 +443,6 @@ class TestTailTier:
         fault = _outcome(parse_records, text)
         assert _outcome(tally_csv, text) == fault
         assert fault[0] is IngestError and fault[1].endswith(": field larger than field limit (1000)")
-
-    def test_moved_names_resolve_through_ingest(self):
-        moved = (
-            "_BLOCK_ROWS", "_TRUTH_TOKENS", "_batch_counts", "_checked_records", "_meaning",
-            "_raw_columns", "_record_pieces", "emit_records", "parse_records", "tally",
-            "tally_csv",
-        )
-        for name in moved:
-            assert getattr(catlr.ingest, name) is getattr(catlr.records, name)
-        with pytest.raises(AttributeError, match="no attribute 'tally_rows'"):
-            catlr.ingest.tally_rows
 
 
 class TestTally:

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from catlr.engine import full_table_lrs
-from catlr.ingest import tally
 from catlr.model import DataError, GroundTruth
+from catlr.records import tally
 from catlr.rng import stream
 from catlr.simulate import PanelProfile, RecordBatch, load_profile, simulate_study, true_lr
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from catlr.engine import full_table_lrs, likelihood_ratio
-from catlr.ingest import tally
 from catlr.model import ConfusionTable, DataError
+from catlr.records import tally
 from catlr.rng import RNG_ALGORITHM
 from catlr.simulate import PanelProfile, simulate_study, true_lr
 from catlr.uncertainty import (
