@@ -53,6 +53,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_REPLICATES = 1_000_000
+_MAX_BINOMIAL_TRIALS = 2**63 - 1  # numpy's binomial takes its trial count as a C long
 
 
 class Interval(Frozen):
@@ -131,6 +132,11 @@ def bootstrap_interval(
     cells = []
     for truth in (GroundTruth.SAME_SOURCE, GroundTruth.DIFFERENT_SOURCE):
         n = table.row_total(truth)
+        if n > _MAX_BINOMIAL_TRIALS:
+            raise DataError(
+                f"the bootstrap cannot resample the {truth.value}-source row: its total {n} "
+                f"exceeds {_MAX_BINOMIAL_TRIALS}"
+            )
         cells.append(g.binomial(n, table.frequencies(truth)[k], replicates) / n)
     values = _ratio(*cells)
     method = (

@@ -294,6 +294,32 @@ class TestIntervalCommand:
             f"data error: {flag[2:]} must be at most 1000000, got {10**12}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("interval", "--statement", "ID", "--method", "bootstrap"),
+            ("report", "--format", "json", "--interval", "bootstrap"),
+        ],
+        ids=["interval", "report"],
+    )
+    @pytest.mark.parametrize("total", [2**63 - 1, 2**63])
+    def test_bootstrap_row_total_at_the_binomial_limit(self, tmp_path, argv, total):
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "statement,same_source_count,different_source_count\n"
+            f"ID,{total - 10},1\nElim,10,5\n",
+            encoding="utf-8",
+        )
+        code, out, err = invoke(*argv, "--table", str(path))
+        if total < 2**63:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out) == (2, "")
+            assert err == (
+                "data error: the bootstrap cannot resample the same-source row: "
+                f"its total {2**63} exceeds {2**63 - 1}\n"
+            )
+
 
 class TestSimulateCommand:
     def test_byte_identical_for_fixed_seed(self, tmp_path):

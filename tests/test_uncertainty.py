@@ -75,6 +75,17 @@ class TestBootstrap:
         with pytest.raises(DataError, match="no observations"):
             bootstrap_interval(t, "a")
 
+    def test_row_total_up_to_the_binomial_limit(self):
+        largest = ConfusionTable(("a", "b"), (2**63 - 11, 10), (1, 5))
+        assert bootstrap_interval(largest, "a", replicates=100).lower > 0
+        over = ConfusionTable(("a", "b"), (1, 5), (2**63 - 10, 10))
+        message = (
+            "the bootstrap cannot resample the different-source row: "
+            f"its total {2**63} exceeds {2**63 - 1}"
+        )
+        with pytest.raises(DataError, match=f"^{message}$"):
+            bootstrap_interval(over, "a", replicates=100)
+
     def test_method_metadata_names_algorithm(self, bullets):
         interval = bootstrap_interval(bullets, "ID", replicates=300, seed=5)
         assert RNG_ALGORITHM in interval.method
