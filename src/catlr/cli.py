@@ -57,7 +57,8 @@ def _smoothing_arg(text: str) -> SmoothingPolicy:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # utf-8-sig, as for every input file: a leading byte-order mark is not text
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 @contextmanager
@@ -74,7 +75,7 @@ def _cmd_tally(args, out):
     from .ingest import emit_aggregated
     from .records import tally_csv
 
-    with open(args.infile, encoding="utf-8") as lines:
+    with open(args.infile, encoding="utf-8-sig") as lines:
         table = tally_csv(lines, study_name=Path(args.infile).stem)
     with _output(args.out, out) as handle:
         handle.write(emit_aggregated(table))

@@ -195,9 +195,10 @@ def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> Confu
 def load_table(path: str | Path) -> ConfusionTable:
     """The aggregated table in the file at ``path``, named after the file's stem.
 
-    The file is opened once; every IngestError names the file."""
+    The file is opened once, and a UTF-8 byte-order mark at its start is
+    skipped; every IngestError names the file."""
     try:
-        with open(path, encoding="utf-8") as lines:
+        with open(path, encoding="utf-8-sig") as lines:
             return parse_aggregated(lines, Path(path).stem)
     except IngestError as exc:
         raise IngestError(f"{path}: {exc}") from None

@@ -174,6 +174,37 @@ class TestNonUtf8Input:
         assert "Traceback" not in err
 
 
+class TestByteOrderMark:
+    TABLE = "# a study\nstatement,same_source_count,different_source_count\nID,30,2\nElim,4,50\n"
+    RECORDS = "ground_truth,statement,examiner_id,item_id\nsame,ID,e1,i1\ndifferent,Elim,e2,i2\n"
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (("lr", "--table"), TABLE),
+            (("lr", "--format", "json", "--table"), TABLE),
+            (("report", "--table"), TABLE),
+            (("report", "--format", "json", "--interval", "dirichlet", "--table"), TABLE),
+            (("interval", "--statement", "ID", "--method", "bootstrap", "--table"), TABLE),
+            (("report", "--summary"), "study,LR (identification)\nbullets,109\n"),
+            (("tally", "--in"), RECORDS),
+            (("simulate", "--profile"), PROFILE_CFG.lstrip()),
+        ],
+        ids=["lr", "lr-json", "report", "report-json", "interval", "summary", "tally", "simulate"],
+    )
+    def test_is_skipped(self, tmp_path, argv, content):
+        outputs = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "input.csv"
+            path.write_bytes(bom + content.encode("utf-8"))
+            outputs.append(invoke(*argv, str(path)))
+        code, out, err = outputs[1]
+        assert (code, err) == (0, "")
+        assert "\ufeff" not in out
+        assert outputs[0] == outputs[1]
+
+
 class TestTallyCommand:
     def test_writes_aggregated_table(self, records_csv, tmp_path):
         out_path = tmp_path / "table.csv"
