@@ -359,6 +359,23 @@ _HAZARDS = {
 }
 
 
+# Layouts the tail tier declines, as (header, skip, line of row i): with the
+# pair first every tail is a whole line, so the tails outgrow the cache in the
+# second block; a quoted prefix cell holding a comma moves the cut into it
+_DECLINED = {
+    "pair first": (
+        "ground_truth,statement,examiner_id,item_id\n",
+        0,
+        lambda i, truth, label: f"{truth},{label},ex{i % 37},item{i}\n",
+    ),
+    "quoted prefix cell": (
+        "examiner_id,item_id,ground_truth,statement\n",
+        2,
+        lambda i, truth, label: f'"Lab {i % 3}, ex{i % 37:02d}",item{i},{truth},{label}\n',
+    ),
+}
+
+
 def _sources(lines):
     """Makers of ``lines`` as a string, an open file and a generator of the items."""
     text = "".join(lines)
@@ -443,6 +460,38 @@ class TestTailTier:
         fault = _outcome(parse_records, text)
         assert _outcome(tally_csv, text) == fault
         assert fault[0] is IngestError and fault[1].endswith(": field larger than field limit (1000)")
+
+    @pytest.mark.parametrize("source", ["text", "file", "generator"])
+    @pytest.mark.parametrize("layout", list(_DECLINED))
+    def test_declined_layout_is_counted_by_one_scan(
+        self, layout, source, reader_calls, monkeypatch
+    ):
+        header, skip, line = _DECLINED[layout]
+        lines = [header] + [
+            line(i, ("same", "mated", "different", "nonmated")[i % 4], _TIER_LABELS[i % 7 % 4])
+            for i in range(3 * _BLOCK_LINES)
+        ]
+        make = _sources(lines)[source]
+        expected = tally(parse_records(make()))
+        first_block_tails = {line.split(",", skip)[skip] for line in lines[1:_BLOCK_LINES]}
+        tail_calls = []
+
+        def counting_tail_counter(columns, make_counter=catlr.records._tail_counter):
+            count = make_counter(columns)
+
+            def counted(block):
+                tail_calls.append(count(block))
+                return tail_calls[-1]
+
+            return counted
+
+        monkeypatch.setattr(catlr.records, "_tail_counter", counting_tail_counter)
+        reader_calls[0] = 0
+        assert tally_csv(make()) == expected
+        # the header's reader, one per tail of the first block, then one scan
+        assert reader_calls[0] <= 1 + len(first_block_tails) + 1
+        # no block after the first one declined is offered to the tail tier
+        assert tail_calls[-1] is None and None not in tail_calls[:-1]
 
 
 class TestTally:
