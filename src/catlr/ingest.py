@@ -1,12 +1,13 @@
 """Reading study data, and writing aggregated tables.
 
-Two fixed text schemas, both UTF-8 CSV with ``#`` comment lines ignored:
+Two fixed text schemas, both UTF-8 CSV with ``#`` comment lines ignored
+(files are opened as ``utf-8-sig``, so a leading byte-order mark is skipped):
 
 * raw records:  header ``examiner_id,item_id,ground_truth,statement``,
   one row per evaluation.  Extra columns are ignored.  Ground-truth
   tokens are ``same`` / ``different``; the aliases ``mated`` /
-  ``nonmated`` are accepted and normalized on read.  ``catlr.records``
-  parses, tallies and writes them over the reader here.
+  ``nonmated`` are accepted and normalized on read.  They are parsed,
+  tallied and written by ``catlr.records``, over the reader here.
 * aggregated:   header ``statement,same_source_count,different_source_count``,
   one row per category, file order = category order.
 
