@@ -57,7 +57,7 @@ def _smoothing_arg(text: str) -> SmoothingPolicy:
 
 
 def _read(path: str) -> str:
-    # utf-8-sig, as for every input file: a leading byte-order mark is not text
+    # utf-8-sig skips a leading byte-order mark, as for every input file
     return Path(path).read_text(encoding="utf-8-sig")
 
 

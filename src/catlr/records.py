@@ -124,19 +124,17 @@ def tally_csv(source: str | Iterable[str], study_name: str = "") -> ConfusionTab
     columns = _raw_columns(_DataRows(chain([(numbers, lines)], blocks)))
     tails = _tail_counter(columns)
     counts: Counter[tuple[GroundTruth, str]] = Counter()
-    # As no row the tail tier counts spans lines, the checked scan starting at
-    # the block it declines parses it as one that read every line before would.
-    rest = None  # the block the tail tier declines, if any, and every block after it
     # a header read without error is one line, so the rest of its block follows
     blocks = chain([(numbers[1:], lines[1:])], blocks)
     for block in blocks:
         found = tails(block[1])
         if found is None:
-            rest = chain([block], blocks)
+            # As no row the tail tier counts spans lines, a scan starting at the
+            # block it declines parses it as one that read every line before would.
+            rows = _DataRows(chain([block], blocks))
+            counts.update(map(itemgetter(1), _checked_records(rows, columns)))
             break
         counts.update(found)
-    if rest is not None:
-        counts.update(map(itemgetter(1), _checked_records(_DataRows(rest), columns)))
     return _table(counts, None, study_name)
 
 

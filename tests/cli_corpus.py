@@ -26,6 +26,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from importlib.resources import files
 from pathlib import Path
 
@@ -153,20 +154,21 @@ def _records_text(layout: str, fault: tuple[int | None, dict] | None = None) -> 
 
 
 def _records() -> dict[str, bytes]:
-    files_ = {}
+    """Raw-records files for tally: name -> file bytes."""
+    records = {}
     for i, layout in enumerate(_LAYOUTS):
-        files_[f"records_{layout}"] = _records_text(layout).encode()
+        records[f"records_{layout}"] = _records_text(layout).encode()
         for j, at in enumerate(_FAULT_LINES):
             fault = _FAULTS[(i + j) % len(_FAULTS)]
             name = f"records_{layout}_fault_at_{at or 'end'}"
-            files_[name] = _records_text(layout, (at, fault)).encode()
+            records[name] = _records_text(layout, (at, fault)).encode()
     small = "examiner_id,item_id,ground_truth,statement\ne1,i1,same,ID\ne2,i2,different,Elim\n"
-    files_["records_bom"] = b"\xef\xbb\xbf" + small.encode()
-    files_["records_bom_pair_first"] = b"\xef\xbb\xbf" + _records_text("pair_first").encode()
-    files_["records_not_utf8"] = small.encode() + b"e3,i3,same,\xff\n"
-    files_["records_missing_column"] = b"examiner_id,item_id,statement\ne1,i1,ID\n"
-    files_["records_header_only"] = b"examiner_id,item_id,ground_truth,statement\n"
-    return files_
+    records["records_bom"] = b"\xef\xbb\xbf" + small.encode()
+    records["records_bom_pair_first"] = b"\xef\xbb\xbf" + _records_text("pair_first").encode()
+    records["records_not_utf8"] = small.encode() + b"e3,i3,same,\xff\n"
+    records["records_missing_column"] = b"examiner_id,item_id,statement\ne1,i1,ID\n"
+    records["records_header_only"] = b"examiner_id,item_id,ground_truth,statement\n"
+    return records
 
 
 RECORDS = _records()
@@ -294,8 +296,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--regenerate", action="store_true", help=f"rewrite {GOLDEN.name}")
     args = parser.parse_args()
-    import tempfile
-
     with tempfile.TemporaryDirectory() as directory:
         write_inputs(Path(directory))
         actual = outcomes(Path(directory))
