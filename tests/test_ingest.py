@@ -473,7 +473,7 @@ class TestTailTier:
         ]
         make = _sources(lines)[source]
         expected = tally(parse_records(make()))
-        first_block_tails = {line.split(",", skip)[skip] for line in lines[1:_BLOCK_LINES]}
+        first_block_tails = {row.split(",", skip)[skip] for row in lines[1:_BLOCK_LINES]}
         tail_calls = []
 
         def counting_tail_counter(columns, make_counter=catlr.records._tail_counter):
