@@ -73,10 +73,9 @@ def _output(out_path: str | None, out: IO[str]) -> Iterator[IO[str]]:
 
 def _cmd_tally(args, out):
     from .ingest import emit_aggregated
-    from .records import tally_csv
+    from .records import tally_file
 
-    with open(args.infile, encoding="utf-8-sig") as lines:
-        table = tally_csv(lines, study_name=Path(args.infile).stem)
+    table = tally_file(args.infile, study_name=Path(args.infile).stem)
     with _output(args.out, out) as handle:
         handle.write(emit_aggregated(table))
 

@@ -24,9 +24,15 @@ from .ingest import (
 from .model import ConfusionTable, EvaluationRecord, GroundTruth
 
 if TYPE_CHECKING:
+    from os import PathLike
+
     from .simulate import RecordBatch
 
+_Block = tuple[Sequence[int], list[str]]  # physical line numbers, lines (see ingest._blocks)
+
 _BLOCK_ROWS = 64_000  # item numbers of a RecordBatch read per block of codes, whole chunks of 1000
+
+_PART_BYTES = 1 << 20  # tally_file counts a file in parts of at least this many bytes
 
 _TRUTH_TOKENS = {
     "same": GroundTruth.SAME_SOURCE,
@@ -116,26 +122,198 @@ def tally_csv(source: str | Iterable[str], study_name: str = "") -> ConfusionTab
     which runs Python code per distinct line tail, not per row, until the
     first block it declines.  From that block on, the checked scan that
     ``parse_records`` reads through counts every row and names the line of
-    any fault.
+    any fault.  ``tally_file`` counts a large file on every CPU.
     """
+    columns, blocks = _header(source)
+    counts: Counter[tuple[GroundTruth, str]] = Counter()
+    declined = _tail_counts(blocks, _tail_counter(columns), counts)
+    if declined is not None:
+        # As no row the tail tier counts spans lines, a scan starting at the
+        # block it declines parses it as one that read every line before would.
+        rows = _DataRows(chain([declined], blocks))
+        counts.update(map(itemgetter(1), _checked_records(rows, columns)))
+    return _table(counts, None, study_name)
+
+
+def _header(source: str | Iterable[str]) -> tuple[dict[str, int], Iterator[_Block]]:
+    """The columns the raw-records header of ``source`` names, and the blocks
+    of data lines after it."""
     blocks = _blocks(source)
     numbers, lines = next(blocks, ((), []))
     # the header's reader may read on only to fail, naming the line parse_records would
     columns = _raw_columns(_DataRows(chain([(numbers, lines)], blocks)))
-    tails = _tail_counter(columns)
-    counts: Counter[tuple[GroundTruth, str]] = Counter()
     # a header read without error is one line, so the rest of its block follows
-    blocks = chain([(numbers[1:], lines[1:])], blocks)
+    return columns, chain([(numbers[1:], lines[1:])], blocks)
+
+
+def _tail_counts(
+    blocks: Iterator[_Block],
+    tails: Callable[[list[str]], Counter[tuple[GroundTruth, str]] | None],
+    counts: Counter[tuple[GroundTruth, str]],
+) -> _Block | None:
+    """Add the tail tier's counts of ``blocks`` to ``counts`` up to the first
+    block it declines, and return that block; None if it declines none."""
     for block in blocks:
         found = tails(block[1])
         if found is None:
-            # As no row the tail tier counts spans lines, a scan starting at the
-            # block it declines parses it as one that read every line before would.
-            rows = _DataRows(chain([block], blocks))
-            counts.update(map(itemgetter(1), _checked_records(rows, columns)))
-            break
+            return block
         counts.update(found)
+    return None
+
+
+def tally_file(path: str | PathLike, study_name: str = "") -> ConfusionTable:
+    """Tally the raw-records file at ``path`` on every available CPU.
+
+    Equals ``tally_csv`` of the file opened as ``utf-8-sig``, with the same
+    errors.  The file is cut just after a line feed into one part per CPU,
+    each of at least ``_PART_BYTES``.  This process counts the first part
+    with the tail tier and a forked child each other part, and the counts
+    are merged in file order.  If the tail tier declines any part, a part is
+    not valid UTF-8 or a child dies, ``tally_csv`` reads the whole file
+    again, so a late fault costs a second read.  With one CPU, no
+    ``os.fork``, a thread besides this one, or a file under two parts, only
+    ``tally_csv`` runs.  As it forks, it is meant for a single-threaded
+    caller such as the CLI.
+    """
+    import os
+
+    counts = None
+    if hasattr(os, "fork"):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        parts = min(cpus or 1, os.stat(path).st_size // _PART_BYTES)
+        if parts > 1 and _threads() == 1:
+            counts = _forked_counts(path, parts)
+    if counts is None:
+        with open(path, encoding="utf-8-sig") as lines:
+            return tally_csv(lines, study_name)
     return _table(counts, None, study_name)
+
+
+def _threads() -> int:
+    """The number of threads this process runs; a fork copies only the caller."""
+    import os
+    import sys
+
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:  # no /proc: the threads the threading module knows of
+        threading = sys.modules.get("threading")
+        return threading.active_count() if threading else 1
+
+
+def _forked_counts(path: str | PathLike, parts: int) -> Counter | None:
+    """The (truth, statement) counts of the file at ``path``, counted in up to
+    ``parts`` parts by this process and forked children; None where a part
+    is declined by the tail tier or fails."""
+    import marshal
+    import os
+    import signal
+
+    fd = os.open(path, os.O_RDONLY)
+    children: list[tuple[int, IO[bytes]]] = []  # (pid, its pipe), not yet reaped
+    try:
+        cuts = _cuts(fd, parts)
+        if len(cuts) < 3:
+            return None
+        with _range_text(fd, 0, cuts[1], "utf-8-sig") as text:
+            try:
+                columns, blocks = _header(text)
+            except (IngestError, UnicodeDecodeError):
+                return None
+            tails = _tail_counter(columns)
+            for start, end in zip(cuts[1:], cuts[2:]):
+                read_end, write_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: this one reads the whole file
+                    os.close(read_end)
+                    os.close(write_end)
+                    return None
+                if pid == 0:  # the child: count its part, send the counts and leave
+                    status = 1
+                    try:
+                        with _range_text(fd, start, end, "utf-8") as part:
+                            found: Counter | None = Counter()
+                            if _tail_counts(_blocks(part), tails, found) is not None:
+                                found = None
+                        items = None if found is None else [
+                            (truth.value, statement, n) for (truth, statement), n in found.items()
+                        ]
+                        with open(write_end, "wb") as pipe:
+                            marshal.dump(items, pipe)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(write_end)
+                children.append((pid, open(read_end, "rb")))
+            counts: Counter[tuple[GroundTruth, str]] = Counter()
+            try:
+                if _tail_counts(blocks, tails, counts) is not None:
+                    return None
+            except UnicodeDecodeError:
+                return None
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            items = marshal.loads(data) if status == 0 else None
+            if items is None:
+                return None
+            for truth, statement, n in items:
+                counts[GroundTruth(truth), statement] += n
+        return counts
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        os.close(fd)
+
+
+def _cuts(fd: int, parts: int) -> list[int]:
+    """Offsets cutting the file open at ``fd`` into up to ``parts`` parts of
+    about equal size, from 0 to its size; each other cut falls just after a
+    line feed, and no part but the first starts with a byte-order mark,
+    which ``_blocks`` would drop."""
+    import os
+
+    size = os.fstat(fd).st_size
+    cuts = [0]
+    for i in range(1, parts):
+        at = max(size * i // parts, cuts[-1])
+        while (chunk := os.pread(fd, 1 << 16, at)) and b"\n" not in chunk:
+            at += len(chunk)
+        if not chunk:
+            break
+        at += chunk.index(b"\n") + 1
+        if at == size or os.pread(fd, 3, at) == b"\xef\xbb\xbf":
+            break
+        cuts.append(at)
+    return [*cuts, size]
+
+
+def _range_text(fd: int, start: int, end: int, encoding: str) -> IO[str]:
+    """Bytes ``start`` to ``end`` of the file open at ``fd`` as text, read as
+    ``open`` reads a text file: universal newlines, in bounded memory.  It
+    reads with ``os.pread``, so forked readers of one descriptor share no
+    file position."""
+    import io
+    import os
+
+    class Range(io.RawIOBase):
+        def readable(self) -> bool:
+            return True
+
+        def readinto(self, buffer) -> int:
+            nonlocal start
+            data = os.pread(fd, min(len(buffer), end - start), start)
+            buffer[: len(data)] = data
+            start += len(data)
+            return len(data)
+
+    return io.TextIOWrapper(io.BufferedReader(Range()), encoding=encoding, newline=None)
 
 
 def _tail_counter(

@@ -251,12 +251,13 @@ def _calls() -> list[list[str]]:
 CALLS = _calls()
 
 
-def outcomes(directory: Path) -> list[dict]:
-    """Run every call of the corpus with the inputs in ``directory``, in order."""
+def outcomes(directory: Path, calls: list[list[str]] = CALLS) -> list[dict]:
+    """Run ``calls``, by default every call of the corpus, with the inputs in
+    ``directory``, in order."""
     here = os.getcwd()
     os.chdir(directory)
     try:
-        return [_outcome(argv) for argv in CALLS]
+        return [_outcome(argv) for argv in calls]
     finally:
         os.chdir(here)
 
