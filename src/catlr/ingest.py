@@ -1,7 +1,8 @@
 """Reading study data, and writing aggregated tables.
 
 Two fixed text schemas, both UTF-8 CSV with ``#`` comment lines ignored
-(files are opened as ``utf-8-sig``, so a leading byte-order mark is skipped):
+(a leading byte-order mark is skipped, in a file, a string or the first of
+an iterable's lines):
 
 * raw records:  header ``examiner_id,item_id,ground_truth,statement``,
   one row per evaluation.  Extra columns are ignored.  Ground-truth
@@ -39,10 +40,15 @@ _BLOCK_LINES = 4096  # input lines filtered, and raw rows counted, per block
 
 def _blocks(source: str | Iterable[str]) -> Iterator[tuple[Sequence[int], list[str]]]:
     """(physical line numbers, lines) of the non-comment, non-blank lines of
-    ``source``, in non-empty blocks; a string splits into lines as an open file does."""
+    ``source``, in non-empty blocks; a string splits into lines as an open file does.
+
+    A byte-order mark (U+FEFF) at the start of the first line is dropped, as
+    opening a file as ``utf-8-sig`` drops it."""
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else iter(source)
     end = 0  # physical number of the last line read
     while block := list(islice(lines, _BLOCK_LINES)):
+        if end == 0 and block[0].startswith("\ufeff"):
+            block[0] = block[0][1:]
         # "#" and every whitespace character sort below "$" or at "\x85" and
         # above, so when every line starts between them none need stripping
         if min(block) >= "$" and max(block) < "\x85":

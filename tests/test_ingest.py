@@ -1060,3 +1060,25 @@ class TestQuotedFieldOpenAtTheEnd:
             "line 3: a quoted field left open on an earlier line ends here; "
             "quoted fields must close on their own line"
         )
+
+
+class TestLeadingByteOrderMark:
+    """Each reader skips a U+FEFF at the start of a string, or of the first of
+    an iterable's lines, as opening a file as ``utf-8-sig`` does."""
+
+    @pytest.mark.parametrize("as_lines", [False, True], ids=["string", "lines"])
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (parse_records, f"{RAW_HEADER}\ne1,i1,same,ID\ne2,i2,different,Elim\n"),
+            (tally_csv, f"{RAW_HEADER}\ne1,i1,same,ID\ne2,i2,different,Elim\n"),
+            (parse_aggregated, f"{AGGREGATED_HEADER}\nID,30,2\nElim,4,50\n"),
+            (read_display_fixture, "study,LR\nbullets,109\n"),
+        ],
+        ids=["parse_records", "tally_csv", "parse_aggregated", "read_display_fixture"],
+    )
+    def test_is_skipped(self, read, text, as_lines):
+        def source(text):
+            return iter(text.splitlines(keepends=True)) if as_lines else text
+
+        assert read(source("\ufeff" + text)) == read(source(text))
