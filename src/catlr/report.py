@@ -156,8 +156,9 @@ def render_summary_table(
 def read_display_fixture(source: str | Iterable[str]) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     """Read a (headers, rows) display-value fixture from CSV text.
 
-    The first non-comment row is the header; all rows must share its
-    width.  Cells are display strings, taken verbatim after trimming.
+    The first non-comment row is the header, and at least one row must
+    follow it; all rows must share its width.  Cells are display strings,
+    taken verbatim after trimming.
     """
     parsed: list[tuple[str, ...]] = []
     rows = _DataRows(_blocks(source))
@@ -170,6 +171,8 @@ def read_display_fixture(source: str | Iterable[str]) -> tuple[tuple[str, ...], 
         parsed.append(cells)
     if not parsed:
         raise DataError("fixture has no header row")
+    if len(parsed) == 1:
+        raise DataError("display fixture has a header but no rows")
     return parsed[0], parsed[1:]
 
 

@@ -189,6 +189,10 @@ class TestDisplayFixtures:
         with pytest.raises(DataError, match="no header"):
             read_display_fixture("# nothing\n")
 
+    def test_header_only_fixture_rejected(self):
+        with pytest.raises(DataError, match="^display fixture has a header but no rows$"):
+            read_display_fixture("study,LR\n# no rows\n")
+
 
 class TestBuildReport:
     def test_missing_dataset_rejected(self, tmp_path):
