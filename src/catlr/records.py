@@ -10,7 +10,7 @@ import csv
 from collections import Counter
 from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .ingest import (
     _BLOCK_LINES,
@@ -229,21 +229,8 @@ def _forked_counts(path: str | PathLike, parts: int) -> Counter | None:
                     os.close(read_end)
                     os.close(write_end)
                     return None
-                if pid == 0:  # the child: count its part, send the counts and leave
-                    status = 1
-                    try:
-                        with _range_text(fd, start, end, "utf-8") as part:
-                            found: Counter | None = Counter()
-                            if _tail_counts(_blocks(part), tails, found) is not None:
-                                found = None
-                        items = None if found is None else [
-                            (truth.value, statement, n) for (truth, statement), n in found.items()
-                        ]
-                        with open(write_end, "wb") as pipe:
-                            marshal.dump(items, pipe)
-                        status = 0
-                    finally:
-                        os._exit(status)
+                if pid == 0:
+                    _send_part_counts(fd, start, end, tails, write_end)
                 os.close(write_end)
                 children.append((pid, open(read_end, "rb")))
             counts: Counter[tuple[GroundTruth, str]] = Counter()
@@ -270,6 +257,32 @@ def _forked_counts(path: str | PathLike, parts: int) -> Counter | None:
             os.waitpid(pid, 0)
             pipe.close()
         os.close(fd)
+
+
+def _send_part_counts(
+    fd: int,
+    start: int,
+    end: int,
+    tails: Callable[[list[str]], Counter[tuple[GroundTruth, str]] | None],
+    pipe_end: int,
+) -> NoReturn:
+    """In a forked child: count bytes ``start`` to ``end`` of the file open at
+    ``fd`` with the tail tier, write the counts, or None where it declines,
+    to the pipe at ``pipe_end`` with marshal, and exit; status 1 on a failure."""
+    import marshal
+    import os
+
+    status = 1
+    try:
+        counts: Counter[tuple[GroundTruth, str]] = Counter()
+        with _range_text(fd, start, end, "utf-8") as part:
+            declined = _tail_counts(_blocks(part), tails, counts)
+        items = [(truth.value, statement, n) for (truth, statement), n in counts.items()]
+        with open(pipe_end, "wb") as pipe:
+            marshal.dump(None if declined else items, pipe)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _cuts(fd: int, parts: int) -> list[int]:

@@ -20,12 +20,12 @@ import pytest
 import catlr
 import cli_corpus
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="tally_file forks only where os.fork exists")
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="forks only with os.fork")
 
 _PATH = os.pathsep.join([str(Path(catlr.__file__).parents[1]), str(Path(__file__).parent)])
 
-# Run as: python -W error -c _PRELUDE... ; sets parts of 4096 bytes and
-# ``cpus`` (argv[1]) available CPUs, and counts forks.
+# The start of each script _run runs: parts of 4096 bytes, argv[1] available
+# CPUs, and a count of forks.
 _PRELUDE = """
 import json, os, sys
 from catlr import records
@@ -73,7 +73,8 @@ if sys.argv[3:] == ["thread"]:
 forked = outcome(lambda: records.tally_file(path, "s"))
 if sys.argv[3:] == ["thread"]:
     stop.set()
-print(json.dumps({"forked": forked, "serial": outcome(serial), "forks": forks, "unreaped": unreaped()}))
+result = {"forked": forked, "serial": outcome(serial), "forks": forks, "unreaped": unreaped()}
+print(json.dumps(result))
 """
 
 _CORPUS = _PRELUDE + """
@@ -82,7 +83,8 @@ from pathlib import Path
 
 directory = Path(sys.argv[2])
 cli_corpus.write_inputs(directory)
-calls = [argv for argv in cli_corpus.CALLS if argv[:2] == ["tally", "--in"] and argv[2][:-4] in cli_corpus.RECORDS]
+records_files = {f"{name}.csv" for name in cli_corpus.RECORDS}
+calls = [argv for argv in cli_corpus.CALLS if argv[0] == "tally" and argv[2] in records_files]
 outcomes = cli_corpus.outcomes(directory, calls)
 print(json.dumps({"outcomes": outcomes, "forks": forks, "unreaped": unreaped()}))
 """
@@ -123,9 +125,9 @@ _CASES = {
     "lone_cr": ((_HEADER + _rows(1000)).replace("\n", "\r").encode(), False),
     "byte_order_mark": (b"\xef\xbb\xbf" + (_HEADER + _rows(1000)).encode(), True),
     "no_final_newline": ((_HEADER + _rows(1000)).rstrip("\n").encode(), True),
-    "not_utf8_in_the_last_part": ((_HEADER + _rows(1000)).encode() + b"it9,ex9,\xff,same\n", True),
+    "not_utf8_in_the_last_part": ((_HEADER + _rows(1000)).encode() + b"i,e,\xff,same\n", True),
     "fault_in_the_last_part": ((_HEADER + _rows(1000) + "it9,ex9,ID,maybe\n").encode(), True),
-    "quote_left_open_on_the_last_line": ((_HEADER + _rows(1000) + 'it9,ex9,"ID,same').encode(), True),
+    "quote_left_open_on_the_last_line": ((_HEADER + _rows(1000) + 'i,e,"ID,same').encode(), True),
     "header_after_a_long_preamble": ((_PREAMBLE + _HEADER + _rows(1000)).encode(), False),
     "header_only": (_HEADER.encode(), False),
     "header_then_only_comments": ((_HEADER + _PREAMBLE).encode(), True),
