@@ -229,7 +229,7 @@ def _forked_counts(path: str | PathLike, parts: int) -> Counter | None:
                     os.close(read_end)
                     os.close(write_end)
                     return None
-                if pid == 0:
+                if pid == 0:  # the child counts its part and exits
                     _send_part_counts(fd, start, end, tails, write_end)
                 os.close(write_end)
                 children.append((pid, open(read_end, "rb")))
