@@ -49,7 +49,6 @@ _MODULE_OF = {
             "LrEstimate",
         ),
         "records": (
-            "emit_records",
             "parse_records",
             "tally",
             "tally_csv",
@@ -63,6 +62,7 @@ _MODULE_OF = {
         "simulate": (
             "PanelProfile",
             "RecordBatch",
+            "emit_records",
             "load_profile",
             "simulate_study",
             "true_lr",

@@ -138,8 +138,7 @@ def _cmd_interval(args, out):
 
 
 def _cmd_simulate(args, out):
-    from .records import emit_records
-    from .simulate import load_profile, simulate_study
+    from .simulate import emit_records, load_profile, simulate_study
 
     records = simulate_study(load_profile(_read(args.profile)))
     with _output(args.out, out) as handle:

@@ -7,8 +7,9 @@ an iterable's lines):
 * raw records:  header ``examiner_id,item_id,ground_truth,statement``,
   one row per evaluation.  Extra columns are ignored.  Ground-truth
   tokens are ``same`` / ``different``; the aliases ``mated`` /
-  ``nonmated`` are accepted and normalized on read.  They are parsed,
-  tallied and written by ``catlr.records``, over the reader here.
+  ``nonmated`` are accepted and normalized on read.  They are parsed and
+  tallied by ``catlr.records``, over the reader here, and written by
+  ``catlr.simulate.emit_records``.
 * aggregated:   header ``statement,same_source_count,different_source_count``,
   one row per category, file order = category order.
 

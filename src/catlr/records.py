@@ -1,4 +1,4 @@
-"""Raw per-evaluation records: parsing, tallying and writing.
+"""Raw per-evaluation records: parsing and tallying.
 
 The raw-records schema and the reading rules it shares with the aggregated
 schema are described in ``catlr.ingest``, which this module reads through.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -17,7 +17,6 @@ from .ingest import (
     RAW_HEADER,
     IngestError,
     _blocks,
-    _csv_text,
     _DataRows,
     _table,
 )
@@ -29,8 +28,6 @@ if TYPE_CHECKING:
     from .simulate import RecordBatch
 
 _Block = tuple[Sequence[int], list[str]]  # physical line numbers, lines (see ingest._blocks)
-
-_BLOCK_ROWS = 64_000  # item numbers of a RecordBatch read per block of codes, whole chunks of 1000
 
 _PART_BYTES = 1 << 20  # tally_file counts a file in parts of at least this many bytes
 
@@ -440,58 +437,3 @@ def _batch_counts(batch: RecordBatch) -> dict[tuple[GroundTruth, str], int]:
                 counts[(truth, batch.categories[code])] = row[code]
     return counts
 
-
-def emit_records(
-    records: Sequence[EvaluationRecord], out: IO[str] | None = None
-) -> str | None:
-    """Serialize records in the raw-records schema (round-trips with parse_records).
-
-    Returns the text; with ``out``, writes it there piece by piece instead
-    and returns None, so a large ``RecordBatch`` is never held as one string.
-    """
-    pieces = _record_pieces(records)
-    if out is None:
-        return "".join(pieces)
-    for piece in pieces:
-        out.write(piece)
-    return None
-
-
-def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[str]:
-    """Raw-records CSV text in pieces: a batch one chunk of 1000 item numbers per piece."""
-    from .simulate import RecordBatch
-
-    if not isinstance(records, RecordBatch):
-        rows = ((r.examiner_id, r.item_id, r.truth.value, r.statement) for r in records)
-        yield _csv_text(RAW_HEADER, rows)
-        return
-    import numpy as np
-
-    yield _csv_text(RAW_HEADER, ())
-    k = len(records.categories)
-    # The ground-truth and statement cells of each truth * k + code, CSV-encoded
-    # once with their line ending; the synthetic ids never need quoting.
-    tails = [
-        _csv_text((truth.value, label), ())
-        for truth in GroundTruth
-        for label in records.categories
-    ]
-    # Row i has item number i + 1.  The item numbers c * 1000 + j of chunk c
-    # share the leading digits f"{c:03d}" of RecordBatch.ITEM_ID ("item%06d"),
-    # and as the panel's period divides 1000, their examiners depend on j
-    # alone.  So one template of the rows j = 0..999 serves every chunk: "{0}"
-    # takes the chunk's digits, then one % takes its cells.
-    examiners = RecordBatch.EXAMINER_IDS
-    rows = [f"{examiners[(j - 1) % len(examiners)]},item{{0}}{j:03d},%s" for j in range(1000)]
-    chunk = "".join(rows)
-    n = len(records)
-    # each block holds the item numbers first .. last - 1; there is no item 0
-    for first in range(0, n + 1, _BLOCK_ROWS):
-        last = min(first + _BLOCK_ROWS, n + 1)
-        block = slice(max(first - 1, 0), last - 1)
-        truth = records.truth_codes[block].astype(np.intp)
-        cells = map(tails.__getitem__, (truth * k + records.statement_codes[block]).tolist())
-        for c in range(first // 1000, (last + 999) // 1000):
-            j0, j1 = (1 if c == 0 else 0), min(last - c * 1000, 1000)
-            template = chunk if j1 - j0 == 1000 else "".join(rows[j0:j1])
-            yield template.replace("{0}", f"{c:03d}") % tuple(islice(cells, j1 - j0))

@@ -4,7 +4,8 @@ The generative model is deliberately the mirror image of the estimator: a
 single pooled categorical distribution per hypothesis, sampled
 independently per evaluation.  Examiner heterogeneity is out of scope;
 examiner ids are synthetic round-robin labels over a fixed panel (see
-``RecordBatch``) so the records exercise the raw-records schema.
+``RecordBatch``) so the records exercise the raw-records schema, which
+``emit_records`` writes.
 
 Because the true probabilities are known, simulated studies serve as an
 oracle: ``true_lr`` is the estimand the tally-then-divide pipeline
@@ -15,9 +16,11 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import IO, TYPE_CHECKING
 
+from .ingest import RAW_HEADER, _csv_text
 from .model import (
     ConfusionTable,
     DataError,
@@ -35,6 +38,7 @@ if TYPE_CHECKING:
 
 MAX_RECORDS = 10_000_000
 _SUM_TOLERANCE = 1e-12
+_BLOCK_ROWS = 64_000  # RecordBatch item numbers written per block of codes: whole chunks of 1000
 
 
 class PanelProfile(Frozen):
@@ -106,6 +110,15 @@ class RecordBatch(Sequence):
 
     EXAMINER_IDS = tuple(f"ex{j + 1:02d}" for j in range(10))
     ITEM_ID = "item%06d"
+    # The same ids as emit_records writes them: one line template per item
+    # number c * 1000 + j, j = 0..999, that serves every chunk c of 1000.
+    # "{0}" takes the leading digits f"{c:03d}" that ITEM_ID gives the chunk,
+    # "%s" the row's other cells; as 10 divides 1000, the examiner of row
+    # c * 1000 + j - 1, EXAMINER_IDS[(j - 1) % 10], does not depend on c.
+    _CHUNK_LINES = tuple(
+        f"{examiner},item{{0}}{j:03d},%s"
+        for j, examiner in enumerate((EXAMINER_IDS[-1:] + EXAMINER_IDS[:-1]) * 100)
+    )
 
     __slots__ = ("_categories", "_truth", "_codes")
 
@@ -210,6 +223,47 @@ class RecordBatch(Sequence):
 
 # the GroundTruth of each RecordBatch truth code
 _TRUTHS = tuple(GroundTruth)
+
+
+def emit_records(records: Sequence[EvaluationRecord], out: IO[str] | None = None) -> str | None:
+    """Serialize records in the raw-records schema (round-trips with parse_records).
+
+    Returns the text; with ``out``, writes it there piece by piece instead
+    and returns None, so a large ``RecordBatch`` is never held as one string.
+    """
+    pieces = _record_pieces(records)
+    if out is None:
+        return "".join(pieces)
+    out.writelines(pieces)
+    return None
+
+
+def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[str]:
+    """Raw-records CSV text in pieces: a batch one chunk of 1000 item numbers per piece."""
+    if not isinstance(records, RecordBatch):
+        rows = ((r.examiner_id, r.item_id, r.truth.value, r.statement) for r in records)
+        yield _csv_text(RAW_HEADER, rows)
+        return
+    import numpy as np
+
+    yield _csv_text(RAW_HEADER, ())
+    k = len(records.categories)
+    # The ground-truth and statement cells of each truth * k + code, CSV-encoded
+    # once with their line ending; the synthetic ids never need quoting.
+    tails = [_csv_text((t.value, label), ()) for t in GroundTruth for label in records.categories]
+    lines = RecordBatch._CHUNK_LINES
+    chunk = "".join(lines)
+    n = len(records)
+    # each block holds the item numbers first .. last - 1; there is no item 0
+    for first in range(0, n + 1, _BLOCK_ROWS):
+        last = min(first + _BLOCK_ROWS, n + 1)
+        block = slice(max(first - 1, 0), last - 1)
+        truth = records.truth_codes[block].astype(np.intp)
+        cells = map(tails.__getitem__, (truth * k + records.statement_codes[block]).tolist())
+        for c in range(first // 1000, (last + 999) // 1000):
+            j0, j1 = (1 if c == 0 else 0), min(last - c * 1000, 1000)
+            template = chunk if j1 - j0 == 1000 else "".join(lines[j0:j1])
+            yield template.replace("{0}", f"{c:03d}") % tuple(islice(cells, j1 - j0))
 
 
 def simulate_study(profile: PanelProfile) -> RecordBatch:

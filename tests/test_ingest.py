@@ -19,9 +19,9 @@ from catlr.ingest import (
     parse_aggregated,
 )
 from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
-from catlr.records import _BLOCK_ROWS, emit_records, parse_records, tally, tally_csv
+from catlr.records import parse_records, tally, tally_csv
 from catlr.report import read_display_fixture
-from catlr.simulate import RecordBatch
+from catlr.simulate import _BLOCK_ROWS, RecordBatch, emit_records
 
 SAME = GroundTruth.SAME_SOURCE
 DIFF = GroundTruth.DIFFERENT_SOURCE
