@@ -140,5 +140,9 @@ def presentation_round(lr: float | None, zero_count_bound: float | None = None) 
         return str(_round_half_up(lr))
     if lr == 0.0:
         return "0"
-    reciprocal = _round_half_up(1.0 / lr)
+    try:
+        reciprocal = _round_half_up(1.0 / lr)
+    except OverflowError:  # 1 / lr is past the largest float: round it in integers
+        numerator, denominator = lr.as_integer_ratio()
+        reciprocal = (2 * denominator + numerator) // (2 * numerator)
     return "1" if reciprocal == 1 else f"1 / {reciprocal}"

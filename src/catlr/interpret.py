@@ -49,7 +49,9 @@ def hardness_adjust(lr: float | None, retained_fraction: float) -> float:
     if not (isinstance(q, (int, float)) and 0.0 < q <= 1.0):
         raise DataError(f"retained fraction must be in (0, 1], got {q!r}")
     lr = _check_lr(lr)
-    return lr / (1.0 / q)
+    inflation = 1.0 / q
+    # a subnormal q has no finite reciprocal, so the LR is scaled by q itself
+    return lr / inflation if math.isfinite(inflation) else lr * q
 
 
 class VerbalScale(Frozen):

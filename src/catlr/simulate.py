@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
+from itertools import chain, islice
 from typing import IO, TYPE_CHECKING
 
 from .ingest import RAW_HEADER, _csv_text
@@ -297,15 +297,20 @@ def load_profile(source: str | Iterable[str]) -> PanelProfile:
 
     Keys: ``categories``, ``p_given_h1``, ``p_given_h2`` (comma-separated,
     so labels must not contain commas), ``n_h1``, ``n_h2``, ``seed``.
+    ``source`` is the text or its lines, with or without line ends; a
+    byte-order mark at its start is skipped.
     """
     # imported here, not at module level: configparser costs ~3 ms to import
     # and nothing else in the package reads INI text
     import configparser
+    import io
 
     parser = configparser.ConfigParser()
-    text = source if isinstance(source, str) else "\n".join(source)
+    lines = io.StringIO(source) if isinstance(source, str) else iter(source)
+    first = next(lines, "").removeprefix("\ufeff")
     try:
-        parser.read_string(text)
+        # read line by line, so that an error names the line it is on
+        parser.read_file(chain([first], lines), source="<string>")
     except configparser.Error as exc:
         raise DataError(f"malformed profile config: {exc}") from None
     if "profile" not in parser:

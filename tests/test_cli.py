@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -249,6 +251,35 @@ class TestLrCommand:
         assert out.splitlines()[0].startswith("ID\t")
 
 
+class TestTinyLr:
+    # smoothing with alpha=1e-320 gives a zero same-source cell an LR
+    # whose reciprocal is past the largest float
+    @pytest.fixture
+    def zero_cell_csv(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text(
+            "statement,same_source_count,different_source_count\nID,0,5\nElim,7,2\n",
+            encoding="utf-8",
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["lr", "report"])
+    def test_renders_the_rounded_reciprocal_in_every_format(self, zero_cell_csv, command):
+        argv = (command, "--table", zero_cell_csv, "--smoothing", "alpha=1e-320")
+        code, out, err = invoke(*argv, "--format", "json")
+        assert (code, err) == (0, "")
+        row = json.loads(out)[0]["statements"][0]
+        assert 0 < row["lr"] and 1.0 / row["lr"] == math.inf
+        display = f"1 / {math.floor(1 / Fraction(row['lr']) + Fraction(1, 2))}"
+        assert row["lr_display"] == display
+        code, out, err = invoke(*argv, "--format", "md")
+        assert (code, err) == (0, "")
+        assert f"| LR | {display} | 4 |" in out
+        code, out, err = invoke(*argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert f"LR,{display},4\n" in out
+
+
 class TestPosteriorCommand:
     def test_anchor_value(self):
         code, out, _ = invoke("posterior", "--prior", "0.10", "--lr", "1000")
@@ -266,6 +297,10 @@ class TestAdjustCommand:
         code, out, _ = invoke("adjust", "--lr", "109", "--fraction", "0.01")
         assert code == 0
         assert out == "1.09\n"
+
+    @pytest.mark.parametrize("lr, expected", [("inf", "inf\n"), ("1e300", "1e-20\n")])
+    def test_subnormal_fraction(self, lr, expected):
+        assert invoke("adjust", "--lr", lr, "--fraction", "1e-320") == (0, expected, "")
 
     def test_bad_fraction_is_data_error(self):
         code, _, err = invoke("adjust", "--lr", "10", "--fraction", "0")

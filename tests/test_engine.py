@@ -180,6 +180,12 @@ class TestPresentationRound:
         assert presentation_round(float(ratio)) == "1"
         assert presentation_round(likelihood_ratio(bullets, "Inconcl.-A").lr) == "1"
 
+    @pytest.mark.parametrize("lr", [5e-324, 2e-321, 1e-320, 5.5e-309])
+    def test_reciprocal_past_the_largest_float_is_rounded_exactly(self, lr):
+        assert 1.0 / lr == math.inf
+        reciprocal = math.floor(1 / Fraction(lr) + Fraction(1, 2))
+        assert presentation_round(lr) == f"1 / {reciprocal}"
+
     def test_infinite_with_bound_text(self):
         assert presentation_round(math.inf, zero_count_bound=100.64) == "> 101"
 

@@ -86,8 +86,14 @@ class TestHardnessAdjust:
         chained = hardness_adjust(hardness_adjust(lr, 0.2), 0.05)
         assert chained == pytest.approx(hardness_adjust(lr, 0.2 * 0.05), rel=1e-12)
 
-    def test_infinite_lr_stays_infinite(self):
-        assert hardness_adjust(math.inf, 0.01) == math.inf
+    @pytest.mark.parametrize("q", [5e-324, 1e-320, 2.2250738585072014e-308, 0.01, 1.0])
+    def test_infinite_lr_stays_infinite(self, q):
+        assert hardness_adjust(math.inf, q) == math.inf
+
+    def test_subnormal_fraction_scales_a_finite_lr(self):
+        # 1 / q overflows, so dividing by it would give 0
+        assert hardness_adjust(1e300, 1e-320) == 1e300 * 1e-320
+        assert hardness_adjust(1e300, 1e-320) == pytest.approx(1e-20)
 
     @pytest.mark.parametrize("q", [0.0, -0.5, 1.5])
     def test_fraction_validated(self, q):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -179,6 +180,19 @@ class TestLoadProfile:
         bad = PROFILE_CFG.replace("0.75", "three quarters")
         with pytest.raises(DataError, match="malformed"):
             load_profile(bad)
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no BOM", "BOM"])
+    @pytest.mark.parametrize(
+        "form", [str, io.StringIO, str.splitlines], ids=["string", "file", "bare lines"]
+    )
+    def test_every_source_form_reads_alike(self, form, bom):
+        # an open file's lines end in "\n", a list's need not; a leading BOM is skipped
+        text = PROFILE_CFG.lstrip()
+        assert load_profile(form(bom + text)) == load_profile(PROFILE_CFG)
+        bad = text.replace("\np_given_h1", "\ngarbage\np_given_h1")
+        assert bad.splitlines()[2] == "garbage"
+        with pytest.raises(DataError, match=r"\[line  3\]: 'garbage"):
+            load_profile(form(bom + bad))
 
     def test_vector_sum_checked(self):
         bad = PROFILE_CFG.replace("0.75, 0.2, 0.05", "0.75, 0.2, 0.25")
