@@ -41,6 +41,7 @@ _BULLETS = (files("catlr") / "data" / "bullets.csv").read_text(encoding="utf-8")
 TABLES = {
     "bullets": _BULLETS.encode(),
     "infinite": f"{_AGGREGATED}ID,20,0\nInconclusive,5,10\nElimination,1,30\n".encode(),
+    "zero_same_source": f"{_AGGREGATED}ID,0,5\nElimination,7,2\n".encode(),
     "undefined": f"{_AGGREGATED}ID,100,0\nNONE,0,0\nElimination,3,40\n".encode(),
     "one_category": f"{_AGGREGATED}ID,10,4\n".encode(),
     "zero_row": f"{_AGGREGATED}ID,5,0\nElimination,3,0\n".encode(),
@@ -228,6 +229,13 @@ def _calls() -> list[list[str]]:
         ),
         ["interval", *bullets, "--statement", "Nope", "--method", "bootstrap"],
         ["interval", *bullets, "--statement", "ID", "--method", "dirichlet", "--workers", "4"],
+        # an LR whose reciprocal is past the largest float
+        *(
+            [command, "--table", "zero_same_source.csv", "--smoothing", "alpha=1e-320",
+             "--format", fmt]
+            for command in ("lr", "report")
+            for fmt in _FORMATS
+        ),
     ]
     for name in SUMMARIES:
         calls += [["report", "--summary", f"{name}.csv", "--format", fmt] for fmt in _FORMATS]
@@ -235,7 +243,9 @@ def _calls() -> list[list[str]]:
     priors_and_lrs = ("0.5", "10"), ("0.01", "108.8"), ("0", "inf"), ("1", "0"), ("0.2", "-1")
     for prior, lr in (*priors_and_lrs, ("1.5", "2")):
         calls.append(["posterior", "--prior", prior, "--lr", lr])
-    for lr, fraction in ("109", "0.01"), ("10", "1"), ("inf", "0.5"), ("10", "0"), ("10", "1.5"):
+    adjustments = (("109", "0.01"), ("10", "1"), ("inf", "0.5"), ("10", "0"), ("10", "1.5"),
+                   ("inf", "1e-320"), ("1e300", "1e-320"))
+    for lr, fraction in adjustments:
         calls.append(["adjust", "--lr", lr, "--fraction", fraction])
     calls += [["simulate", "--profile", f"{name}.cfg"] for name in PROFILES]
     calls += [
