@@ -14,6 +14,7 @@ targets, and consistency / coverage tests compare against it.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
@@ -303,7 +304,6 @@ def load_profile(source: str | Iterable[str]) -> PanelProfile:
     # imported here, not at module level: configparser costs ~3 ms to import
     # and nothing else in the package reads INI text
     import configparser
-    import io
 
     parser = configparser.ConfigParser()
     lines = io.StringIO(source) if isinstance(source, str) else iter(source)
