@@ -86,8 +86,11 @@ class TestHardnessAdjust:
         chained = hardness_adjust(hardness_adjust(lr, 0.2), 0.05)
         assert chained == pytest.approx(hardness_adjust(lr, 0.2 * 0.05), rel=1e-12)
 
-    @pytest.mark.parametrize("q", [5e-324, 1e-320, 2.2250738585072014e-308, 0.01, 1.0])
-    def test_infinite_lr_stays_infinite(self, q):
+    def test_infinite_lr_stays_infinite(self):
+        assert hardness_adjust(math.inf, 0.01) == math.inf
+
+    @pytest.mark.parametrize("q", [5e-324, 1e-320, 2.2250738585072014e-308, 1.0])
+    def test_infinite_lr_stays_infinite_for_any_fraction(self, q):
         assert hardness_adjust(math.inf, q) == math.inf
 
     def test_subnormal_fraction_scales_a_finite_lr(self):
