@@ -138,11 +138,15 @@ def _cmd_interval(args, out):
 
 
 def _cmd_simulate(args, out):
-    from .simulate import emit_records, load_profile, simulate_study
+    from .simulate import _record_pieces, emit_records, load_profile, simulate_study
 
     records = simulate_study(load_profile(_read(args.profile)))
-    with _output(args.out, out) as handle:
-        emit_records(records, handle)
+    if not args.out:
+        emit_records(records, out)
+        return
+    # the UTF-8 pieces as they are: every line ends in "\n" on every platform
+    with open(args.out, "wb") as handle:
+        handle.writelines(_record_pieces(records))
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

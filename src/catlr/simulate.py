@@ -18,7 +18,7 @@ import io
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice
+from itertools import chain
 from typing import IO, TYPE_CHECKING
 
 from .ingest import RAW_HEADER, _csv_text
@@ -106,18 +106,20 @@ class RecordBatch(Sequence):
     iteration build each ``EvaluationRecord`` only when it is read.  The code
     arrays are read-only copies, so a batch never changes after construction.
     Every label reads back from ``emit_records`` text unchanged: none holds a
-    line break, starts or ends with whitespace or outgrows the csv field limit.
+    line break or a lone surrogate, starts or ends with whitespace or outgrows
+    the csv field limit.
     """
 
     EXAMINER_IDS = tuple(f"ex{j + 1:02d}" for j in range(10))
     ITEM_ID = "item%06d"
-    # The same ids as emit_records writes them: one line template per item
-    # number c * 1000 + j, j = 0..999, that serves every chunk c of 1000.
-    # "{0}" takes the leading digits f"{c:03d}" that ITEM_ID gives the chunk,
-    # "%s" the row's other cells; as 10 divides 1000, the examiner of row
-    # c * 1000 + j - 1, EXAMINER_IDS[(j - 1) % 10], does not depend on c.
+    # The same ids as emit_records writes them, as UTF-8 bytes: one line
+    # template per item number c * 1000 + j, j = 0..999, that serves every
+    # chunk c of 1000.  "{0}" takes the leading digits b"%03d" % c that
+    # ITEM_ID gives the chunk, "%b" the row's other cells; as 10 divides
+    # 1000, the examiner of row c * 1000 + j - 1, EXAMINER_IDS[(j - 1) % 10],
+    # does not depend on c.
     _CHUNK_LINES = tuple(
-        f"{examiner},item{{0}}{j:03d},%s"
+        f"{examiner},item{{0}}{j:03d},%b".encode()
         for j, examiner in enumerate((EXAMINER_IDS[-1:] + EXAMINER_IDS[:-1]) * 100)
     )
 
@@ -144,6 +146,14 @@ class RecordBatch(Sequence):
                     f"category label {label!r} would not read back from a records file: "
                     "a label must not hold a line break or start or end with whitespace"
                 )
+            if not label.isascii():
+                try:
+                    label.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataError(
+                        f"category label {label!r} would not read back from a records file: "
+                        "it holds a lone surrogate, which UTF-8 cannot encode"
+                    ) from None
         if len(set(categories)) != len(categories):
             raise DataError(f"duplicate category label in {categories}")
         truth, codes = np.asarray(truth_codes), np.asarray(statement_codes)
@@ -234,37 +244,44 @@ def emit_records(records: Sequence[EvaluationRecord], out: IO[str] | None = None
     """
     pieces = _record_pieces(records)
     if out is None:
-        return "".join(pieces)
-    out.writelines(pieces)
+        return b"".join(pieces).decode("utf-8")
+    out.writelines(piece.decode("utf-8") for piece in pieces)
     return None
 
 
-def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[str]:
-    """Raw-records CSV text in pieces: a batch one chunk of 1000 item numbers per piece."""
+def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[bytes]:
+    """Raw-records CSV as UTF-8 bytes in pieces: a batch one chunk of 1000
+    item numbers per piece.  ``catlr simulate --out`` writes them as they are."""
     if not isinstance(records, RecordBatch):
         rows = ((r.examiner_id, r.item_id, r.truth.value, r.statement) for r in records)
-        yield _csv_text(RAW_HEADER, rows)
+        yield _csv_text(RAW_HEADER, rows).encode("utf-8")
         return
     import numpy as np
 
-    yield _csv_text(RAW_HEADER, ())
+    yield _csv_text(RAW_HEADER, ()).encode("utf-8")
     k = len(records.categories)
     # The ground-truth and statement cells of each truth * k + code, CSV-encoded
     # once with their line ending; the synthetic ids never need quoting.
-    tails = [_csv_text((t.value, label), ()) for t in GroundTruth for label in records.categories]
+    tails = np.array(
+        [_csv_text((t.value, label), ()).encode("utf-8")
+         for t in GroundTruth for label in records.categories],
+        dtype=object,
+    )
     lines = RecordBatch._CHUNK_LINES
-    chunk = "".join(lines)
+    chunk = b"".join(lines)
     n = len(records)
     # each block holds the item numbers first .. last - 1; there is no item 0
     for first in range(0, n + 1, _BLOCK_ROWS):
         last = min(first + _BLOCK_ROWS, n + 1)
         block = slice(max(first - 1, 0), last - 1)
         truth = records.truth_codes[block].astype(np.intp)
-        cells = map(tails.__getitem__, (truth * k + records.statement_codes[block]).tolist())
+        cells = tails[truth * k + records.statement_codes[block]].tolist()
+        # cells[0] holds item number block.start + 1
         for c in range(first // 1000, (last + 999) // 1000):
             j0, j1 = (1 if c == 0 else 0), min(last - c * 1000, 1000)
-            template = chunk if j1 - j0 == 1000 else "".join(lines[j0:j1])
-            yield template.replace("{0}", f"{c:03d}") % tuple(islice(cells, j1 - j0))
+            a = c * 1000 + j0 - block.start - 1
+            template = chunk if j1 - j0 == 1000 else b"".join(lines[j0:j1])
+            yield template.replace(b"{0}", b"%03d" % c) % tuple(cells[a : a + j1 - j0])
 
 
 def simulate_study(profile: PanelProfile) -> RecordBatch:

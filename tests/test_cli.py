@@ -2,7 +2,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from catlr import cli, fixtures
 from catlr.cli import run
 from catlr.ingest import emit_aggregated, parse_aggregated
 from catlr.records import parse_records, tally
+from catlr.simulate import emit_records, load_profile, simulate_study
 
 PROFILE_CFG = """
 [profile]
@@ -478,6 +483,51 @@ class TestSimulateCommand:
         out_path = tmp_path / "records.csv"
         assert invoke("simulate", "--profile", str(cfg), "--out", str(out_path))[:2] == (0, "")
         assert out_path.read_text(encoding="utf-8") == invoke("simulate", "--profile", str(cfg))[1]
+
+    # 70 001 rows cross the 64 000-row block of the batch writer and end
+    # mid-chunk; the labels hold non-ASCII text, a "%" ("%%" in the
+    # profile), a "{0}" and quotes
+    BINARY_PROFILE = (
+        "[profile]\n"
+        'categories = Identificación, 50%% sure, {0}, "quoted", Elimination\n'
+        "p_given_h1 = 0.4, 0.2, 0.15, 0.15, 0.1\n"
+        "p_given_h2 = 0.05, 0.15, 0.2, 0.1, 0.5\n"
+        "n_h1 = 40000\nn_h2 = 30001\nseed = 15\n"
+    )
+
+    def test_out_file_is_the_utf8_text_of_the_rows(self, tmp_path):
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text(self.BINARY_PROFILE, encoding="utf-8")
+        out_path = tmp_path / "records.csv"
+        assert invoke("simulate", "--profile", str(cfg), "--out", str(out_path)) == (0, "", "")
+        batch = simulate_study(load_profile(self.BINARY_PROFILE))
+        assert batch.categories == ("Identificación", "50% sure", "{0}", '"quoted"', "Elimination")
+        # list(batch) is the row views, written by the row-by-row reference path
+        data = out_path.read_bytes()
+        assert data == emit_records(list(batch)).encode("utf-8")
+        assert data.count(b"\n") == 1 + 70_001 and b"\r" not in data
+
+    def test_command_writes_the_same_bytes_to_stdout_and_out(self, tmp_path):
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text(self.BINARY_PROFILE, encoding="utf-8")
+        out_path = tmp_path / "records.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        # stdout is a text stream in the locale's encoding; UTF-8 here, as the file is
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+            "PYTHONIOENCODING": "utf-8",
+        }
+        argv = [sys.executable, "-m", "catlr.cli", "simulate", "--profile", str(cfg)]
+        to_stdout = subprocess.run(argv, env=env, capture_output=True, check=True)
+        to_file = subprocess.run(
+            argv + ["--out", str(out_path)], env=env, capture_output=True, check=True
+        )
+        assert (to_file.stdout, to_file.stderr, to_stdout.stderr) == (b"", b"", b"")
+        assert to_stdout.stdout == out_path.read_bytes()
+        assert to_stdout.stdout.startswith(
+            b"examiner_id,item_id,ground_truth,statement\nex01,item000001,same,"
+        )
 
     def test_malformed_profile_is_data_error(self, tmp_path):
         cfg = tmp_path / "profile.cfg"

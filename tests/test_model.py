@@ -113,6 +113,7 @@ class TestRecordBatch:
             ((" ID",), [0], [0], "label ' ID' would not read back"),
             (("\tID",), [0], [0], r"label '\\tID' would not read back"),
             (("x" * 131_073,), [0], [0], "131073 characters, more than the csv field limit 131072"),
+            (("a", "b\ud800"), [0], [0], r"label 'b\\ud800' would not read back .* lone surrogate"),
         ],
     )
     def test_invalid_columns_rejected(self, categories, truth, codes, match):
