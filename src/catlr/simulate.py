@@ -146,14 +146,13 @@ class RecordBatch(Sequence):
                     f"category label {label!r} would not read back from a records file: "
                     "a label must not hold a line break or start or end with whitespace"
                 )
-            if not label.isascii():
-                try:
-                    label.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise DataError(
-                        f"category label {label!r} would not read back from a records file: "
-                        "it holds a lone surrogate, which UTF-8 cannot encode"
-                    ) from None
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(
+                    f"category label {label!r} would not read back from a records file: "
+                    "it holds a lone surrogate, which UTF-8 cannot encode"
+                ) from None
         if len(set(categories)) != len(categories):
             raise DataError(f"duplicate category label in {categories}")
         truth, codes = np.asarray(truth_codes), np.asarray(statement_codes)
