@@ -12,7 +12,6 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator
 
 # Each command imports the modules it runs when it runs: a call pays only
@@ -56,11 +55,6 @@ def _smoothing_arg(text: str) -> SmoothingPolicy:
     )
 
 
-def _read(path: str) -> str:
-    # utf-8-sig skips a leading byte-order mark, as for every input file
-    return Path(path).read_text(encoding="utf-8-sig")
-
-
 @contextmanager
 def _output(out_path: str | None, out: IO[str]) -> Iterator[IO[str]]:
     """The file at ``out_path`` opened for writing, or ``out`` when no path is given."""
@@ -75,7 +69,7 @@ def _cmd_tally(args, out):
     from .ingest import emit_aggregated
     from .records import tally_file
 
-    table = tally_file(args.infile, study_name=Path(args.infile).stem)
+    table = tally_file(args.infile)
     with _output(args.out, out) as handle:
         handle.write(emit_aggregated(table))
 
@@ -95,10 +89,11 @@ def _cmd_lr(args, out):
 
 
 def _cmd_report(args, out):
+    from .ingest import _read_input
     from .report import build_report, read_display_fixture, render_summary_table
 
     if args.summary:
-        headers, rows = read_display_fixture(_read(args.summary))
+        headers, rows = _read_input(args.summary, read_display_fixture)
         text = render_summary_table(rows, args.format, headers=headers)
     else:
         if not args.table:
@@ -138,9 +133,10 @@ def _cmd_interval(args, out):
 
 
 def _cmd_simulate(args, out):
+    from .ingest import _read_input
     from .simulate import _record_pieces, emit_records, load_profile, simulate_study
 
-    records = simulate_study(load_profile(_read(args.profile)))
+    records = simulate_study(_read_input(args.profile, load_profile))
     if not args.out:
         emit_records(records, out)
         return
@@ -244,15 +240,6 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=err)
         return 2
-    except UnicodeDecodeError as exc:
-        print(f"data error: {_input_path(args)}: not valid UTF-8 ({exc.reason})", file=err)
-        return 2
-
-
-def _input_path(args) -> str:
-    """The input file a command reads; ``report`` reads --summary over --table."""
-    names = ("summary", "table", "infile", "profile")
-    return next(getattr(args, name) for name in names if getattr(args, name, None))
 
 
 def main() -> None:

@@ -25,7 +25,7 @@ import csv
 import io
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import ConfusionTable, DataError, GroundTruth
 
@@ -200,16 +200,22 @@ def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> Confu
     )
 
 
-def load_table(path: str | Path) -> ConfusionTable:
-    """The aggregated table in the file at ``path``, named after the file's stem.
-
-    The file is opened once, and a UTF-8 byte-order mark at its start is
-    skipped; every IngestError names the file."""
+def _read_input(path: str | Path, read: Callable[[IO[str]], Any]) -> Any:
+    """``read`` of the lines of the input file at ``path``, the one rule for
+    every input file: UTF-8, a leading byte-order mark skipped, and each
+    DataError raised as it is read, a decode failure included, naming it."""
     try:
         with open(path, encoding="utf-8-sig") as lines:
-            return parse_aggregated(lines, Path(path).stem)
-    except IngestError as exc:
-        raise IngestError(f"{path}: {exc}") from None
+            return read(lines)
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+def load_table(path: str | Path) -> ConfusionTable:
+    """The aggregated table in the file at ``path``, named after the file's stem."""
+    return _read_input(path, lambda lines: parse_aggregated(lines, Path(path).stem))
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -10,6 +10,7 @@ import csv
 from collections import Counter
 from itertools import chain, repeat
 from operator import itemgetter
+from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .ingest import (
@@ -18,6 +19,7 @@ from .ingest import (
     IngestError,
     _blocks,
     _DataRows,
+    _read_input,
     _table,
 )
 from .model import ConfusionTable, EvaluationRecord, GroundTruth
@@ -158,22 +160,24 @@ def _tail_counts(
     return None
 
 
-def tally_file(path: str | PathLike, study_name: str = "") -> ConfusionTable:
-    """Tally the raw-records file at ``path`` on every available CPU.
+def tally_file(path: str | PathLike) -> ConfusionTable:
+    """Tally the raw-records file at ``path`` on every available CPU into a
+    table named after the file's stem.
 
-    Equals ``tally_csv`` of the file opened as ``utf-8-sig``, with the same
-    errors.  The file is cut just after a line feed into one part per CPU,
-    each of at least ``_PART_BYTES``.  This process counts the first part
-    with the tail tier and a forked child each other part, and the counts
-    are merged in file order.  If the tail tier declines any part, a part is
-    not valid UTF-8 or a child dies, ``tally_csv`` reads the whole file
-    again, so a late fault costs a second read.  With one CPU, no
-    ``os.fork``, a thread besides this one, or a file under two parts, only
-    ``tally_csv`` runs.  As it forks, it is meant for a single-threaded
-    caller such as the CLI.
+    Equals ``tally_csv`` of the file as ``ingest._read_input`` reads it,
+    with the same errors, each naming the file.  The file is cut just after
+    a line feed into one part per CPU, each of at least ``_PART_BYTES``.
+    This process counts the first part with the tail tier and a forked
+    child each other part, and the counts are merged in file order.  If the
+    tail tier declines any part, a part is not valid UTF-8 or a child dies,
+    ``tally_csv`` reads the whole file again, so a late fault costs a
+    second read.  With one CPU, no ``os.fork``, a thread besides this one,
+    or a file under two parts, only ``tally_csv`` runs.  As it forks, it is
+    meant for a single-threaded caller such as the CLI.
     """
     import os
 
+    study_name = Path(path).stem
     counts = None
     if hasattr(os, "fork"):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -181,9 +185,8 @@ def tally_file(path: str | PathLike, study_name: str = "") -> ConfusionTable:
         if parts > 1 and _threads() == 1:
             counts = _forked_counts(path, parts)
     if counts is None:
-        with open(path, encoding="utf-8-sig") as lines:
-            return tally_csv(lines, study_name)
-    return _table(counts, None, study_name)
+        return _read_input(path, lambda lines: tally_csv(lines, study_name))
+    return _read_input(path, lambda lines: _table(counts, None, study_name))
 
 
 def _threads() -> int:

@@ -181,6 +181,47 @@ class TestNonUtf8Input:
         assert "Traceback" not in err
 
 
+class TestContentErrorNamesTheFile:
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (
+                ("lr", "--table"),
+                "statement,same_source_count,different_source_count\nID,x,2\n",
+                "line 2: count 'x' is not an integer",
+            ),
+            (
+                ("interval", "--statement", "ID", "--method", "dirichlet", "--table"),
+                "statement,same_source_count,different_source_count\n",
+                "aggregated table has a header but no category rows",
+            ),
+            (("report", "--summary"), "study,LR\na,1,2\n", "line 2: expected 2 cells, got 3"),
+            (
+                ("tally", "--in"),
+                "examiner_id,item_id,ground_truth,statement\ne1,i1,same,ID\ne2,i2,maybe,ID\n",
+                "line 3: unknown ground-truth token 'maybe'",
+            ),
+            (
+                ("tally", "--in"),
+                "examiner_id,item_id,ground_truth,statement\n",
+                "cannot tally zero records without a declared vocabulary",
+            ),
+            (
+                ("simulate", "--profile"),
+                PROFILE_CFG.replace("0.75, 0.2, 0.05", "0.75, 0.2, 0.15"),
+                "p_given_h1 must sum to 1, got 1.1",
+            ),
+        ],
+        ids=["lr", "interval", "summary", "tally", "tally-header-only", "simulate"],
+    )
+    def test_message_starts_with_the_path(self, tmp_path, argv, content, message):
+        path = tmp_path / "input.txt"
+        path.write_text(content, encoding="utf-8")
+        code, out, err = invoke(*argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"data error: {path}: {message}")
+
+
 class TestByteOrderMark:
     TABLE = "# a study\nstatement,same_source_count,different_source_count\nID,30,2\nElim,4,50\n"
     RECORDS = "ground_truth,statement,examiner_id,item_id\nsame,ID,e1,i1\ndifferent,Elim,e2,i2\n"
@@ -417,14 +458,15 @@ class TestSimulateCommand:
         cfg.write_text(PROFILE_CFG.replace("n_h1 = 50", f"n_h1 = {10**12}"), encoding="utf-8")
         code, out, err = invoke("simulate", "--profile", str(cfg))
         assert (code, out) == (2, "")
-        assert err == f"data error: n_h1 + n_h2 must be at most 10000000, got {10**12 + 80}\n"
+        message = f"n_h1 + n_h2 must be at most 10000000, got {10**12 + 80}"
+        assert err == f"data error: {cfg}: {message}\n"
 
     def test_probabilities_not_summing_to_one_is_data_error(self, tmp_path):
         cfg = tmp_path / "profile.cfg"
         cfg.write_text(PROFILE_CFG.replace("0.75, 0.2, 0.05", "0.75, 0.2, 0.15"), encoding="utf-8")
         code, out, err = invoke("simulate", "--profile", str(cfg))
         assert (code, out) == (2, "")
-        assert err == "data error: p_given_h1 must sum to 1, got 1.1\n"
+        assert err == f"data error: {cfg}: p_given_h1 must sum to 1, got 1.1\n"
 
     def test_output_with_quoted_label_is_pinned(self, tmp_path):
         cfg = tmp_path / "profile.cfg"
@@ -467,7 +509,8 @@ class TestSimulateCommand:
         cfg.write_text(PROFILE_CFG.replace("Elimination", "50% sure"), encoding="utf-8")
         code, out, err = invoke("simulate", "--profile", str(cfg))
         assert (code, out) == (2, "")
-        assert err.startswith("data error: malformed profile value: '%' must be followed by")
+        message = "malformed profile value: '%' must be followed by"
+        assert err.startswith(f"data error: {cfg}: {message}")
 
     def test_label_that_cannot_read_back_is_data_error(self, tmp_path):
         # an indented line continues the categories value, so a label spans two lines

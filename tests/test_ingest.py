@@ -2,6 +2,7 @@ import builtins
 import csv
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from catlr.ingest import (
     _BLOCK_LINES,
     IngestError,
     _blocks,
+    _read_input,
     emit_aggregated,
     load_table,
     parse_aggregated,
 )
 from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
-from catlr.records import parse_records, tally, tally_csv
+from catlr.records import parse_records, tally, tally_csv, tally_file
 from catlr.report import read_display_fixture
 from catlr.simulate import _BLOCK_ROWS, RecordBatch, emit_records
 
@@ -998,6 +1000,45 @@ class TestLoadTable:
         assert outcome == expected
         if isinstance(outcome, ConfusionTable):
             assert outcome.study_name == "study"
+
+
+class TestReadInput:
+    def test_reads_the_lines_with_a_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"\xef\xbb\xbfa\nb\n")
+        assert _read_input(path, list) == ["a\n", "b\n"]
+
+    @pytest.mark.parametrize("error", [DataError, IngestError])
+    def test_a_data_error_keeps_its_type_and_names_the_file(self, tmp_path, error):
+        path = tmp_path / "input.csv"
+        path.write_text("a\n", encoding="utf-8")
+
+        def read(lines):
+            raise error("line 1: bad")
+
+        with pytest.raises(DataError) as raised:
+            _read_input(path, read)
+        assert type(raised.value) is error
+        assert str(raised.value) == f"{path}: line 1: bad"
+
+    def test_bytes_that_are_not_utf8_are_an_ingest_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"a\n\xff\n")
+        with pytest.raises(IngestError) as raised:
+            _read_input(path, list)
+        assert str(raised.value) == f"{path}: not valid UTF-8 (invalid start byte)"
+
+    def test_a_missing_file_is_the_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            _read_input(tmp_path / "missing.csv", list)
+
+    def test_tally_file_names_the_table_and_its_errors_after_the_file(self, tmp_path):
+        path = tmp_path / "study.csv"
+        path.write_text(f"{RAW_HEADER}\ne1,i1,same,ID\n", encoding="utf-8")
+        assert tally_file(path).study_name == "study"
+        path.write_text(f"{RAW_HEADER}\ne1,i1,maybe,ID\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: line 2: unknown"):
+            tally_file(path)
 
 
 _STILL_OPEN = (

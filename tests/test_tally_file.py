@@ -28,7 +28,7 @@ _PATH = os.pathsep.join([str(Path(catlr.__file__).parents[1]), str(Path(__file__
 # CPUs, and a count of forks.
 _PRELUDE = """
 import json, os, sys
-from catlr import records
+from catlr import ingest, records
 
 cpus = int(sys.argv[1])
 records._PART_BYTES = 4096
@@ -62,15 +62,14 @@ def outcome(tally):
     return [table.categories, table.same_source, table.different_source, table.study_name]
 
 def serial():
-    with open(path, encoding="utf-8-sig") as lines:
-        return records.tally_csv(lines, "s")
+    return ingest._read_input(path, lambda lines: records.tally_csv(lines, "records"))
 
 path = sys.argv[2]
 if sys.argv[3:] == ["thread"]:
     import threading
     stop = threading.Event()
     threading.Thread(target=stop.wait).start()
-forked = outcome(lambda: records.tally_file(path, "s"))
+forked = outcome(lambda: records.tally_file(path))
 if sys.argv[3:] == ["thread"]:
     stop.set()
 result = {"forked": forked, "serial": outcome(serial), "forks": forks, "unreaped": unreaped()}
@@ -142,6 +141,10 @@ def test_tally_file_equals_tally_csv(tmp_path, case, cpus):
     path.write_bytes(data)
     result = _run(_TALLY, cpus, path)
     assert result["forked"] == result["serial"]
+    if isinstance(result["forked"][0], str):  # an error, which names the file
+        assert result["forked"][1].startswith(f"{path}: ")
+    else:  # a table, named after the file's stem
+        assert result["forked"][3] == "records"
     assert (result["forks"] > 0) == forks
     assert result["forks"] < cpus
     assert not result["unreaped"]
