@@ -128,10 +128,10 @@ def presentation_round(lr: float | None, zero_count_bound: float | None = None) 
     An infinite ratio renders as "∞", or as "> <bound>" when the caller
     supplies the one-sided bound that replaces it (see
     ``uncertainty.zero_count_lower_bound``).  An exact zero renders as
-    "0".  An undefined (0/0) ratio has no display form and raises.
+    "0".  An undefined (0/0) ratio renders as "undefined".
     """
     if lr is None:
-        raise DataError("undefined likelihood ratio (0/0) has no display form")
+        return "undefined"
     if math.isinf(check_lr(lr)):
         if zero_count_bound is None:
             return "∞"

@@ -189,9 +189,9 @@ class TestPresentationRound:
     def test_infinite_with_bound_text(self):
         assert presentation_round(math.inf, zero_count_bound=100.64) == "> 101"
 
-    def test_undefined_rejected(self):
-        with pytest.raises(DataError, match="undefined"):
-            presentation_round(None)
+    def test_undefined_renders_as_undefined(self):
+        assert presentation_round(None) == "undefined"
+        assert presentation_round(None, zero_count_bound=100.64) == "undefined"
 
     def test_negative_rejected(self):
         with pytest.raises(DataError):

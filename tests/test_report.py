@@ -95,6 +95,13 @@ class TestJsonOutput:
         assert rows[0]["lr"] is None
         assert rows[0]["lr_display"] == "∞"
 
+    def test_undefined_lr_is_null_with_undefined_display_in_every_format(self):
+        t = ConfusionTable(("a", "none", "b"), (5, 0, 5), (0, 0, 10))
+        rows = json.loads(render_lr_table(t, "json"))
+        assert (rows[1]["lr"], rows[1]["lr_display"]) == (None, "undefined")
+        assert render_lr_table(t, "csv").splitlines()[1] == "LR,∞,undefined,1 / 2"
+        assert render_lr_table(t, "md").splitlines()[2] == "| LR | ∞ | undefined | 1 / 2 |"
+
     def test_zero_count_bound_display(self):
         t = ConfusionTable(("a", "b"), (5, 5), (0, 10))
         text = render_lr_table(t, "json", lower_bounds={"a": 12.3})
@@ -148,6 +155,14 @@ class TestRenderSummaryTable:
             [("x", "1")], "csv", headers=("statement", "LR")
         )
         assert text.splitlines()[0] == "statement,LR"
+
+    def test_one_cell_entries_rejected(self):
+        with pytest.raises(DataError, match="^each entry needs a name and at least one display"):
+            render_summary_table([("a",), ("b",)])
+
+    def test_headers_wider_than_the_entries_rejected(self):
+        with pytest.raises(DataError, match="^3 headers for entries of width 2$"):
+            render_summary_table([("a", "1")], headers=("", "LR", "extra"))
 
     def test_inconsistent_widths_rejected(self):
         with pytest.raises(DataError, match="inconsistent"):
