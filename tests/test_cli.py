@@ -113,6 +113,17 @@ class TestExitCodes:
         assert code == 1
         assert "smoothing" in err
 
+    @pytest.mark.parametrize("value", ["alpha=abc", "alpha=0", "alpha=nan"])
+    def test_smoothing_alpha_that_is_not_a_positive_number_is_usage_error(
+        self, bullets_csv, value
+    ):
+        code, out, err = invoke("lr", "--table", bullets_csv, "--smoothing", value)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"usage error: argument --smoothing: invalid smoothing {value!r}: "
+            "expected 'none' or 'alpha=<positive number>'\n"
+        )
+
 
 COMMAND_NAMES = ("tally", "lr", "report", "posterior", "adjust", "interval", "simulate")
 

@@ -287,6 +287,10 @@ class TestSmoothingPolicy:
         with pytest.raises(DataError):
             SmoothingPolicy.add_alpha(-1.0)
 
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(DataError, match="^alpha must be a finite number, got nan$"):
+            SmoothingPolicy(float("nan"))
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(DataError):
             SmoothingPolicy(-0.5)

@@ -166,6 +166,10 @@ class TestVerbalScaleValidation:
         with pytest.raises(DataError, match="non-empty"):
             VerbalScale("s", ((0.0, "a"), (1.0, " ")))
 
+    def test_edges_finite(self):
+        with pytest.raises(DataError, match="^band edges must be finite$"):
+            VerbalScale("s", ((0.0, "a"), (math.inf, "b")))
+
     def test_needs_at_least_one_band(self):
         with pytest.raises(DataError):
             VerbalScale("s", ())

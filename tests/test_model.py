@@ -126,11 +126,24 @@ class TestRecordBatch:
         assert batch != RecordBatch(("a", "b"), [0, 0], [0, 1])
         assert batch != RecordBatch(("a", "b"), [0, 1, 1], [0, 1, 1])
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        batch = RecordBatch(("a",), [0], [0])
+        assert batch.__eq__(list(batch)) is NotImplemented
+        assert batch != list(batch)
+
+    def test_repr_names_the_size_and_categories(self):
+        batch = RecordBatch(("a", "b"), [0, 1, 1], [1, 0, 1])
+        assert repr(batch) == "RecordBatch(3 records, categories=['a', 'b'])"
+
 
 class TestConfusionTable:
     def test_row_totals_bullets(self, bullets):
         assert bullets.row_total(SAME) == 1429
         assert bullets.row_total(DIFF) == 2891
+
+    def test_empty_label_rejected(self):
+        with pytest.raises(DataError, match="^category labels must be non-empty$"):
+            ConfusionTable(("a", ""), (1, 2), (3, 4))
 
     def test_all_zero_rows_total_zero(self):
         t = ConfusionTable(("a", "b"), (0, 0), (0, 0))

@@ -28,6 +28,10 @@ class TestPanelProfile:
         with pytest.raises(DataError, match="sum to 1"):
             PanelProfile(("a", "b"), (0.6, 0.5), (0.5, 0.5), 10, 10)
 
+    def test_categories_must_be_unique(self):
+        with pytest.raises(DataError, match=r"^categories must be non-empty and unique: \('a', 'a'\)$"):
+            PanelProfile(("a", "a"), (0.5, 0.5), (0.5, 0.5), 10, 10)
+
     def test_lengths_must_match(self):
         with pytest.raises(DataError):
             PanelProfile(("a", "b"), (1.0,), (0.5, 0.5), 10, 10)
