@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
 files, invalid values).  Plain-text numeric output uses 4 significant
 digits; pass --format for the display convention or machine formats.
-Output is undecorated text (NO_COLOR is trivially honored).
+Output is undecorated text (NO_COLOR is trivially honored), written by
+``_write`` alone as UTF-8 with "\n" line ends, to stdout or an --out file
+alike, whatever the locale's encoding.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from typing import IO, TYPE_CHECKING, Iterator
+from contextlib import redirect_stderr, redirect_stdout
+from typing import IO, TYPE_CHECKING, Iterable
 
 # Each command imports the modules it runs when it runs: a call pays only
 # for its own code, and only drawing commands load numpy.
@@ -55,69 +57,71 @@ def _smoothing_arg(text: str) -> SmoothingPolicy:
     )
 
 
-@contextmanager
-def _output(out_path: str | None, out: IO[str]) -> Iterator[IO[str]]:
-    """The file at ``out_path`` opened for writing, or ``out`` when no path is given."""
-    if not out_path:
-        yield out
-        return
-    with open(out_path, "w", encoding="utf-8") as handle:
-        yield handle
+def _write(output: str | Iterable[bytes], out_path: str | None, out: IO[str]) -> None:
+    """Write a command's output, text or UTF-8 pieces, as UTF-8 with "\n" line ends.
+
+    It goes to the file at ``out_path``, else to the binary buffer under
+    ``out``, else (a text stream without one, such as ``io.StringIO``) to
+    ``out`` as text.  A file name that is not UTF-8, which names a study,
+    is written as the bytes it was given.
+    """
+    pieces = (output.encode("utf-8", "surrogateescape"),) if isinstance(output, str) else output
+    if out_path:
+        with open(out_path, "wb") as handle:
+            handle.writelines(pieces)
+    elif hasattr(out, "buffer"):
+        out.flush()
+        out.buffer.writelines(pieces)
+    else:
+        out.writelines(piece.decode("utf-8", "surrogateescape") for piece in pieces)
 
 
-def _cmd_tally(args, out):
+def _cmd_tally(args):
     from .ingest import emit_aggregated
     from .records import tally_file
 
-    table = tally_file(args.infile)
-    with _output(args.out, out) as handle:
-        handle.write(emit_aggregated(table))
+    return emit_aggregated(tally_file(args.infile))
 
 
-def _cmd_lr(args, out):
+def _cmd_lr(args):
     if args.format is None:
         from .engine import full_table_lrs
         from .ingest import load_table
 
-        table = load_table(args.table)
-        for est in full_table_lrs(table, args.smoothing):
-            out.write(f"{est.statement}\t{_fmt(est.lr)}\n")
-        return
+        estimates = full_table_lrs(load_table(args.table), args.smoothing)
+        return "".join(f"{est.statement}\t{_fmt(est.lr)}\n" for est in estimates)
     from .report import build_report
 
-    out.write(build_report(args.table, args.format, args.smoothing))
+    return build_report(args.table, args.format, args.smoothing)
 
 
-def _cmd_report(args, out):
+def _cmd_report(args):
     from .ingest import _read_input
     from .report import build_report, read_display_fixture, render_summary_table
 
     if args.summary:
         headers, rows = _read_input(args.summary, read_display_fixture)
-        text = render_summary_table(rows, args.format, headers=headers)
-    else:
-        if not args.table:
-            raise DataError("report needs --table or --summary")
-        text = build_report(
-            args.table, args.format, args.smoothing, args.interval, args.level, args.seed
-        )
-    with _output(args.out, out) as handle:
-        handle.write(text)
+        return render_summary_table(rows, args.format, headers=headers)
+    if not args.table:
+        raise DataError("report needs --table or --summary")
+    return build_report(
+        args.table, args.format, args.smoothing, args.interval, args.level, args.seed
+    )
 
 
-def _cmd_posterior(args, out):
+def _cmd_posterior(args):
     from .interpret import posterior_probability
 
-    out.write(_fmt(posterior_probability(args.prior, args.lr)) + "\n")
+    return _fmt(posterior_probability(args.prior, args.lr)) + "\n"
 
 
-def _cmd_adjust(args, out):
+def _cmd_adjust(args):
     from .interpret import hardness_adjust
 
-    out.write(_fmt(hardness_adjust(args.lr, args.fraction)) + "\n")
+    return _fmt(hardness_adjust(args.lr, args.fraction)) + "\n"
 
 
-def _cmd_interval(args, out):
+def _cmd_interval(args):
     from .ingest import load_table
     from .uncertainty import INTERVAL_METHODS
 
@@ -129,20 +133,14 @@ def _cmd_interval(args, out):
     interval = INTERVAL_METHODS[args.method](
         table, args.statement, level=args.level, seed=args.seed, **options
     )
-    out.write(f"{_fmt(interval.lower)}\t{_fmt(interval.upper)}\n")
+    return f"{_fmt(interval.lower)}\t{_fmt(interval.upper)}\n"
 
 
-def _cmd_simulate(args, out):
+def _cmd_simulate(args):
     from .ingest import _read_input
-    from .simulate import _record_pieces, emit_records, load_profile, simulate_study
+    from .simulate import _record_pieces, load_profile, simulate_study
 
-    records = simulate_study(_read_input(args.profile, load_profile))
-    if not args.out:
-        emit_records(records, out)
-        return
-    # the UTF-8 pieces as they are: every line ends in "\n" on every platform
-    with open(args.out, "wb") as handle:
-        handle.writelines(_record_pieces(records))
+    return _record_pieces(simulate_study(_read_input(args.profile, load_profile)))
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -235,7 +233,7 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        args.func(args, out)
+        _write(args.func(args), getattr(args, "out", None), out)
         return 0
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=err)

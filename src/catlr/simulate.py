@@ -250,7 +250,8 @@ def emit_records(records: Sequence[EvaluationRecord], out: IO[str] | None = None
 
 def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[bytes]:
     """Raw-records CSV as UTF-8 bytes in pieces: a batch one chunk of 1000
-    item numbers per piece.  ``catlr simulate --out`` writes them as they are."""
+    item numbers per piece.  ``catlr simulate`` writes them as they are, to
+    stdout or ``--out``."""
     if not isinstance(records, RecordBatch):
         rows = ((r.examiner_id, r.item_id, r.truth.value, r.statement) for r in records)
         yield _csv_text(RAW_HEADER, rows).encode("utf-8")
