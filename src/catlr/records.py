@@ -7,6 +7,7 @@ schema are described in ``catlr.ingest``, which this module reads through.
 from __future__ import annotations
 
 import csv
+import sys
 from collections import Counter
 from itertools import chain, repeat
 from operator import itemgetter
@@ -26,8 +27,6 @@ from .model import ConfusionTable, EvaluationRecord, GroundTruth
 
 if TYPE_CHECKING:
     from os import PathLike
-
-    from .simulate import RecordBatch
 
 _Block = tuple[Sequence[int], list[str]]  # physical line numbers, lines (see ingest._blocks)
 
@@ -192,7 +191,6 @@ def tally_file(path: str | PathLike) -> ConfusionTable:
 def _threads() -> int:
     """The number of threads this process runs; a fork copies only the caller."""
     import os
-    import sys
 
     try:
         return len(os.listdir("/proc/self/task"))
@@ -414,29 +412,11 @@ def tally(
     categories are retained), else first appearance in the records.  A
     ``RecordBatch`` is counted from its code arrays without row views.
     """
-    from .simulate import RecordBatch
-
-    if isinstance(records, RecordBatch):
-        counts = _batch_counts(records)
+    # a RecordBatch exists only once its module has loaded: a list of records
+    # is tallied without loading catlr.simulate or numpy
+    simulate = sys.modules.get("catlr.simulate")
+    if simulate is not None and isinstance(records, simulate.RecordBatch):
+        counts = simulate._batch_counts(records)
     else:
         counts = Counter((record.truth, record.statement) for record in records)
     return _table(counts, vocabulary, study_name)
-
-
-def _batch_counts(batch: RecordBatch) -> dict[tuple[GroundTruth, str], int]:
-    """Nonzero (truth, statement) counts of a batch, statements in first-appearance order."""
-    # imported here, not at module level: only a RecordBatch needs numpy
-    import numpy as np
-
-    k = len(batch.categories)
-    codes = batch.statement_codes
-    keys = batch.truth_codes.astype(np.intp) * k + codes
-    rows = np.bincount(keys, minlength=2 * k).reshape(2, k).tolist()
-    present, first = np.unique(codes, return_index=True)
-    counts = {}
-    for code in present[np.argsort(first)].tolist():
-        for truth, row in zip(GroundTruth, rows):
-            if row[code]:
-                counts[(truth, batch.categories[code])] = row[code]
-    return counts
-

@@ -235,6 +235,23 @@ class RecordBatch(Sequence):
 _TRUTHS = tuple(GroundTruth)
 
 
+def _batch_counts(batch: RecordBatch) -> dict[tuple[GroundTruth, str], int]:
+    """Nonzero (truth, statement) counts of a batch, statements in first-appearance order."""
+    import numpy as np
+
+    k = len(batch.categories)
+    codes = batch.statement_codes
+    keys = batch.truth_codes.astype(np.intp) * k + codes
+    rows = np.bincount(keys, minlength=2 * k).reshape(2, k).tolist()
+    present, first = np.unique(codes, return_index=True)
+    counts = {}
+    for code in present[np.argsort(first)].tolist():
+        for truth, row in zip(GroundTruth, rows):
+            if row[code]:
+                counts[(truth, batch.categories[code])] = row[code]
+    return counts
+
+
 def emit_records(records: Sequence[EvaluationRecord], out: IO[str] | None = None) -> str | None:
     """Serialize records in the raw-records schema (round-trips with parse_records).
 

@@ -27,6 +27,13 @@ seed = 42
 """
 
 
+def _subprocess_env(**overrides):
+    """The environment of a ``python -m catlr.cli`` subprocess that imports this catlr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
 def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdout=out, stderr=err)
@@ -565,13 +572,9 @@ class TestSimulateCommand:
         cfg = tmp_path / "profile.cfg"
         cfg.write_text(self.BINARY_PROFILE, encoding="utf-8")
         out_path = tmp_path / "records.csv"
-        src = str(Path(cli.__file__).resolve().parents[1])
-        # stdout is a text stream in the locale's encoding; UTF-8 here, as the file is
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-            "PYTHONIOENCODING": "utf-8",
-        }
+        # stdout asks for Latin-1, which cannot encode the labels: the
+        # command writes UTF-8 whatever stdout's encoding is
+        env = _subprocess_env(PYTHONIOENCODING="latin-1")
         argv = [sys.executable, "-m", "catlr.cli", "simulate", "--profile", str(cfg)]
         to_stdout = subprocess.run(argv, env=env, capture_output=True, check=True)
         to_file = subprocess.run(
@@ -589,6 +592,50 @@ class TestSimulateCommand:
         code, _, err = invoke("simulate", "--profile", str(cfg))
         assert code == 2
         assert "missing key" in err
+
+
+class TestOutputPolicy:
+    """Every command writes UTF-8 with "\\n" line ends, whatever stdout's encoding."""
+
+    INFINITE = "statement,same_source_count,different_source_count\nID,100,0\nElim,3,40\n"
+
+    def test_ascii_stdout_prints_the_utf8_of_an_infinite_lr(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text(self.INFINITE, encoding="utf-8")
+        argv = ["lr", "--table", str(table), "--format", "md"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "catlr.cli", *argv],
+            env=_subprocess_env(PYTHONIOENCODING="ascii"),
+            capture_output=True,
+        )
+        code, text, _ = invoke(*argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == text.encode("utf-8")
+        assert "∞" in text and "\r" not in text
+
+    def test_text_stream_with_a_buffer_gets_utf8_after_what_it_held(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text(self.INFINITE, encoding="utf-8")
+        raw = io.BytesIO()
+        stdout = io.TextIOWrapper(raw, encoding="ascii", newline="\r\n")
+        stdout.write("before\n")
+        code = run(["lr", "--table", str(table), "--format", "md"], stdout=stdout)
+        _, text, _ = invoke("lr", "--table", str(table), "--format", "md")
+        assert code == 0
+        assert raw.getvalue() == b"before\r\n" + text.encode("utf-8")
+
+    def test_study_named_by_a_non_utf8_file_name_prints_its_bytes(self, tmp_path):
+        name = os.fsdecode(b"study\xff.csv")
+        try:
+            (tmp_path / name).write_text(self.INFINITE, encoding="utf-8")
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the file system does not take a non-UTF-8 file name")
+        out = tmp_path / "report.json"
+        code, _, err = invoke(
+            "report", "--table", str(tmp_path / name), "--format", "json", "--out", str(out)
+        )
+        assert (code, err) == (0, "")
+        assert b'"study": "study\xff"' in out.read_bytes()
 
 
 class TestReportCommand:

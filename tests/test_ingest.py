@@ -1,8 +1,12 @@
 import builtins
 import csv
 import io
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -661,6 +665,22 @@ class TestTallyOfBatch:
             assert str(info.value) == str(exc)
             return
         assert tally(batch, vocabulary=vocabulary) == expected
+
+    def test_tally_of_a_list_loads_neither_simulate_nor_numpy(self):
+        script = (
+            "import sys\n"
+            "from catlr.model import EvaluationRecord, GroundTruth\n"
+            "from catlr.records import tally\n"
+            "tally([EvaluationRecord('e1', 'i1', GroundTruth.SAME_SOURCE, 'ID')])\n"
+            "print('catlr.simulate' in sys.modules, 'numpy' in sys.modules)\n"
+        )
+        src = str(Path(catlr.records.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.split() == ["False", "False"]
 
 
 class TestParseAggregated:
