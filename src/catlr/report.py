@@ -8,7 +8,8 @@ unrounded numbers.
 JSON row schema: ``statement``, ``lr`` (number, or null when infinite or
 undefined), ``lr_display``, ``p_h1``, ``p_h2``, and optionally
 ``interval`` with ``lower`` / ``upper`` (null when infinite), ``level``
-and ``method``.
+and ``method``; a bootstrap ``interval`` is null for an undefined (0/0)
+point LR, as its every replicate is undefined too.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ def _json_number(value: float) -> float | None:
     return None if (value is None or math.isinf(value)) else value
 
 
-def _interval_payload(interval: Interval) -> dict:
+def _interval_payload(interval: Interval | None) -> dict | None:
+    if interval is None:
+        return None
     return {
         "lower": _json_number(interval.lower),
         "upper": _json_number(interval.upper),
@@ -76,7 +79,7 @@ def _interval_payload(interval: Interval) -> dict:
 def lr_rows_payload(
     table: ConfusionTable,
     smoothing: SmoothingPolicy = NO_SMOOTHING,
-    intervals: Mapping[str, Interval] | None = None,
+    intervals: Mapping[str, Interval | None] | None = None,
     lower_bounds: Mapping[str, float] | None = None,
 ) -> list[dict]:
     """JSON-ready rows, one per category in table order."""
@@ -100,7 +103,7 @@ def render_lr_table(
     table: ConfusionTable,
     fmt: str = "md",
     smoothing: SmoothingPolicy = NO_SMOOTHING,
-    intervals: Mapping[str, Interval] | None = None,
+    intervals: Mapping[str, Interval | None] | None = None,
     lower_bounds: Mapping[str, float] | None = None,
 ) -> str:
     """One column per category, one "LR" row of display strings.
@@ -214,6 +217,11 @@ def build_report(
         from .uncertainty import INTERVAL_METHODS
 
         method = INTERVAL_METHODS[interval_method]
-        intervals = {s: method(table, s, level=level, seed=seed) for s in table.categories}
+        # every bootstrap replicate of a 0/0 row is 0/0 as well: it has no interval
+        intervals = {
+            e.statement: None if e.lr is None and interval_method == "bootstrap"
+            else method(table, e.statement, level=level, seed=seed)
+            for e in full_table_lrs(table)
+        }
     statements = lr_rows_payload(table, smoothing, intervals)
     return canonical_json([{"study": table.study_name, "statements": statements}])

@@ -260,6 +260,20 @@ class TestBuildReport:
         assert id_row["interval"]["lower"] < 108.84 < id_row["interval"]["upper"]
         assert build_report(str(path), **options) == text  # deterministic
 
+    def test_bootstrap_of_an_undefined_row_is_null_and_other_rows_keep_theirs(self, tmp_path):
+        path = tmp_path / "undefined.csv"
+        table = ConfusionTable(("ID", "NONE", "Elim"), (90, 0, 10), (10, 0, 90))
+        path.write_text(emit_aggregated(table), encoding="utf-8")
+        bootstrap, dirichlet = (
+            json.loads(build_report(path, "json", interval_method=method))[0]["statements"]
+            for method in ("bootstrap", "dirichlet")
+        )
+        assert bootstrap[1]["interval"] is None
+        assert bootstrap[0]["interval"]["lower"] < 9 < bootstrap[0]["interval"]["upper"]
+        assert bootstrap[2]["interval"]["method"].startswith("bootstrap")
+        # a Dirichlet draw is smoothed by its prior: the 0/0 row has an interval
+        assert dirichlet[1]["interval"]["method"].startswith("dirichlet")
+
 
 def test_infinite_interval_endpoint_serializes_as_null():
     t = ConfusionTable(("a", "b"), (5, 5), (1, 9))
