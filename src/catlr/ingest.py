@@ -158,7 +158,9 @@ def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> Confu
         if cells == AGGREGATED_HEADER:
             break
         if set(RAW_HEADER) <= set(cells):
-            raise IngestError("declared aggregated-table but header says raw-records")
+            raise IngestError(
+                "header has the raw-records columns; tally such a file first with 'catlr tally'"
+            )
         raise IngestError(f"header {','.join(cells)} matches no known schema; {expected}")
     else:
         raise IngestError(f"no header line found; {expected}")

@@ -94,7 +94,7 @@ class TestExitCodes:
     def test_records_file_as_table_is_data_error(self, records_csv, fmt):
         code, out, err = invoke("lr", "--table", records_csv, *fmt)
         assert (code, out) == (2, "")
-        assert "declared aggregated-table but header says raw-records" in err
+        assert "header has the raw-records columns; tally such a file first with 'catlr tally'" in err
 
     def test_unknown_header_names_expected_schemas(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -898,7 +898,7 @@ class TestTallyCommandProperty:
 AGGREGATED_HEADER = "statement,same_source_count,different_source_count"
 _EXPECTED_SCHEMAS = f"expected {AGGREGATED_HEADER} or {RAW_HEADER}"
 _NO_SCHEMA = f"matches no known schema; {_EXPECTED_SCHEMAS}"
-_RAW_AS_TABLE = "declared aggregated-table but header says raw-records"
+_RAW_AS_TABLE = "header has the raw-records columns; tally such a file first with 'catlr tally'"
 _AGGREGATED_FAULTS = (
     "s9,-3,1",
     "s9,two,1",
