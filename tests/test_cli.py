@@ -9,11 +9,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catlr import cli, fixtures
 from catlr.cli import run
 from catlr.ingest import emit_aggregated, parse_aggregated
+from catlr.model import ConfusionTable
 from catlr.records import parse_records, tally
+from catlr.report import canonical_json
 from catlr.simulate import emit_records, load_profile, simulate_study
 
 PROFILE_CFG = """
@@ -636,6 +640,48 @@ class TestOutputPolicy:
         )
         assert (code, err) == (0, "")
         assert b'"study": "study\xff"' in out.read_bytes()
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of 1-6 categories with counts 0-50: zero cells, 0/0 and infinite LRs occur."""
+    labels = draw(
+        st.lists(
+            st.sampled_from(("ID", "Inconclusive, A", "Élimination", 'say "no"', "a|b", "∞")),
+            min_size=1, max_size=6, unique=True,
+        )
+    )
+    counts = st.lists(st.integers(0, 50), min_size=len(labels), max_size=len(labels))
+    return ConfusionTable(labels, draw(counts), draw(counts))
+
+
+def _every_call(path, statement):
+    """Each command, format, smoothing and interval over the table at ``path``."""
+    for smoothing in ((), ("--smoothing", "alpha=0.5")):
+        yield ("lr", "--table", path, *smoothing)
+        for fmt in ("md", "csv", "json"):
+            yield ("lr", "--table", path, "--format", fmt, *smoothing)
+    for fmt in ("md", "csv", "json"):
+        for interval in ((), ("--interval", "bootstrap"), ("--interval", "dirichlet")):
+            yield ("report", "--table", path, "--format", fmt, *interval)
+    for method in ("bootstrap", "dirichlet"):
+        yield ("interval", "--table", path, "--statement", statement, "--method", method)
+
+
+class TestEveryTableThroughEveryCommand:
+    @settings(max_examples=40, deadline=None)
+    @given(table=small_tables(), data=st.data())
+    def test_renders_or_exits_2_with_a_data_error(self, tmp_path_factory, table, data):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        path.write_text(emit_aggregated(table), encoding="utf-8")
+        statement = data.draw(st.sampled_from(table.categories))
+        for argv in _every_call(str(path), statement):
+            code, out, err = invoke(*argv)
+            assert code in (0, 2), (argv, err)
+            if code == 2:
+                assert (out, err.startswith("data error: ")) == ("", True), argv
+            elif "json" in argv:
+                assert out == canonical_json(json.loads(out)), argv
 
 
 class TestReportCommand:
