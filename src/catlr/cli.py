@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
-files, invalid values).  Plain-text numeric output uses 4 significant
+files, invalid values), 141 (128 + SIGPIPE) when the reader of stdout
+closes it early, as ``| head`` does, with nothing printed.  Plain-text numeric output uses 4 significant
 digits; pass --format for the display convention or machine formats.
 Output is undecorated text (NO_COLOR is trivially honored), written by
 ``_write`` alone as UTF-8 with "\n" line ends, to stdout or an --out file
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from typing import IO, TYPE_CHECKING, Iterable
@@ -22,6 +24,9 @@ from .model import FORMATS, INTERVAL_METHOD_NAMES, DataError
 
 if TYPE_CHECKING:
     from .engine import SmoothingPolicy
+
+
+_BROKEN_PIPE = 141  # a shell's status for a process that SIGPIPE ended
 
 
 class _UsageError(Exception):
@@ -72,6 +77,7 @@ def _write(output: str | Iterable[bytes], out_path: str | None, out: IO[str]) ->
     elif hasattr(out, "buffer"):
         out.flush()
         out.buffer.writelines(pieces)
+        out.buffer.flush()  # a closed pipe raises here, not at interpreter exit
     else:
         out.writelines(piece.decode("utf-8", "surrogateescape") for piece in pieces)
 
@@ -86,10 +92,11 @@ def _cmd_tally(args):
 def _cmd_lr(args):
     if args.format is None:
         from .engine import full_table_lrs
-        from .ingest import load_table
+        from .ingest import use_table
 
-        estimates = full_table_lrs(load_table(args.table), args.smoothing)
-        return "".join(f"{est.statement}\t{_fmt(est.lr)}\n" for est in estimates)
+        return use_table(args.table, lambda table: "".join(
+            f"{est.statement}\t{_fmt(est.lr)}\n" for est in full_table_lrs(table, args.smoothing)
+        ))
     from .report import build_report
 
     return build_report(args.table, args.format, args.smoothing)
@@ -122,17 +129,18 @@ def _cmd_adjust(args):
 
 
 def _cmd_interval(args):
-    from .ingest import load_table
-    from .uncertainty import INTERVAL_METHODS
+    from .ingest import use_table
+    from .model import check_seed
+    from .uncertainty import INTERVAL_METHODS, check_interval_options
 
-    table = load_table(args.table)
     if args.method == "bootstrap":
-        options = {"replicates": args.replicates}
-    else:
-        options = {"alpha": args.alpha, "draws": args.draws}
-    interval = INTERVAL_METHODS[args.method](
-        table, args.statement, level=args.level, seed=args.seed, **options
-    )
+        options = {"replicates": args.replicates, "level": args.level, "seed": args.seed}
+    else:  # the Dirichlet interval is computed: --seed is checked, and changes nothing
+        check_seed(args.seed)
+        options = {"alpha": args.alpha, "level": args.level}
+    check_interval_options(args.method, **options)
+    method = INTERVAL_METHODS[args.method]
+    interval = use_table(args.table, lambda table: method(table, args.statement, **options))
     return f"{_fmt(interval.lower)}\t{_fmt(interval.upper)}\n"
 
 
@@ -203,7 +211,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--level", type=float, default=0.95)
         p.add_argument("--replicates", type=int, default=2000)
-        p.add_argument("--draws", type=int, default=10000)
         p.add_argument("--alpha", type=float, default=0.5)
         p.add_argument("--workers", type=int, default=1, help="deprecated; ignored")
         p.set_defaults(func=_cmd_interval)
@@ -235,6 +242,12 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
     try:
         _write(args.func(args), getattr(args, "out", None), out)
         return 0
+    except BrokenPipeError:
+        # the reader is gone, so is the rest of the output; stdout's unflushed
+        # bytes go to devnull, so that the interpreter's last flush is silent
+        if out is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return _BROKEN_PIPE
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=err)
         return 2

@@ -205,7 +205,8 @@ def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> Confu
 def _read_input(path: str | Path, read: Callable[[IO[str]], Any]) -> Any:
     """``read`` of the lines of the input file at ``path``, the one rule for
     every input file: UTF-8, a leading byte-order mark skipped, and each
-    DataError raised as it is read, a decode failure included, naming it."""
+    DataError raised as it is read or its content used by ``read``, a decode
+    failure included, naming it."""
     try:
         with open(path, encoding="utf-8-sig") as lines:
             return read(lines)
@@ -217,7 +218,14 @@ def _read_input(path: str | Path, read: Callable[[IO[str]], Any]) -> Any:
 
 def load_table(path: str | Path) -> ConfusionTable:
     """The aggregated table in the file at ``path``, named after the file's stem."""
-    return _read_input(path, lambda lines: parse_aggregated(lines, Path(path).stem))
+    return use_table(path, lambda table: table)
+
+
+def use_table(path: str | Path, use: Callable[[ConfusionTable], Any]) -> Any:
+    """``use`` of the table ``load_table(path)``: a DataError that ``use``
+    raises about the table, such as a row with no observations, names the
+    file as a read error does.  Check every other argument before."""
+    return _read_input(path, lambda lines: use(parse_aggregated(lines, Path(path).stem)))
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs, presentation_round
-from .ingest import _blocks, _csv_text, _DataRows, load_table
+from .ingest import _blocks, _csv_text, _DataRows, use_table
 from .model import (
     FORMATS,
     INTERVAL_METHOD_NAMES,
@@ -189,8 +189,9 @@ def build_report(
 ) -> str:
     """The LR table of the aggregated table file at ``path``.
 
-    Every option is checked before the file is read.  Intervals are drawn
-    for JSON only, nested per study; md and csv show the point LRs.
+    Every option is checked before the file is read, and a data error
+    about the table's content names the file.  Intervals are computed for
+    JSON only, nested per study; md and csv show the point LRs.
     """
     fmt = _normalize_format(output_format)
     if interval_method not in (None, *INTERVAL_METHOD_NAMES):
@@ -207,21 +208,27 @@ def build_report(
         )
     check_level(level)
     check_seed(seed)
-    table = load_table(path)
-    if fmt != "json":
-        return render_lr_table(table, fmt, smoothing)
-    intervals = None
-    if interval_method is not None:
-        # imported here, not at module level: only a JSON report with
-        # intervals draws, and drawing loads numpy
-        from .uncertainty import INTERVAL_METHODS
 
-        method = INTERVAL_METHODS[interval_method]
-        # every bootstrap replicate of a 0/0 row is 0/0 as well: it has no interval
-        intervals = {
-            e.statement: None if e.lr is None and interval_method == "bootstrap"
-            else method(table, e.statement, level=level, seed=seed)
-            for e in full_table_lrs(table)
-        }
-    statements = lr_rows_payload(table, smoothing, intervals)
-    return canonical_json([{"study": table.study_name, "statements": statements}])
+    def render(table: ConfusionTable) -> str:
+        if fmt != "json":
+            return render_lr_table(table, fmt, smoothing)
+        intervals = None
+        if interval_method is not None:
+            # imported here, not at module level: only a JSON report with
+            # intervals computes them, and the bootstrap loads numpy
+            from .uncertainty import INTERVAL_METHODS
+
+            method = INTERVAL_METHODS[interval_method]
+            bootstrap = interval_method == "bootstrap"
+            options = {"level": level, "seed": seed} if bootstrap else {"level": level}
+            # every bootstrap replicate of a 0/0 row is 0/0 as well: it has no interval
+            intervals = {
+                e.statement: None if e.lr is None and bootstrap
+                else method(table, e.statement, **options)
+                for e in full_table_lrs(table)
+            }
+        statements = lr_rows_payload(table, smoothing, intervals)
+        return canonical_json([{"study": table.study_name, "statements": statements}])
+
+    # a data error about the table's content names the file
+    return use_table(path, render)

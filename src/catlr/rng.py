@@ -6,9 +6,11 @@ results are reproducible bit-for-bit:
 * algorithm: numpy's PCG64 seeded through ``numpy.random.SeedSequence((seed,))``;
 * each consumer draws everything it needs from the single stream
   ``stream(seed)``: the study simulator per profile seed, and each
-  interval call all of its replicates, same-source row first.
+  bootstrap interval call all of its replicates, same-source row first.
 
-``RNG_ALGORITHM`` names this scheme and is recorded in interval metadata.
+Streams serve the bootstrap and ``simulate`` only: the Dirichlet interval
+is computed by quadrature and draws nothing.  ``RNG_ALGORITHM`` names this
+scheme and is recorded in bootstrap interval metadata.
 """
 
 from __future__ import annotations

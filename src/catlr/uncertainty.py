@@ -2,7 +2,7 @@
 
 The source studies report point values only; interval methodology is this
 module's own choice and is labeled as such in every Interval's ``method``
-string.  Two resampling methods are provided, keyed by name in
+string.  Two interval methods are provided, keyed by name in
 ``INTERVAL_METHODS``, plus a closed-form bound for the zero-denominator
 case:
 
@@ -16,21 +16,27 @@ case:
   row is exactly Binomial(n, f_k), so only the cell is drawn.
 * ``dirichlet_interval`` — posterior credible interval: each row's
   category probabilities get an independent Dirichlet(counts + alpha)
-  posterior; the LR is formed per joint draw.  Cell k of a
-  Dirichlet(c + alpha) row is exactly Beta(c_k + alpha, sum(c) - c_k +
-  (K-1) alpha), drawn as x / (x + y) from two gamma variates.
+  posterior.  Cell k of a Dirichlet(c + alpha) row is exactly Beta(c_k +
+  alpha, sum(c) - c_k + (K-1) alpha), so the LR is the ratio B1 / B2 of two
+  independent Betas, and the interval is that ratio's equal-tailed
+  quantiles, computed by deterministic quadrature.
 * ``zero_count_lower_bound`` — when a statement was never given under
   the different-source condition the point LR is infinite; this returns
   the finite lower bound obtained by replacing the zero-count probability
   with its one-sided upper binomial bound 1 - (1-level)^(1/N).
 
-Each interval call draws all of its replicates from the single stream
-``stream(seed)``, same-source row first (see ``catlr.rng``), so intervals
-are reproducible bit-for-bit for a fixed seed.  A call draws at most
-``MAX_REPLICATES`` replicates.  Infinite replicates are ordered above all
-finite ones when taking percentiles; 0/0 replicates (possible only when a
-resampled row loses the statement entirely under both hypotheses) carry
+The bootstrap draws all of its replicates from the single stream
+``stream(seed)``, same-source row first (see ``catlr.rng``), so its
+intervals are reproducible bit-for-bit for a fixed seed.  A call draws at
+most ``MAX_REPLICATES`` replicates.  Infinite replicates are ordered above
+all finite ones when taking percentiles; 0/0 replicates (possible only when
+a resampled row loses the statement entirely under both hypotheses) carry
 no information about the ratio and are excluded.
+
+The Dirichlet interval draws nothing: its endpoints depend on the table,
+the statement, alpha and the level only.  They are the quantiles of B1 / B2
+computed by quadrature in ``catlr.betaratio``, which this module loads only
+for a Dirichlet call.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from .model import (
     check_level,
     check_seed,
 )
-from .rng import RNG_ALGORITHM, stream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,11 +76,6 @@ class Interval(Frozen):
 
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
-
-
-def _check_replicates(name: str, count: int) -> None:
-    if count > MAX_REPLICATES:
-        raise DataError(f"{name} must be at most {MAX_REPLICATES}, got {count}")
 
 
 def _quantile(sorted_values: np.ndarray, q: float) -> float:
@@ -122,12 +122,11 @@ def bootstrap_interval(
     seed: int = 0,
 ) -> Interval:
     """Stratified percentile-bootstrap interval for one statement's LR."""
+    _check_bootstrap_options(replicates=replicates, level=level, seed=seed)
     k = table.index_of(statement)
-    check_level(level)
-    check_seed(seed)
-    if replicates < 100:
-        raise DataError(f"bootstrap needs at least 100 replicates, got {replicates}")
-    _check_replicates("replicates", replicates)
+    # imported here, not at module level: only the bootstrap draws
+    from .rng import RNG_ALGORITHM, stream
+
     g = stream(seed)
     cells = []
     for truth in (GroundTruth.SAME_SOURCE, GroundTruth.DIFFERENT_SOURCE):
@@ -145,43 +144,69 @@ def bootstrap_interval(
     return _percentile_interval(values, level, method)
 
 
+_ALPHA_RANGE = (1e-100, 1e100)  # where catlr.betaratio is tested to stay in float range
+
+
 def dirichlet_interval(
     table: ConfusionTable,
     statement: str,
     alpha: float = 0.5,
-    draws: int = 10000,
     level: float = 0.95,
-    seed: int = 0,
+    *,
+    draws: int = 0,
 ) -> Interval:
     """Dirichlet-posterior credible interval for one statement's LR.
 
     ``alpha`` is the per-cell prior concentration; the default 0.5 is a
-    Jeffreys-style choice.
+    Jeffreys-style choice.  The interval is computed, not sampled: it
+    depends on the table, the statement, ``alpha`` and ``level`` only.
+    ``draws`` counts the random draws a call makes, which is none; it is
+    kept, at 0, for callers that read that count by name.
     """
+    _check_dirichlet_options(alpha=alpha, level=level, draws=draws)
     k = table.index_of(statement)
+    method = f"dirichlet-posterior(alpha={alpha:g},quadrature-v1)"
+    rest_alpha = (len(table.categories) - 1) * alpha
+    shapes = []
+    for truth in (GroundTruth.SAME_SOURCE, GroundTruth.DIFFERENT_SOURCE):
+        n = table.observed_total(truth)  # raises for a row with no observations
+        c = table.row(truth)[k]
+        shapes.append((c + alpha, (n - c) + rest_alpha))
+    if rest_alpha == 0:  # one category: each cell is 1, and so is the ratio
+        return Interval(1.0, 1.0, level, method)
+    tail = (1.0 - level) / 2.0
+    # imported here, not at module level: the bootstrap runs none of it
+    from .betaratio import ratio_quantiles
+
+    lower, upper = ratio_quantiles(*shapes, tail)
+    return Interval(lower, upper, level, method)
+
+
+def _check_bootstrap_options(replicates: int, level: float, seed: int) -> None:
     check_level(level)
     check_seed(seed)
+    if replicates < 100:
+        raise DataError(f"bootstrap needs at least 100 replicates, got {replicates}")
+    if replicates > MAX_REPLICATES:
+        raise DataError(f"replicates must be at most {MAX_REPLICATES}, got {replicates}")
+
+
+def _check_dirichlet_options(alpha: float, level: float, draws: int = 0) -> None:
+    check_level(level)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise DataError(f"alpha must be a positive finite number, got {alpha!r}")
-    if draws < 1:
-        raise DataError(f"draws must be positive, got {draws}")
-    _check_replicates("draws", draws)
-    for truth in GroundTruth:
-        table.observed_total(truth)  # raises for a row with no observations
-    g = stream(seed)
-    rest_alpha = (len(table.categories) - 1) * alpha
-    cells = []
-    for row in (table.same_source, table.different_source):
-        # gamma(0) is exactly 0, so a single-category cell is exactly 1
-        x = g.gamma(row[k] + alpha, size=draws)
-        y = g.gamma(sum(row) - row[k] + rest_alpha, size=draws)
-        cells.append(x / (x + y))
-    values = _ratio(*cells)
-    method = (
-        f"dirichlet-posterior(alpha={alpha:g},draws={draws},seed={seed},"
-        f"rng={RNG_ALGORITHM})"
-    )
-    return _percentile_interval(values, level, method)
+    low, high = _ALPHA_RANGE
+    if not low <= alpha <= high:
+        raise DataError(f"alpha must be from {low:g} to {high:g}, got {alpha!r}")
+    if draws != 0:
+        raise DataError(f"the Dirichlet interval is computed, not drawn: draws must be 0, got {draws!r}")
+
+
+def check_interval_options(method: str, **options) -> None:
+    """DataError unless ``options`` are valid keyword arguments of the
+    ``method`` interval, other than the table and statement: each call checks
+    them before it reads its table, and so can a caller that has not read it yet."""
+    {"bootstrap": _check_bootstrap_options, "dirichlet": _check_dirichlet_options}[method](**options)
 
 
 # Keyed by ``model.INTERVAL_METHOD_NAMES``, in its order.  Each entry

@@ -207,7 +207,8 @@ def _calls() -> list[list[str]]:
     )
     bootstrap_options = ([], ["--level", "0.5"], ["--seed", "3", "--replicates", "100"],
                          ["--replicates", "99"])
-    dirichlet_options = ([], ["--alpha", "2"], ["--draws", "1"], ["--draws", "0"], ["--alpha", "0"])
+    dirichlet_options = ([], ["--alpha", "2"], ["--alpha", "1e-9"], ["--alpha", "1e101"],
+                         ["--alpha", "0"])
     calls += [
         ["lr", "--table", "missing.csv"],
         ["lr", *bullets, "--smoothing", "alpha=1", "--format", "md"],

@@ -243,6 +243,53 @@ class TestContentErrorNamesTheFile:
         assert (code, out) == (2, "")
         assert err.startswith(f"data error: {path}: {message}")
 
+    ZERO_ROW = "statement,same_source_count,different_source_count\nID,5,0\nElim,3,0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lr",),
+            ("lr", "--format", "json"),
+            ("report", "--format", "md"),
+            ("report", "--format", "json", "--interval", "dirichlet"),
+            ("report", "--format", "json", "--interval", "bootstrap"),
+            ("interval", "--statement", "ID", "--method", "dirichlet"),
+            ("interval", "--statement", "ID", "--method", "bootstrap"),
+        ],
+        ids=["lr", "lr-json", "report-md", "report-dirichlet", "report-bootstrap",
+             "interval-dirichlet", "interval-bootstrap"],
+    )
+    def test_error_found_after_the_read_names_the_file(self, tmp_path, argv):
+        # the table parses, but its different-source row has no observations
+        path = tmp_path / "zero_row.csv"
+        path.write_text(self.ZERO_ROW, encoding="utf-8")
+        code, out, err = invoke(*argv, "--table", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"data error: {path}: no observations under hypothesis 'different'\n"
+
+    def test_unknown_statement_names_the_file_it_is_not_in(self, bullets_csv):
+        code, out, err = invoke(
+            "interval", "--table", bullets_csv, "--statement", "zz", "--method", "dirichlet"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"data error: {bullets_csv}: unknown statement 'zz'; categories are ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--level", "1.5"), "level must be in (0, 1), got 1.5"),
+            (("--alpha", "0"), "alpha must be a positive finite number, got 0.0"),
+            (("--alpha", "1e101"), "alpha must be from 1e-100 to 1e+100, got 1e+101"),
+        ],
+    )
+    def test_option_error_is_found_before_the_read_and_names_no_file(self, tmp_path, argv, message):
+        path = tmp_path / "zero_row.csv"
+        path.write_text(self.ZERO_ROW, encoding="utf-8")
+        code, out, err = invoke(
+            "interval", "--table", str(path), "--statement", "ID", "--method", "dirichlet", *argv
+        )
+        assert (code, out, err) == (2, "", f"data error: {message}\n")
+
 
 class TestByteOrderMark:
     TABLE = "# a study\nstatement,same_source_count,different_source_count\nID,30,2\nElim,4,50\n"
@@ -398,12 +445,46 @@ class TestIntervalCommand:
         threaded = invoke(*base, "--workers", "4")
         assert serial == threaded
 
-    def test_dirichlet_is_byte_stable(self, bullets_csv):
-        args = (
+    def test_dirichlet_depends_on_no_seed(self, bullets_csv):
+        # the interval is computed, not drawn: --seed is accepted and changes nothing
+        args = ("interval", "--table", bullets_csv, "--statement", "ID", "--method", "dirichlet")
+        runs = [invoke(*args, *seed) for seed in ((), ("--seed", "3"), ("--seed", "4"))]
+        assert len(set(runs)) == 1
+        code, out, err = runs[0]
+        assert (code, err) == (0, "")
+        lower, upper = map(float, out.split())
+        assert lower < 108.84 < upper
+
+    def test_draws_is_a_usage_error(self, bullets_csv):
+        code, out, err = invoke(
             "interval", "--table", bullets_csv, "--statement", "ID",
-            "--method", "dirichlet", "--seed", "3", "--draws", "1000",
+            "--method", "dirichlet", "--draws", "1000",
         )
-        assert invoke(*args) == invoke(*args)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: unrecognized arguments: --draws")
+
+    def test_dirichlet_negative_seed_is_data_error(self, bullets_csv):
+        code, out, err = invoke(
+            "interval", "--table", bullets_csv, "--statement", "ID",
+            "--method", "dirichlet", "--seed", "-1",
+        )
+        assert (code, out, err) == (2, "", "data error: seed must be a non-negative integer, got -1\n")
+
+    @pytest.mark.parametrize("alpha", ["1e-9", "1e-100"])
+    def test_endpoint_beyond_the_float_range_prints_zero_or_inf(self, tmp_path, alpha):
+        # with a zero cell and a tiny prior the posterior of that cell puts
+        # its mass below e**-1000: both endpoints leave the float range
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "statement,same_source_count,different_source_count\nID,0,40\nElim,30,0\n",
+            encoding="utf-8",
+        )
+        for statement, expected in (("ID", "0\t0\n"), ("Elim", "inf\tinf\n")):
+            code, out, err = invoke(
+                "interval", "--table", str(path), "--statement", statement,
+                "--method", "dirichlet", "--alpha", alpha,
+            )
+            assert (code, out, err) == (0, expected, "")
 
     def test_unknown_statement_is_data_error(self, bullets_csv):
         code, _, err = invoke(
@@ -413,20 +494,13 @@ class TestIntervalCommand:
         assert code == 2
         assert "unknown statement" in err
 
-    @pytest.mark.parametrize(
-        "method, flag", [("bootstrap", "--replicates"), ("dirichlet", "--draws")]
-    )
-    def test_replicate_count_above_ceiling_is_data_error(
-        self, bullets_csv, method, flag
-    ):
+    def test_replicate_count_above_ceiling_is_data_error(self, bullets_csv):
         code, out, err = invoke(
             "interval", "--table", bullets_csv, "--statement", "ID",
-            "--method", method, flag, str(10**12),
+            "--method", "bootstrap", "--replicates", str(10**12),
         )
         assert (code, out) == (2, "")
-        assert err == (
-            f"data error: {flag[2:]} must be at most 1000000, got {10**12}\n"
-        )
+        assert err == f"data error: replicates must be at most 1000000, got {10**12}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -450,7 +524,7 @@ class TestIntervalCommand:
         else:
             assert (code, out) == (2, "")
             assert err == (
-                "data error: the bootstrap cannot resample the same-source row: "
+                f"data error: {path}: the bootstrap cannot resample the same-source row: "
                 f"its total {2**63} exceeds {2**63 - 1}\n"
             )
 
@@ -627,6 +701,22 @@ class TestOutputPolicy:
         _, text, _ = invoke("lr", "--table", str(table), "--format", "md")
         assert code == 0
         assert raw.getvalue() == b"before\r\n" + text.encode("utf-8")
+
+    def test_a_reader_that_closes_the_pipe_early_ends_the_run_silently(self, tmp_path):
+        # 100 050 records (~3 MB) overfill the pipe, so the writer meets the
+        # closed end, as under `catlr simulate ... | head -c 100`
+        profile = tmp_path / "profile.cfg"
+        profile.write_text(PROFILE_CFG.replace("n_h1 = 50", "n_h1 = 100000"), encoding="utf-8")
+        argv = [sys.executable, "-m", "catlr.cli", "simulate", "--profile", str(profile)]
+        with subprocess.Popen(
+            argv, env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait()
+        assert head.startswith(b"examiner_id,item_id,ground_truth,statement\n")
+        assert (code, err) == (141, b"")
 
     def test_study_named_by_a_non_utf8_file_name_prints_its_bytes(self, tmp_path):
         name = os.fsdecode(b"study\xff.csv")

@@ -102,6 +102,8 @@ LIGHT = {"catlr", "catlr.cli", "catlr.model"}
 TABLE = LIGHT | {"catlr.engine", "catlr.ingest"}
 REPORT = TABLE | {"catlr.report"}
 DRAW = {"catlr.ingest", "catlr.rng", "catlr.uncertainty"}
+# the Dirichlet interval is computed, not drawn: no catlr.rng, no numpy
+COMPUTE = {"catlr.ingest", "catlr.betaratio", "catlr.uncertainty"}
 
 
 # (argv, the catlr modules it loads, whether it loads json)
@@ -115,12 +117,16 @@ COMMANDS = [
      REPORT, False),
     (("report", "--table", "{table}", "--format", "json"), REPORT, True),
     (("report", "--table", "{table}", "--format", "json", "--interval", "dirichlet"),
+     REPORT | COMPUTE, True),
+    (("report", "--table", "{table}", "--format", "json", "--interval", "bootstrap"),
      REPORT | DRAW, True),
     (("report", "--summary", str(SUMMARY_CSV)), REPORT, False),
     (("posterior", "--prior", "0.1", "--lr", "1000"), LIGHT | {"catlr.interpret"}, False),
     (("adjust", "--lr", "109", "--fraction", "0.01"), LIGHT | {"catlr.interpret"}, False),
     (("interval", "--table", "{table}", "--statement", "ID", "--method", "bootstrap"),
      LIGHT | DRAW, False),
+    (("interval", "--table", "{table}", "--statement", "ID", "--method", "dirichlet"),
+     LIGHT | COMPUTE, False),
     (("tally", "--in", "{records}"), LIGHT | {"catlr.ingest", "catlr.records"}, False),
     (("simulate", "--profile", "{profile}"),
      LIGHT | {"catlr.ingest", "catlr.rng", "catlr.simulate"}, False),
@@ -137,8 +143,9 @@ def test_command_loads_only_the_modules_it_runs(
     bullets_csv, records_csv, profile_cfg, argv, catlr_modules, json_loaded
 ):
     # simulate alone loads catlr.simulate, posterior and adjust alone
-    # catlr.interpret, and only the commands that draw catlr.rng,
-    # catlr.uncertainty and numpy
+    # catlr.interpret, only interval commands catlr.uncertainty, only the
+    # commands that draw catlr.rng and numpy, and only the Dirichlet
+    # interval catlr.betaratio
     argv = [a.format(table=bullets_csv, records=records_csv, profile=profile_cfg) for a in argv]
     code, out, err, loaded = cold_run(*argv)
     assert (code, err) == (0, "")
@@ -174,7 +181,7 @@ def test_submodules_are_package_attributes_after_a_bare_import():
     # in a fresh interpreter, so that no earlier import has bound them
     script = (
         "import catlr, types\n"
-        "names = ('engine', 'ingest', 'interpret', 'model', 'report', 'rng',"
+        "names = ('betaratio', 'engine', 'ingest', 'interpret', 'model', 'report', 'rng',"
         " 'simulate', 'uncertainty')\n"
         "assert all(isinstance(getattr(catlr, n), types.ModuleType) for n in names)\n"
         "assert set(names) <= set(dir(catlr))\n"
@@ -208,20 +215,22 @@ def test_md_or_csv_report_draws_no_interval(bullets_csv, fmt, method):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, draws",
     [
-        ("simulate", "--profile", "{profile}"),
-        ("interval", "--table", "{table}", "--statement", "ID",
-         "--method", "bootstrap", "--seed", "42"),
-        ("interval", "--table", "{table}", "--statement", "ID",
-         "--method", "dirichlet", "--seed", "3", "--draws", "1000"),
+        (("simulate", "--profile", "{profile}"), True),
+        (("interval", "--table", "{table}", "--statement", "ID",
+          "--method", "bootstrap", "--seed", "42"), True),
+        (("interval", "--table", "{table}", "--statement", "ID",
+          "--method", "dirichlet"), False),
+        (("report", "--table", "{table}", "--format", "json", "--interval", "dirichlet"), False),
     ],
-    ids=["simulate", "bootstrap", "dirichlet"],
+    ids=["simulate", "bootstrap", "dirichlet", "dirichlet-report"],
 )
-def test_drawing_command_prints_the_same_bytes_cold(bullets_csv, profile_cfg, argv):
+def test_interval_or_simulate_prints_the_same_bytes_cold(bullets_csv, profile_cfg, argv, draws):
+    # a fresh interpreter, with numpy loaded only by the commands that draw
     argv = [a.format(table=bullets_csv, profile=profile_cfg) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     assert run(argv, stdout=out, stderr=err) == 0
     code, cold_out, cold_err, loaded = cold_run(*argv)
     assert (code, cold_out, cold_err) == (0, out.getvalue(), err.getvalue())
-    assert "numpy" in loaded
+    assert ("numpy" in loaded) == draws

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+import catlr
+from catlr.betaratio import _DROP, _TABLE_GRID, _LogitBeta
 from catlr.engine import full_table_lrs, likelihood_ratio
 from catlr.model import ConfusionTable, DataError
 from catlr.records import tally
@@ -117,37 +124,55 @@ class TestBootstrap:
 
 
 class TestDirichlet:
-    def test_deterministic_and_contains_point(self, bullets):
-        a = dirichlet_interval(bullets, "ID", alpha=0.5, draws=10000, seed=7)
-        b = dirichlet_interval(bullets, "ID", alpha=0.5, draws=10000, seed=7)
+    def test_depends_on_table_statement_alpha_and_level_only(self, bullets):
+        a = dirichlet_interval(bullets, "ID", alpha=0.5)
+        b = dirichlet_interval(bullets, "ID", alpha=0.5, level=0.95)
         assert a == b
         assert a.contains(likelihood_ratio(bullets, "ID").lr)
+        assert a.method == "dirichlet-posterior(alpha=0.5,quadrature-v1)"
+        assert dirichlet_interval(bullets, "ID", alpha=1.0) != a
+        narrower = dirichlet_interval(bullets, "ID", level=0.8)
+        assert a.lower < narrower.lower < narrower.upper < a.upper
 
     def test_width_shrinks_like_root_sample_size(self, bullets):
-        base = dirichlet_interval(bullets, "ID", seed=7)
+        base = dirichlet_interval(bullets, "ID")
         big = ConfusionTable(
             bullets.categories,
             tuple(c * 1000 for c in bullets.same_source),
             tuple(c * 1000 for c in bullets.different_source),
         )
-        scaled = dirichlet_interval(big, "ID", seed=7)
+        scaled = dirichlet_interval(big, "ID")
         ratio = (base.upper - base.lower) / (scaled.upper - scaled.lower)
         assert 22 <= ratio <= 45  # ~sqrt(1000) = 31.6
 
     def test_single_category_interval_is_exactly_one(self):
         t = ConfusionTable(("only",), (7,), (9,))
-        interval = dirichlet_interval(t, "only", draws=200, seed=1)
+        interval = dirichlet_interval(t, "only")
         assert (interval.lower, interval.upper) == (1.0, 1.0)
 
     def test_parameter_validation(self, bullets):
-        with pytest.raises(DataError):
-            dirichlet_interval(bullets, "ID", alpha=0.0)
-        with pytest.raises(DataError):
-            dirichlet_interval(bullets, "ID", draws=0)
-        with pytest.raises(DataError):
-            dirichlet_interval(bullets, "ID", level=0.0)
-        with pytest.raises(DataError):
-            dirichlet_interval(bullets, "ID", seed=-1)
+        for options in ({"alpha": 0.0}, {"alpha": math.inf}, {"alpha": 1e101}, {"alpha": 1e-101},
+                        {"level": 0.0}, {"draws": 1000}):
+            with pytest.raises(DataError):
+                dirichlet_interval(bullets, "ID", **options)
+        with pytest.raises(TypeError):
+            dirichlet_interval(bullets, "ID", seed=1)  # nothing is drawn
+
+    def test_loads_neither_numpy_nor_rng(self):
+        # in a fresh interpreter: the suite itself has both loaded
+        script = (
+            "import sys\n"
+            "from catlr.model import ConfusionTable\n"
+            "from catlr.uncertainty import dirichlet_interval\n"
+            "dirichlet_interval(ConfusionTable(('a', 'b'), (30, 2), (1, 40)), 'a')\n"
+            "print('numpy' in sys.modules, 'catlr.rng' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(catlr.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
+        )
+        assert done.stdout == "False False\n"
 
 
 class TestDirichletCoverage:
@@ -172,15 +197,70 @@ class TestDirichletCoverage:
         for s in range(self.STUDIES):
             profile = PanelProfile(self.CATEGORIES, p1, p2, 1000, 1000, seed=1000 + s)
             table = tally(simulate_study(profile), vocabulary=self.CATEGORIES)
-            interval = dirichlet_interval(table, "w", level=0.95, seed=777 + s)
+            interval = dirichlet_interval(table, "w", level=0.95)
             covered += interval.contains(true_lr(profile, "w"))
         margin = 3 * math.sqrt(0.95 * 0.05 / self.STUDIES)
         assert abs(covered / self.STUDIES - 0.95) <= margin
 
 
+def scipy_ratio_quantile(same, different, q):
+    """The q quantile of B1 / B2 for independent B1 ~ Beta(*same) and
+    B2 ~ Beta(*different), by an independent route: scipy's adaptive
+    quadrature over the probability scale of the law whose log has the
+    smaller variance, of the other's regularized incomplete beta function,
+    and Brent's root finder in log t.  0 or inf beyond e**-700 or e**700."""
+    special = pytest.importorskip("scipy.special")
+    integrate = pytest.importorskip("scipy.integrate")
+    optimize = pytest.importorskip("scipy.optimize")
+    (a1, b1), (a2, b2) = same, different
+
+    def var_log(a, b):
+        return special.polygamma(1, a) - special.polygamma(1, a + b)
+
+    def cdf(s):
+        t = math.exp(s)
+        if var_log(a2, b2) <= var_log(a1, b1):  # E over B2 of P(B1 <= t B2)
+            def g(p):
+                y = t * special.betaincinv(a2, b2, p)
+                return 1.0 if y >= 1 else special.betainc(a1, b1, y)
+            edge = special.betainc(a2, b2, 1 / t) if t > 1 else None
+        else:  # E over B1 of P(B2 >= B1 / t)
+            def g(p):
+                y = special.betaincinv(a1, b1, p) / t
+                return 0.0 if y >= 1 else special.betaincc(a2, b2, y)
+            edge = special.betainc(a1, b1, t) if t < 1 else None
+        points = [edge] if edge is not None and 0 < edge < 1 else None
+        with warnings.catch_warnings():
+            # quad may warn that it cannot reach 1e-10; what it reaches is
+            # still far inside the 1e-5 the tests ask
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            return integrate.quad(g, 0, 1, points=points, epsabs=1e-13, epsrel=1e-10, limit=500)[0]
+
+    if cdf(700.0) < q:
+        return math.inf
+    if cdf(-700.0) > q:
+        return 0.0
+    root = optimize.brentq(lambda s: cdf(s) - q, -700.0, 700.0, xtol=1e-13, rtol=1e-14)
+    return math.exp(root)
+
+
+def assert_matches_scipy(table, statement, alpha=0.5, level=0.95, rel=1e-5):
+    interval = dirichlet_interval(table, statement, alpha=alpha, level=level)
+    k = table.index_of(statement)
+    rest = (len(table.categories) - 1) * alpha
+    same, different = (
+        (row[k] + alpha, sum(row) - row[k] + rest)
+        for row in (table.same_source, table.different_source)
+    )
+    tail = (1 - level) / 2
+    for value, q in ((interval.lower, tail), (interval.upper, 1 - tail)):
+        expected = scipy_ratio_quantile(same, different, q)
+        assert value == pytest.approx(expected, rel=rel), (statement, alpha, level, q)
+
+
 class TestMarginalDrawLaw:
-    """Each interval draws only statement k's cell of a row; its endpoints
-    must follow the law of the whole-row draws that cell is taken from."""
+    """Each interval reads only statement k's cell of a row; its endpoints
+    must follow the law of the whole rows that cell is taken from."""
 
     TABLE = ConfusionTable(("a", "b", "c", "d"), (60, 25, 10, 5), (3, 40, 57, 0))
     REFERENCE_SIZE = 200_000
@@ -217,16 +297,79 @@ class TestMarginalDrawLaw:
             interval = bootstrap_interval(t, statement, replicates=self.REPLICATES, seed=k)
             self._check(interval, rows1[:, k] / n1, rows2[:, k] / n2)
 
-    def test_dirichlet_matches_whole_row_dirichlet(self):
-        t = self.TABLE
-        g = np.random.default_rng(20240106)
-        rows1 = g.dirichlet(np.array(t.same_source) + 0.5, self.REFERENCE_SIZE)
-        rows2 = g.dirichlet(np.array(t.different_source) + 0.5, self.REFERENCE_SIZE)
-        for k, statement in enumerate(t.categories):
-            interval = dirichlet_interval(
-                t, statement, alpha=0.5, draws=self.REPLICATES, seed=k
-            )
-            self._check(interval, rows1[:, k], rows2[:, k])
+    def test_dirichlet_matches_the_beta_marginals(self):
+        # exact to 1e-5: a 5% smaller row total, or a rest shape of (K-2)
+        # alpha instead of (K-1) alpha, moves every endpoint by far more
+        for statement in self.TABLE.categories:
+            assert_matches_scipy(self.TABLE, statement)
+
+
+class TestDirichletAccuracy:
+    """Every endpoint within 1e-5 relative of the scipy reference."""
+
+    K2_BENCH = ConfusionTable(("Identification", "Elimination"), (3100, 1100), (2, 4298))
+    K6_BENCH = ConfusionTable(
+        ("ID", "Inconcl.-A", "Inconcl.-B", "Inconcl.-C", "Elimination", "Other"),
+        (170000, 160000, 150000, 200000, 150000, 170500),
+        (0, 200000, 210000, 190000, 200000, 200400),
+    )
+    ZERO_CELLS = ConfusionTable(("ID", "Inconclusive", "Elimination"), (20, 6, 0), (0, 10, 31))
+    UNDEFINED = ConfusionTable(("ID", "NONE", "Elimination"), (100, 0, 3), (0, 0, 40))
+
+    @pytest.mark.parametrize("statement", ["Identification", "Elimination"])
+    def test_bench_k2(self, statement):
+        assert_matches_scipy(self.K2_BENCH, statement)
+
+    @pytest.mark.parametrize("statement", ["ID", "Inconcl.-B"])
+    def test_bench_k6_at_a_million_per_row(self, statement):
+        assert_matches_scipy(self.K6_BENCH, statement, level=0.8)
+
+    def test_bullets(self, bullets):
+        for statement in bullets.categories:
+            assert_matches_scipy(bullets, statement)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 100.0])
+    @pytest.mark.parametrize("table", ["ZERO_CELLS", "UNDEFINED"])
+    def test_zero_cells_and_undefined_rows(self, table, alpha):
+        table = getattr(self, table)
+        for statement in table.categories:
+            if statement == "NONE" and alpha == 1e-3:
+                continue  # below: the reference loses the mass under e**-700
+            assert_matches_scipy(table, statement, alpha=alpha, level=0.9)
+
+    def test_undefined_row_with_a_tiny_prior_leaves_the_float_range(self):
+        # each cell of the 0/0 row is Beta(0.001, ~100): its log is close to
+        # minus an exponential of mean 1000, so log(B1 / B2) is close to a
+        # Laplace law of scale 1000, whose 5% and 95% points are -+2303
+        interval = dirichlet_interval(self.UNDEFINED, "NONE", alpha=1e-3, level=0.9)
+        assert (interval.lower, interval.upper) == (0.0, math.inf)
+
+    def test_single_category(self):
+        interval = dirichlet_interval(ConfusionTable(("only",), (1, ), (10**6,)), "only", alpha=100.0)
+        assert (interval.lower, interval.upper) == (1.0, 1.0)
+
+
+class TestDirichletCost:
+    """Extreme priors and row totals finish fast, with a bounded grid."""
+
+    @pytest.mark.parametrize("alpha", [1e-100, 1e-9, 1e-3, 1.0, 1e9, 1e100])
+    @pytest.mark.parametrize("total", [1, 4000, 2**63 - 1])
+    def test_extremes_finish_under_100_ms(self, alpha, total):
+        table = ConfusionTable(("a", "b", "c"), (total - 1, 1, 0) if total > 1 else (1, 0, 0),
+                               (0, 0, total))
+        for statement in table.categories:
+            start = time.perf_counter()
+            interval = dirichlet_interval(table, statement, alpha=alpha)
+            assert time.perf_counter() - start < 0.1, (alpha, total, statement)
+            assert 0.0 <= interval.lower <= interval.upper <= math.inf
+
+    def test_node_count_is_bounded_for_every_shape(self):
+        # a Dirichlet row has at least one observation, so a + b >= 1
+        shapes = [10.0**e for e in range(-100, 101, 10)] + [0.5, 2.0**63]
+        for a in shapes:
+            for b in shapes:
+                if max(a, b) >= 0.5:
+                    assert len(_LogitBeta(a, b).grid(*_TABLE_GRID, _DROP)) < 500, (a, b)
 
 
 class TestZeroCountBound:
