@@ -201,13 +201,13 @@ class _Cdf:
             rise = y1 - y0
             # in the true orientation y is the log of P(V <= v) or of P(V > v),
             # and dP/dv = +-e**y dy/dd: that sign is folded into the last entry
-            below = left != law.flip
+            of_cdf = left != law.flip
             self.coefficients.append((
-                below, nodes[i], 1.0 / h, y0, d0, 0.5 * s0,
+                of_cdf, nodes[i], 1.0 / h, y0, d0, 0.5 * s0,
                 10 * rise - 6 * d0 - 4 * d1 - 1.5 * s0 + 0.5 * s1,
                 -15 * rise + 8 * d0 + 7 * d1 + 1.5 * s0 - s1,
                 6 * rise - 3 * d0 - 3 * d1 - 0.5 * s0 + 0.5 * s1,
-                sign / h if below else -sign / h,
+                sign / h if of_cdf else -sign / h,
             ))
 
     def expect(self, points: list[tuple[float, float]], s: float, upper: bool) -> tuple[float, float]:
@@ -236,7 +236,7 @@ class _Cdf:
             elif i >= last:
                 total += w * beyond
             else:
-                below, x0, inv_h, c0, c1, c2, c3, c4, c5, dens_scale = coefficients[i]
+                of_cdf, x0, inv_h, c0, c1, c2, c3, c4, c5, dens_scale = coefficients[i]
                 t = (d - x0) * inv_h
                 y = c0 + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5))))
                 e = exp(y)
@@ -244,7 +244,7 @@ class _Cdf:
                 slope -= w * e * (c1 + t * (2 * c2 + t * (3 * c3 + t * (4 * c4 + t * 5 * c5)))) * (
                     dens_scale / em
                 )
-                if below != upper:
+                if of_cdf != upper:
                     total += w * e
                 else:
                     total -= w * (expm1(y) if e > 0.5 else e - 1.0)

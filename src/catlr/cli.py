@@ -20,7 +20,7 @@ from typing import IO, TYPE_CHECKING, Iterable
 
 # Each command imports the modules it runs when it runs: a call pays only
 # for its own code, and only drawing commands load numpy.
-from .model import FORMATS, INTERVAL_METHOD_NAMES, DataError
+from .model import FORMATS, INTERVAL_METHOD_NAMES, DataError, check_seed
 
 if TYPE_CHECKING:
     from .engine import SmoothingPolicy
@@ -130,7 +130,6 @@ def _cmd_adjust(args):
 
 def _cmd_interval(args):
     from .ingest import use_table
-    from .model import check_seed
     from .uncertainty import INTERVAL_METHODS, check_interval_options
 
     if args.method == "bootstrap":
@@ -246,7 +245,9 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
         # the reader is gone, so is the rest of the output; stdout's unflushed
         # bytes go to devnull, so that the interpreter's last flush is silent
         if out is sys.__stdout__:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
         return _BROKEN_PIPE
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=err)
