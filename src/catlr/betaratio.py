@@ -37,6 +37,7 @@ _NEWTON_TOL = 1e-5  # a last Newton step this short, times sqrt(scale), ends a s
 _GL_X = (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526)
 _GL_W = (0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538)
 _MAX_NODES = 2000
+_GROWTH = 4.0  # the most a step may exceed the one before it
 _LOG_MAX = 710.0  # e**s overflows above ~709.78
 _LOG_MIN = -746.0  # and is 0.0 below ~-745.13
 
@@ -119,9 +120,9 @@ class _LogitBeta:
         A step is at most 1/per_sd of the local standard deviation, moves
         the log density by at most about tau near the mode, is at most
         ``unit`` where the density's shape has unit-scale structure, and at
-        most twice the step before it.  For a + b >= 1, as in a Dirichlet
-        row with an observation, at most about 300 nodes for any shapes up
-        to 1e100.
+        most ``_GROWTH`` times the step before it.  For a + b >= 1, as in a
+        Dirichlet row with an observation, at most about 220 nodes for any
+        shapes up to 1e100.
         """
         nodes = [0.0]
         for sign in (1.0, -1.0):
@@ -137,7 +138,7 @@ class _LogitBeta:
                     h = max(shorter, 0.5 * h)
                 d += sign * h
                 nodes.append(d)
-                h = min(shorter, 2.0 * h)
+                h = min(shorter, _GROWTH * h)
         nodes.sort()
         return nodes
 
