@@ -31,8 +31,8 @@ from .model import DataError
 
 _DROP = 40.0  # nats below the mode at which the tabulated law's grid ends
 _SUM_DROP = 30.0  # and the summed law's
-_TABLE_GRID = (3.0, 0.5, 1.0)  # per_sd, tau, unit of ``_LogitBeta.grid``
-_SUM_GRID = (1.0, 1.0, 1.0)
+_TABLE_GRID = (3.0, 0.5)  # per_sd, tau of ``_LogitBeta.grid``
+_SUM_GRID = (1.0, 1.0)
 _NEWTON_TOL = 1e-5  # a last Newton step this short, times sqrt(scale), ends a solve
 _GL_X = (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526)
 _GL_W = (0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538)
@@ -98,7 +98,7 @@ class _LogitBeta:
         e = math.expm1(d)
         return -self.kappa * e / (1.0 + self.sig * e)
 
-    def _step(self, d: float, per_sd: float, tau: float, unit: float) -> tuple[float, float]:
+    def _step(self, d: float, per_sd: float, tau: float) -> tuple[float, float]:
         """(the grid step at d, the log density at d)."""
         logdens = self.logdens(d)
         d = min(d, 700.0)
@@ -112,14 +112,14 @@ class _LogitBeta:
         # where the density has fallen far, errors weigh little: allow longer steps
         reach = tau * math.exp(min(-logdens, _DROP) / 9.0)
         h = 1.0 / max(per_sd * math.sqrt(curvature), abs(self.slope(d)) / reach, 1e-300)
-        return (min(h, unit) if d > self.wall else h), logdens
+        return (min(h, 1.0) if d > self.wall else h), logdens
 
-    def grid(self, per_sd: float, tau: float, unit: float, drop: float) -> list[float]:
+    def grid(self, per_sd: float, tau: float, drop: float) -> list[float]:
         """Nodes from the mode out to where the density has fallen ``drop`` nats.
 
         A step is at most 1/per_sd of the local standard deviation, moves
         the log density by at most about tau near the mode, is at most
-        ``unit`` where the density's shape has unit-scale structure, and at
+        1 where the density's shape has unit-scale structure, and at
         most ``_GROWTH`` times the step before it.  For a + b >= 1, as in a
         Dirichlet row with an observation, at most about 220 nodes for any
         shapes up to 1e100.
@@ -127,12 +127,12 @@ class _LogitBeta:
         nodes = [0.0]
         for sign in (1.0, -1.0):
             d = 0.0
-            h, logdens = self._step(d, per_sd, tau, unit)
+            h, logdens = self._step(d, per_sd, tau)
             while logdens > -drop:
                 if len(nodes) > _MAX_NODES:  # not reached for shapes up to 1e100
                     raise DataError(f"no quadrature grid for Beta({self.a!r}, {self.b!r})")
                 while True:  # halve h until the step at its far end agrees
-                    shorter, logdens = self._step(d + sign * h, per_sd, tau, unit)
+                    shorter, logdens = self._step(d + sign * h, per_sd, tau)
                     if shorter >= 0.7 * h:
                         break
                     h = max(shorter, 0.5 * h)

@@ -20,7 +20,7 @@ from typing import IO, TYPE_CHECKING, Iterable
 
 # Each command imports the modules it runs when it runs: a call pays only
 # for its own code, and only drawing commands load numpy.
-from .model import FORMATS, INTERVAL_METHOD_NAMES, DataError, check_seed
+from .model import FORMATS, INTERVAL_METHOD_NAMES, DataError
 
 if TYPE_CHECKING:
     from .engine import SmoothingPolicy
@@ -104,16 +104,18 @@ def _cmd_lr(args):
 
 def _cmd_report(args):
     from .ingest import _read_input
-    from .report import build_report, read_display_fixture, render_summary_table
+    from .report import build_report, check_report_options, read_display_fixture, render_summary_table
 
+    options = (args.smoothing, args.interval, args.level, args.seed)
     if args.summary:
+        check_report_options(*options)  # as a table report does, though a summary has no interval
+        if args.table:
+            raise DataError("report takes --table or --summary, not both")
         headers, rows = _read_input(args.summary, read_display_fixture)
         return render_summary_table(rows, args.format, headers=headers)
     if not args.table:
         raise DataError("report needs --table or --summary")
-    return build_report(
-        args.table, args.format, args.smoothing, args.interval, args.level, args.seed
-    )
+    return build_report(args.table, args.format, *options)
 
 
 def _cmd_posterior(args):
@@ -130,16 +132,10 @@ def _cmd_adjust(args):
 
 def _cmd_interval(args):
     from .ingest import use_table
-    from .uncertainty import INTERVAL_METHODS, check_interval_options
+    from .uncertainty import interval_of
 
-    if args.method == "bootstrap":
-        options = {"replicates": args.replicates, "level": args.level, "seed": args.seed}
-    else:  # the Dirichlet interval is computed: --seed is checked, and changes nothing
-        check_seed(args.seed)
-        options = {"alpha": args.alpha, "level": args.level}
-    check_interval_options(args.method, **options)
-    method = INTERVAL_METHODS[args.method]
-    interval = use_table(args.table, lambda table: method(table, args.statement, **options))
+    method = interval_of(args.method, args.level, args.seed, args.replicates, args.alpha)
+    interval = use_table(args.table, lambda table: method(table, args.statement))
     return f"{_fmt(interval.lower)}\t{_fmt(interval.upper)}\n"
 
 

@@ -17,7 +17,7 @@ import operator
 from collections.abc import Sequence
 
 
-# Output formats (rendered by ``report``) and interval methods (drawn by
+# Output formats (rendered by ``report``) and interval methods (computed by
 # ``uncertainty``), named here so that a name can be checked without loading
 # the module that implements it.
 FORMATS = ("md", "csv", "json")
@@ -54,6 +54,14 @@ def check_seed(seed: int) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise DataError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
+
+
+def check_interval_method(method: str) -> str:
+    """``method`` unchanged; DataError unless it names an interval method."""
+    if method not in INTERVAL_METHOD_NAMES:
+        names = " or ".join(map(repr, INTERVAL_METHOD_NAMES))
+        raise DataError(f"interval method must be {names}, got {method!r}")
+    return method
 
 
 def category_index(categories: tuple[str, ...], statement: str) -> int:

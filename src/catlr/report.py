@@ -22,9 +22,9 @@ from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs, presentation_
 from .ingest import _blocks, _csv_text, _DataRows, use_table
 from .model import (
     FORMATS,
-    INTERVAL_METHOD_NAMES,
     ConfusionTable,
     DataError,
+    check_interval_method,
     check_level,
     check_seed,
 )
@@ -179,6 +179,22 @@ def read_display_fixture(source: str | Iterable[str]) -> tuple[tuple[str, ...], 
     return parsed[0], parsed[1:]
 
 
+def check_report_options(smoothing: SmoothingPolicy, interval_method: str | None,
+                         level: float, seed: int) -> None:
+    """DataError unless these ``build_report`` options are valid."""
+    if interval_method is not None:
+        check_interval_method(interval_method)
+        if not smoothing.is_none:
+            # both interval methods are computed from the raw counts, so a
+            # smoothed point LR could fall outside its own interval
+            raise DataError(
+                f"{interval_method} intervals are computed without smoothing; "
+                f"drop smoothing {smoothing.describe()} or the interval"
+            )
+    check_level(level)
+    check_seed(seed)
+
+
 def build_report(
     path: str | Path,
     output_format: str = "md",
@@ -194,20 +210,7 @@ def build_report(
     JSON only, nested per study; md and csv show the point LRs.
     """
     fmt = _normalize_format(output_format)
-    if interval_method not in (None, *INTERVAL_METHOD_NAMES):
-        raise DataError(
-            f"interval method must be {' or '.join(map(repr, INTERVAL_METHOD_NAMES))}, "
-            f"got {interval_method!r}"
-        )
-    if interval_method is not None and not smoothing.is_none:
-        # the replicates are drawn from the raw counts, so a smoothed point
-        # LR could fall outside its own interval
-        raise DataError(
-            f"{interval_method} intervals are computed without smoothing; "
-            f"drop smoothing {smoothing.describe()} or the interval"
-        )
-    check_level(level)
-    check_seed(seed)
+    check_report_options(smoothing, interval_method, level, seed)
 
     def render(table: ConfusionTable) -> str:
         if fmt != "json":
@@ -216,15 +219,13 @@ def build_report(
         if interval_method is not None:
             # imported here, not at module level: only a JSON report with
             # intervals computes them, and the bootstrap loads numpy
-            from .uncertainty import INTERVAL_METHODS
+            from .uncertainty import interval_of
 
-            method = INTERVAL_METHODS[interval_method]
+            interval = interval_of(interval_method, level, seed)
             bootstrap = interval_method == "bootstrap"
-            options = {"level": level, "seed": seed} if bootstrap else {"level": level}
             # every bootstrap replicate of a 0/0 row is 0/0 as well: it has no interval
             intervals = {
-                e.statement: None if e.lr is None and bootstrap
-                else method(table, e.statement, **options)
+                e.statement: None if e.lr is None and bootstrap else interval(table, e.statement)
                 for e in full_table_lrs(table)
             }
         statements = lr_rows_payload(table, smoothing, intervals)

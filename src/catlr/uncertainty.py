@@ -2,9 +2,8 @@
 
 The source studies report point values only; interval methodology is this
 module's own choice and is labeled as such in every Interval's ``method``
-string.  Two interval methods are provided, keyed by name in
-``INTERVAL_METHODS``, plus a closed-form bound for the zero-denominator
-case:
+string.  Two interval methods are provided, each bound to its options by
+``interval_of``, plus a closed-form bound for the zero-denominator case:
 
 * ``bootstrap_interval`` — stratified percentile bootstrap.  The study
   design fixes how many same-source and different-source comparisons are
@@ -45,11 +44,11 @@ import math
 from typing import TYPE_CHECKING
 
 from .model import (
-    INTERVAL_METHOD_NAMES,
     ConfusionTable,
     DataError,
     Frozen,
     GroundTruth,
+    check_interval_method,
     check_level,
     check_seed,
 )
@@ -202,26 +201,19 @@ def _check_dirichlet_options(alpha: float, level: float, draws: int = 0) -> None
         raise DataError(f"the Dirichlet interval is computed, not drawn: draws must be 0, got {draws!r}")
 
 
-def check_interval_options(method: str, **options) -> None:
-    """DataError unless ``options`` are valid keyword arguments of the
-    ``method`` interval, other than the table and statement: each call checks
-    them before it reads its table, and so can a caller that has not read it yet."""
-    {"bootstrap": _check_bootstrap_options, "dirichlet": _check_dirichlet_options}[method](**options)
-
-
-# Keyed by ``model.INTERVAL_METHOD_NAMES``, in its order.  Each entry
-# resolves its function at call time, so a wrapper later bound onto this
-# module (a profiler or tracer) also sees dispatched calls.
-INTERVAL_METHODS = dict(
-    zip(
-        INTERVAL_METHOD_NAMES,
-        (
-            lambda *args, **options: bootstrap_interval(*args, **options),
-            lambda *args, **options: dirichlet_interval(*args, **options),
-        ),
-        strict=True,
-    )
-)
+def interval_of(method: str, level: float = 0.95, seed: int = 0, replicates: int = 2000,
+                alpha: float = 0.5):
+    """The ``method`` interval as a function of (table, statement), its options
+    checked now, before any table is read; the bootstrap ignores ``alpha``, the
+    Dirichlet interval ``replicates``.  The function calls ``bootstrap_interval``
+    or ``dirichlet_interval`` by this module's name for it, so a wrapper bound
+    here later, such as a tracer, sees each call."""
+    if check_interval_method(method) == "bootstrap":
+        _check_bootstrap_options(replicates, level, seed)
+        return lambda table, statement: bootstrap_interval(table, statement, replicates, level, seed)
+    check_seed(seed)
+    _check_dirichlet_options(alpha, level)
+    return lambda table, statement: dirichlet_interval(table, statement, alpha, level)
 
 
 def zero_count_lower_bound(

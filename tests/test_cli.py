@@ -274,20 +274,50 @@ class TestContentErrorNamesTheFile:
         assert (code, out) == (2, "")
         assert err.startswith(f"data error: {bullets_csv}: unknown statement 'zz'; categories are ")
 
+    DIRICHLET = ("interval", "--statement", "ID", "--method", "dirichlet")
+    BOOTSTRAP = ("interval", "--statement", "ID", "--method", "bootstrap")
+    JSON_REPORT = ("report", "--format", "json", "--interval")
+    LEVEL = "level must be in (0, 1), got "
+    SEED = "seed must be a non-negative integer, got -1"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("--level", "1.5"), "level must be in (0, 1), got 1.5"),
-            (("--alpha", "0"), "alpha must be a positive finite number, got 0.0"),
-            (("--alpha", "1e101"), "alpha must be from 1e-100 to 1e+100, got 1e+101"),
+            ((*DIRICHLET, "--level", "1.5"), LEVEL + "1.5"),
+            ((*DIRICHLET, "--alpha", "0"), "alpha must be a positive finite number, got 0.0"),
+            ((*DIRICHLET, "--alpha", "1e101"), "alpha must be from 1e-100 to 1e+100, got 1e+101"),
+            ((*DIRICHLET, "--seed", "-1"), SEED),
+            # the Dirichlet interval checks the seed, then the level, then alpha
+            ((*DIRICHLET, "--alpha", "0", "--level", "0", "--seed", "-1"), SEED),
+            ((*DIRICHLET, "--alpha", "0", "--level", "0"), LEVEL + "0.0"),
+            ((*BOOTSTRAP, "--replicates", "99"), "bootstrap needs at least 100 replicates, got 99"),
+            (
+                (*BOOTSTRAP, "--replicates", "1000001"),
+                "replicates must be at most 1000000, got 1000001",
+            ),
+            ((*BOOTSTRAP, "--seed", "-1"), SEED),
+            ((*BOOTSTRAP, "--level", "0"), LEVEL + "0.0"),
+            # the bootstrap checks the level, then the seed, then the replicate count
+            ((*BOOTSTRAP, "--replicates", "99", "--seed", "-1", "--level", "0"), LEVEL + "0.0"),
+            ((*BOOTSTRAP, "--replicates", "99", "--seed", "-1"), SEED),
+            ((*JSON_REPORT, "bootstrap", "--level", "1.5"), LEVEL + "1.5"),
+            ((*JSON_REPORT, "bootstrap", "--seed", "-1"), SEED),
+            ((*JSON_REPORT, "dirichlet", "--level", "1.5"), LEVEL + "1.5"),
+            ((*JSON_REPORT, "dirichlet", "--seed", "-1"), SEED),
+        ],
+        ids=[
+            "dirichlet-level", "dirichlet-alpha-0", "dirichlet-alpha-1e101", "dirichlet-seed",
+            "dirichlet-seed-first", "dirichlet-level-before-alpha",
+            "bootstrap-replicates-99", "bootstrap-replicates-1000001", "bootstrap-seed",
+            "bootstrap-level", "bootstrap-level-first", "bootstrap-seed-before-replicates",
+            "report-bootstrap-level", "report-bootstrap-seed",
+            "report-dirichlet-level", "report-dirichlet-seed",
         ],
     )
     def test_option_error_is_found_before_the_read_and_names_no_file(self, tmp_path, argv, message):
         path = tmp_path / "zero_row.csv"
         path.write_text(self.ZERO_ROW, encoding="utf-8")
-        code, out, err = invoke(
-            "interval", "--table", str(path), "--statement", "ID", "--method", "dirichlet", *argv
-        )
+        code, out, err = invoke(*argv, "--table", str(path))
         assert (code, out, err) == (2, "", f"data error: {message}\n")
 
 
@@ -527,6 +557,41 @@ class TestIntervalCommand:
                 f"data error: {path}: the bootstrap cannot resample the same-source row: "
                 f"its total {2**63} exceeds {2**63 - 1}\n"
             )
+
+
+class TestIntervalCallsResolveByName:
+    """A wrapper bound onto ``catlr.uncertainty`` after import, as a profiler
+    or tracer binds one, sees every interval the commands compute."""
+
+    @pytest.mark.parametrize("method", ["bootstrap", "dirichlet"])
+    def test_interval_and_json_report_call_the_module_functions(
+        self, monkeypatch, bullets_csv, bullets, method
+    ):
+        from catlr import uncertainty
+
+        calls = []
+
+        def recording(name, original):
+            def record(table, statement, *args, **kwargs):
+                calls.append((name, statement))
+                return original(table, statement, *args, **kwargs)
+
+            return record
+
+        for name in ("bootstrap_interval", "dirichlet_interval"):
+            monkeypatch.setattr(uncertainty, name, recording(name, getattr(uncertainty, name)))
+        name = f"{method}_interval"
+        code, out, err = invoke(
+            "interval", "--table", bullets_csv, "--statement", "ID", "--method", method
+        )
+        assert (code, err) == (0, "")
+        assert calls == [(name, "ID")]
+        calls.clear()
+        code, out, err = invoke(
+            "report", "--table", bullets_csv, "--format", "json", "--interval", method
+        )
+        assert (code, err) == (0, "")
+        assert calls == [(name, statement) for statement in bullets.categories]
 
 
 class TestSimulateCommand:
@@ -808,6 +873,36 @@ class TestReportCommand:
         code, _, err = invoke("report", "--format", "md")
         assert code == 2
         assert "report needs" in err
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--level", "5"), "level must be in (0, 1), got 5.0"),
+            (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
+            (
+                ("--interval", "bootstrap", "--smoothing", "alpha=1"),
+                "bootstrap intervals are computed without smoothing; "
+                "drop smoothing add-alpha(1) or the interval",
+            ),
+            (("--table", "table.csv"), "report takes --table or --summary, not both"),
+        ],
+        ids=["level", "seed", "interval-smoothing", "table"],
+    )
+    def test_summary_checks_the_table_options_before_the_read(
+        self, tmp_path, fmt, option, message
+    ):
+        fixture = tmp_path / "summary.csv"
+        fixture.write_text("study,LR (identification)\nbullets,109\n", encoding="utf-8")
+        (tmp_path / "table.csv").write_text(
+            "statement,same_source_count,different_source_count\nID,30,2\n", encoding="utf-8"
+        )
+        for summary in (fixture, tmp_path / "missing.csv"):
+            code, out, err = invoke(
+                "report", "--summary", str(summary), "--format", fmt,
+                *(str(tmp_path / a) if a == "table.csv" else a for a in option),
+            )
+            assert (code, out, err) == (2, "", f"data error: {message}\n")
 
     @pytest.mark.parametrize("method", ["bootstrap", "dirichlet"])
     def test_interval_with_smoothing_is_data_error(self, tmp_path, method):
