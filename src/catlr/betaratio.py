@@ -28,6 +28,7 @@ import math
 from bisect import bisect_right
 
 from .model import DataError
+from .uncertainty import _normal_quantile
 
 _DROP = 40.0  # nats below the mode at which the tabulated law's grid ends
 _SUM_DROP = 30.0  # and the summed law's
@@ -400,13 +401,6 @@ def _log_beta_moments(a: float, b: float) -> tuple[float, float]:
 
     (mean_x, var_x), (mean_y, var_y) = series(x), series(y)
     return mean + mean_x - mean_y, max(var + var_x - var_y, 0.0)
-
-
-def _normal_quantile(q: float) -> float:
-    """A rough standard normal quantile, within ~0.01 for 1e-6 < q < 1 - 1e-6."""
-    if q < 0.5:
-        return -_normal_quantile(1.0 - q)
-    return 5.5556 * (1.0 - ((1.0 - q) / q) ** 0.1186)
 
 
 def ratio_quantiles(

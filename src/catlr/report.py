@@ -9,7 +9,7 @@ JSON row schema: ``statement``, ``lr`` (number, or null when infinite or
 undefined), ``lr_display``, ``p_h1``, ``p_h2``, and optionally
 ``interval`` with ``lower`` / ``upper`` (null when infinite), ``level``
 and ``method``; a bootstrap ``interval`` is null for an undefined (0/0)
-point LR, as its every replicate is undefined too.
+point LR, as the bootstrap law has no defined value there either.
 """
 
 from __future__ import annotations
@@ -218,12 +218,12 @@ def build_report(
         intervals = None
         if interval_method is not None:
             # imported here, not at module level: only a JSON report with
-            # intervals computes them, and the bootstrap loads numpy
+            # intervals computes them
             from .uncertainty import interval_of
 
             interval = interval_of(interval_method, level, seed)
             bootstrap = interval_method == "bootstrap"
-            # every bootstrap replicate of a 0/0 row is 0/0 as well: it has no interval
+            # a 0/0 row's bootstrap law has no defined value: it has no interval
             intervals = {
                 e.statement: None if e.lr is None and bootstrap else interval(table, e.statement)
                 for e in full_table_lrs(table)

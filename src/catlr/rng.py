@@ -1,16 +1,15 @@
 """Seedable random streams.
 
-Every stochastic routine in this package obtains its generator here so
-results are reproducible bit-for-bit:
+``simulate`` obtains its generator here so that its records are
+reproducible bit-for-bit:
 
 * algorithm: numpy's PCG64 seeded through ``numpy.random.SeedSequence((seed,))``;
-* each consumer draws everything it needs from the single stream
-  ``stream(seed)``: the study simulator per profile seed, and each
-  bootstrap interval call all of its replicates, same-source row first.
+* the study simulator draws everything it needs for a profile from the
+  single stream ``stream(seed)`` of the profile's seed.
 
-Streams serve the bootstrap and ``simulate`` only: the Dirichlet interval
-is computed by quadrature and draws nothing.  ``RNG_ALGORITHM`` names this
-scheme and is recorded in bootstrap interval metadata.
+``RNG_ALGORITHM`` names this scheme, ``simulate``'s alone: no interval
+draws, as both are computed from their exact laws (``catlr.binomratio``,
+``catlr.betaratio``).
 """
 
 from __future__ import annotations

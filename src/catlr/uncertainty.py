@@ -5,14 +5,17 @@ module's own choice and is labeled as such in every Interval's ``method``
 string.  Two interval methods are provided, each bound to its options by
 ``interval_of``, plus a closed-form bound for the zero-denominator case:
 
-* ``bootstrap_interval`` — stratified percentile bootstrap.  The study
+* ``bootstrap_interval`` — stratified percentile bootstrap, in the limit
+  of infinitely many replicates (Efron's ideal bootstrap).  The study
   design fixes how many same-source and different-source comparisons are
   administered, so each row is resampled separately with its total held
   fixed.  Rows are resampled as aggregated counts; clustering of
   evaluations within examiners is ignored (a documented limitation,
   matching the pooled treatment of the tables themselves).  Statement
   k's LR reads only cell k of each row, and that cell of a multinomial
-  row is exactly Binomial(n, f_k), so only the cell is drawn.
+  row is exactly Binomial(n, f_k), so the LR's bootstrap law is that of
+  the ratio of two independent binomial proportions, and the interval is
+  its percentiles, computed exactly.
 * ``dirichlet_interval`` — posterior credible interval: each row's
   category probabilities get an independent Dirichlet(counts + alpha)
   posterior.  Cell k of a Dirichlet(c + alpha) row is exactly Beta(c_k +
@@ -24,15 +27,18 @@ string.  Two interval methods are provided, each bound to its options by
   the finite lower bound obtained by replacing the zero-count probability
   with its one-sided upper binomial bound 1 - (1-level)^(1/N).
 
-The bootstrap draws all of its replicates from the single stream
-``stream(seed)``, same-source row first (see ``catlr.rng``), so its
-intervals are reproducible bit-for-bit for a fixed seed.  A call draws at
-most ``MAX_REPLICATES`` replicates.  Infinite replicates are ordered above
-all finite ones when taking percentiles; 0/0 replicates (possible only when
-a resampled row loses the statement entirely under both hypotheses) carry
-no information about the ratio and are excluded.
+Neither interval draws anything.  The bootstrap's endpoints are the
+smallest atoms of the ratio's law at which its CDF reaches each tail,
+computed in ``catlr.binomratio``, which this module loads only for a
+bootstrap call; they depend on the table, the statement and the level
+only.  Infinite ratios are ordered above all finite ones; 0/0 ratios
+(possible only when a resampled row loses the statement entirely under
+both hypotheses) carry no information about the ratio and are excluded,
+and a statement with no count in either row has no interval.  The
+bootstrap's ``replicates`` (100 to ``MAX_REPLICATES``) and ``seed`` are
+checked and change nothing.
 
-The Dirichlet interval draws nothing: its endpoints depend on the table,
+The Dirichlet interval's endpoints depend on the table,
 the statement, alpha and the level only.  They are the quantiles of B1 / B2
 computed by quadrature in ``catlr.betaratio``, which this module loads only
 for a Dirichlet call.
@@ -41,7 +47,6 @@ for a Dirichlet call.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .model import (
     ConfusionTable,
@@ -53,11 +58,7 @@ from .model import (
     check_seed,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 MAX_REPLICATES = 1_000_000
-_MAX_BINOMIAL_TRIALS = 2**63 - 1  # numpy's binomial takes its trial count as a C long
 
 
 class Interval(Frozen):
@@ -77,40 +78,12 @@ class Interval(Frozen):
         return self.lower <= value <= self.upper
 
 
-def _quantile(sorted_values: np.ndarray, q: float) -> float:
-    """Linear-interpolation quantile that treats infinities as ordered values.
-
-    Matches numpy's default method except that interpolating into the
-    infinite tail yields inf instead of NaN (inf - inf).
-    """
-    position = (sorted_values.size - 1) * q
-    low = sorted_values[math.floor(position)]
-    high = sorted_values[math.ceil(position)]
-    if math.isinf(high):
-        return float(low) if position == math.floor(position) else math.inf
-    return float(low + (high - low) * (position - math.floor(position)))
-
-
-def _percentile_interval(values: np.ndarray, level: float, method: str) -> Interval:
-    # imported here, not at module level: Interval and zero_count_lower_bound
-    # need no numpy
-    import numpy as np
-
-    defined = np.sort(values[~np.isnan(values)])
-    if defined.size == 0:
-        raise DataError("every replicate was undefined (0/0); no interval exists")
-    tail = (1.0 - level) / 2.0
-    return Interval(
-        _quantile(defined, tail), _quantile(defined, 1.0 - tail), level, method
-    )
-
-
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise num / den: inf where only den is 0, NaN where both are."""
-    import numpy as np
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den
+def _normal_quantile(q: float) -> float:
+    """A rough standard normal quantile, within ~0.01 for 1e-6 < q < 1 - 1e-6:
+    the start of both interval methods' solves."""
+    if q < 0.5:
+        return -_normal_quantile(1.0 - q)
+    return 5.5556 * (1.0 - ((1.0 - q) / q) ** 0.1186)
 
 
 def bootstrap_interval(
@@ -120,27 +93,30 @@ def bootstrap_interval(
     level: float = 0.95,
     seed: int = 0,
 ) -> Interval:
-    """Stratified percentile-bootstrap interval for one statement's LR."""
+    """Stratified percentile-bootstrap interval for one statement's LR, in the
+    limit of infinitely many replicates (Efron's ideal bootstrap).
+
+    The endpoints are exact quantiles of the law the bootstrap resamples,
+    computed in ``catlr.binomratio``: they depend on the table, the
+    statement and ``level`` only.  ``replicates`` and ``seed`` are checked
+    and change nothing: callers pass them, and the benchmark's tracer reads
+    ``replicates`` by name.
+    """
     _check_bootstrap_options(replicates=replicates, level=level, seed=seed)
     k = table.index_of(statement)
-    # imported here, not at module level: only the bootstrap draws
-    from .rng import RNG_ALGORITHM, stream
-
-    g = stream(seed)
-    cells = []
-    for truth in (GroundTruth.SAME_SOURCE, GroundTruth.DIFFERENT_SOURCE):
-        n = table.row_total(truth)
-        if n > _MAX_BINOMIAL_TRIALS:
-            raise DataError(
-                f"the bootstrap cannot resample the {truth.value}-source row: its total {n} "
-                f"exceeds {_MAX_BINOMIAL_TRIALS}"
-            )
-        cells.append(g.binomial(n, table.frequencies(truth)[k], replicates) / n)
-    values = _ratio(*cells)
-    method = (
-        f"bootstrap-percentile(replicates={replicates},seed={seed},rng={RNG_ALGORITHM})"
+    (n1, c1), (n2, c2) = (
+        (table.observed_total(truth), table.row(truth)[k])  # raises for a row with no observations
+        for truth in (GroundTruth.SAME_SOURCE, GroundTruth.DIFFERENT_SOURCE)
     )
-    return _percentile_interval(values, level, method)
+    if c1 == c2 == 0:
+        raise DataError(
+            "undefined likelihood ratio (0/0): the bootstrap law has no defined value; no interval exists"
+        )
+    # imported here, not at module level: the Dirichlet interval runs none of it
+    from .binomratio import ratio_quantiles
+
+    lower, upper = ratio_quantiles(n1, c1, n2, c2, (1.0 - level) / 2.0)
+    return Interval(lower, upper, level, "bootstrap-percentile(ideal,lattice-v1)")
 
 
 _ALPHA_RANGE = (1e-100, 1e100)  # where catlr.betaratio is tested to stay in float range

@@ -524,6 +524,18 @@ class TestIntervalCommand:
         assert code == 2
         assert "unknown statement" in err
 
+    def test_bootstrap_of_a_statement_absent_from_both_rows_is_data_error(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "statement,same_source_count,different_source_count\nID,5,3\nNONE,0,0\n", encoding="utf-8"
+        )
+        code, out, err = invoke("interval", "--table", str(path), "--statement", "NONE", "--method", "bootstrap")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"data error: {path}: undefined likelihood ratio (0/0): "
+            "the bootstrap law has no defined value; no interval exists\n"
+        )
+
     def test_replicate_count_above_ceiling_is_data_error(self, bullets_csv):
         code, out, err = invoke(
             "interval", "--table", bullets_csv, "--statement", "ID",
@@ -548,15 +560,11 @@ class TestIntervalCommand:
             f"ID,{total - 10},1\nElim,10,5\n",
             encoding="utf-8",
         )
+        # the ideal bootstrap draws nothing, so no trial count limits it
         code, out, err = invoke(*argv, "--table", str(path))
-        if total < 2**63:
-            assert (code, err) == (0, "")
-        else:
-            assert (code, out) == (2, "")
-            assert err == (
-                f"data error: {path}: the bootstrap cannot resample the same-source row: "
-                f"its total {2**63} exceeds {2**63 - 1}\n"
-            )
+        assert (code, err) == (0, "")
+        if argv[0] == "interval":
+            assert out == "2\tinf\n"
 
 
 class TestIntervalCallsResolveByName:

@@ -101,8 +101,8 @@ def test_import_loads_no_numpy():
 LIGHT = {"catlr", "catlr.cli", "catlr.model"}
 TABLE = LIGHT | {"catlr.engine", "catlr.ingest"}
 REPORT = TABLE | {"catlr.report"}
-DRAW = {"catlr.ingest", "catlr.rng", "catlr.uncertainty"}
-# the Dirichlet interval is computed, not drawn: no catlr.rng, no numpy
+# neither interval draws: no catlr.rng, no numpy, and each loads only its own solver
+BOOTSTRAP = {"catlr.ingest", "catlr.binomratio", "catlr.uncertainty"}
 COMPUTE = {"catlr.ingest", "catlr.betaratio", "catlr.uncertainty"}
 
 
@@ -119,12 +119,12 @@ COMMANDS = [
     (("report", "--table", "{table}", "--format", "json", "--interval", "dirichlet"),
      REPORT | COMPUTE, True),
     (("report", "--table", "{table}", "--format", "json", "--interval", "bootstrap"),
-     REPORT | DRAW, True),
+     REPORT | BOOTSTRAP, True),
     (("report", "--summary", str(SUMMARY_CSV)), REPORT, False),
     (("posterior", "--prior", "0.1", "--lr", "1000"), LIGHT | {"catlr.interpret"}, False),
     (("adjust", "--lr", "109", "--fraction", "0.01"), LIGHT | {"catlr.interpret"}, False),
     (("interval", "--table", "{table}", "--statement", "ID", "--method", "bootstrap"),
-     LIGHT | DRAW, False),
+     LIGHT | BOOTSTRAP, False),
     (("interval", "--table", "{table}", "--statement", "ID", "--method", "dirichlet"),
      LIGHT | COMPUTE, False),
     (("tally", "--in", "{records}"), LIGHT | {"catlr.ingest", "catlr.records"}, False),
@@ -142,10 +142,10 @@ COMMANDS = [
 def test_command_loads_only_the_modules_it_runs(
     bullets_csv, records_csv, profile_cfg, argv, catlr_modules, json_loaded
 ):
-    # simulate alone loads catlr.simulate, posterior and adjust alone
-    # catlr.interpret, only interval commands catlr.uncertainty, only the
-    # commands that draw catlr.rng and numpy, and only the Dirichlet
-    # interval catlr.betaratio
+    # simulate alone loads catlr.simulate, catlr.rng and numpy, posterior
+    # and adjust alone catlr.interpret, only interval commands
+    # catlr.uncertainty, only the Dirichlet interval catlr.betaratio, and
+    # only the bootstrap catlr.binomratio
     argv = [a.format(table=bullets_csv, records=records_csv, profile=profile_cfg) for a in argv]
     code, out, err, loaded = cold_run(*argv)
     assert (code, err) == (0, "")
@@ -181,7 +181,7 @@ def test_submodules_are_package_attributes_after_a_bare_import():
     # in a fresh interpreter, so that no earlier import has bound them
     script = (
         "import catlr, types\n"
-        "names = ('betaratio', 'engine', 'ingest', 'interpret', 'model', 'report', 'rng',"
+        "names = ('betaratio', 'binomratio', 'engine', 'ingest', 'interpret', 'model', 'report', 'rng',"
         " 'simulate', 'uncertainty')\n"
         "assert all(isinstance(getattr(catlr, n), types.ModuleType) for n in names)\n"
         "assert set(names) <= set(dir(catlr))\n"
@@ -219,7 +219,7 @@ def test_md_or_csv_report_draws_no_interval(bullets_csv, fmt, method):
     [
         (("simulate", "--profile", "{profile}"), True),
         (("interval", "--table", "{table}", "--statement", "ID",
-          "--method", "bootstrap", "--seed", "42"), True),
+          "--method", "bootstrap", "--seed", "42"), False),
         (("interval", "--table", "{table}", "--statement", "ID",
           "--method", "dirichlet"), False),
         (("report", "--table", "{table}", "--format", "json", "--interval", "dirichlet"), False),
@@ -227,7 +227,7 @@ def test_md_or_csv_report_draws_no_interval(bullets_csv, fmt, method):
     ids=["simulate", "bootstrap", "dirichlet", "dirichlet-report"],
 )
 def test_interval_or_simulate_prints_the_same_bytes_cold(bullets_csv, profile_cfg, argv, draws):
-    # a fresh interpreter, with numpy loaded only by the commands that draw
+    # a fresh interpreter, with numpy loaded only by simulate, which draws
     argv = [a.format(table=bullets_csv, profile=profile_cfg) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     assert run(argv, stdout=out, stderr=err) == 0

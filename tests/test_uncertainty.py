@@ -1,5 +1,9 @@
+import bisect
+import itertools
 import math
 import os
+import re
+from fractions import Fraction
 import subprocess
 import sys
 import time
@@ -10,10 +14,10 @@ import pytest
 
 import catlr
 from catlr.betaratio import _DROP, _TABLE_GRID, _LogitBeta
+from catlr.binomratio import MAX_POINTS, _Ratio, _Row, ratio_quantiles
 from catlr.engine import full_table_lrs, likelihood_ratio
 from catlr.model import ConfusionTable, DataError
 from catlr.records import tally
-from catlr.rng import RNG_ALGORITHM
 from catlr.simulate import PanelProfile, simulate_study, true_lr
 from catlr.uncertainty import (
     Interval,
@@ -44,10 +48,12 @@ class TestBootstrap:
         b = bootstrap_interval(bullets, "ID", replicates=2000, seed=42)
         assert a == b
 
-    def test_seed_changes_interval(self, bullets):
-        a = bootstrap_interval(bullets, "ID", replicates=500, seed=1)
-        b = bootstrap_interval(bullets, "ID", replicates=500, seed=2)
-        assert a != b
+    def test_seed_and_replicates_change_nothing(self, bullets):
+        # the interval is the ideal bootstrap's, computed, not drawn: --seed and
+        # --replicates are checked and ignored
+        a = bootstrap_interval(bullets, "ID")
+        for options in ({"seed": 1}, {"seed": 2}, {"replicates": 100}, {"replicates": 10**6, "seed": 7}):
+            assert bootstrap_interval(bullets, "ID", **options) == a
 
     def test_point_estimate_inside(self, bullets):
         interval = bootstrap_interval(bullets, "ID", replicates=2000, seed=42)
@@ -83,21 +89,27 @@ class TestBootstrap:
             bootstrap_interval(t, "a")
 
     def test_row_total_up_to_the_binomial_limit(self):
+        # no row total is too large: the law is summed, not drawn
         largest = ConfusionTable(("a", "b"), (2**63 - 11, 10), (1, 5))
         assert bootstrap_interval(largest, "a", replicates=100).lower > 0
         over = ConfusionTable(("a", "b"), (1, 5), (2**63 - 10, 10))
-        message = (
-            "the bootstrap cannot resample the different-source row: "
-            f"its total {2**63} exceeds {2**63 - 1}"
-        )
-        with pytest.raises(DataError, match=f"^{message}$"):
-            bootstrap_interval(over, "a", replicates=100)
+        interval = bootstrap_interval(over, "a", replicates=100)
+        # X2 / n2 is 1 within 1e-18, so R is X1 / 6: 0 with probability 0.33, at most 3 / 6 at 97.5%
+        assert (interval.lower, interval.upper) == (0.0, 0.5)
+        beyond = ConfusionTable(("a", "b"), (2**63 - 10, 10), (1, 5))
+        assert 1.99 < bootstrap_interval(beyond, "a").lower < 2.01
 
     def test_method_metadata_names_algorithm(self, bullets):
         interval = bootstrap_interval(bullets, "ID", replicates=300, seed=5)
-        assert RNG_ALGORITHM in interval.method
-        assert "seed=5" in interval.method
+        assert interval.method == "bootstrap-percentile(ideal,lattice-v1)"
+        assert interval.method.startswith("bootstrap")
         assert interval.level == 0.95
+
+    def test_statement_absent_from_both_rows_has_no_interval(self):
+        t = ConfusionTable(("ID", "NONE", "Elimination"), (100, 0, 3), (0, 0, 40))
+        message = "undefined likelihood ratio (0/0): the bootstrap law has no defined value; no interval exists"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            bootstrap_interval(t, "NONE")
 
     def test_unknown_statement(self, bullets):
         with pytest.raises(DataError, match="unknown statement"):
@@ -258,50 +270,218 @@ def assert_matches_scipy(table, statement, alpha=0.5, level=0.95, rel=1e-5):
         assert value == pytest.approx(expected, rel=rel), (statement, alpha, level, q)
 
 
+def exact_bootstrap_quantiles(n1, c1, n2, c2, qs):
+    """The ``qs`` quantiles of the ideal stratified bootstrap's law of the
+    LR, by enumerating both binomials in exact rational arithmetic: for
+    each q the smallest atom (x1 n2) / (x2 n1), with 0/0 dropped and inf
+    above every finite value, whose conditional CDF reaches q, as a
+    correctly rounded float."""
+
+    def pmf(n, c):
+        return [Fraction(math.comb(n, x) * c**x * (n - c) ** (n - x), n**n) for x in range(n + 1)]
+
+    atoms, row1 = {}, pmf(n1, c1)
+    for x2, m2 in enumerate(pmf(n2, c2)):
+        for x1, m1 in enumerate(row1):
+            if m1 and m2 and (x1 or x2):
+                value = Fraction(x1 * n2, x2 * n1) if x2 else math.inf
+                atoms[value] = atoms.get(value, 0) + m1 * m2
+    values = sorted(atoms)
+    cdf = list(itertools.accumulate(atoms[v] for v in values))
+    return tuple(float(values[bisect.bisect_left(cdf, Fraction(q) * cdf[-1])]) for q in qs)
+
+
+def assert_equals_enumeration(table, statement, level=0.95):
+    interval = bootstrap_interval(table, statement, level=level)
+    k = table.index_of(statement)
+    cells = (sum(table.same_source), table.same_source[k], sum(table.different_source), table.different_source[k])
+    tail = (1 - level) / 2
+    expected = exact_bootstrap_quantiles(*cells, (tail, 1 - tail))
+    assert (interval.lower, interval.upper) == expected, (statement, level)
+
+
 class TestMarginalDrawLaw:
     """Each interval reads only statement k's cell of a row; its endpoints
     must follow the law of the whole rows that cell is taken from."""
 
     TABLE = ConfusionTable(("a", "b", "c", "d"), (60, 25, 10, 5), (3, 40, 57, 0))
-    REFERENCE_SIZE = 200_000
-    REPLICATES = 20_000
 
-    @staticmethod
-    def _tail_ok(reference, n, q, value):
-        # tolerance as in bench/checks.py::IntervalLaw: 5 standard errors of a
-        # percentile from n defined replicates, 5 of the reference's own, and
-        # two replicates' worth of discreteness
-        size = reference.size
-        tol = 5.0 * math.sqrt(q * (1 - q) / n) + 5.0 * math.sqrt(q * (1 - q) / size) + 2.0 / n
-        below = np.searchsorted(reference, value, "left") / size
-        upto = np.searchsorted(reference, value, "right") / size
-        return below <= q + tol and upto >= q - tol
-
-    def _check(self, interval, num, den):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = num / den
-        reference = np.sort(ratios[~np.isnan(ratios)])
-        # 0/0 replicates are dropped before the percentile
-        n = max(1.0, self.REPLICATES * reference.size / ratios.size)
-        tail = (1.0 - interval.level) / 2.0
-        assert self._tail_ok(reference, n, tail, interval.lower)
-        assert self._tail_ok(reference, n, 1.0 - tail, interval.upper)
-
-    def test_bootstrap_matches_whole_row_multinomial(self):
-        t = self.TABLE
-        g = np.random.default_rng(20240105)
-        n1, n2 = sum(t.same_source), sum(t.different_source)
-        rows1 = g.multinomial(n1, np.array(t.same_source) / n1, self.REFERENCE_SIZE)
-        rows2 = g.multinomial(n2, np.array(t.different_source) / n2, self.REFERENCE_SIZE)
-        for k, statement in enumerate(t.categories):
-            interval = bootstrap_interval(t, statement, replicates=self.REPLICATES, seed=k)
-            self._check(interval, rows1[:, k] / n1, rows2[:, k] / n2)
+    @pytest.mark.parametrize("level", [0.95, 0.8, 0.5])
+    def test_bootstrap_equals_the_exact_enumeration(self, level):
+        # bit for bit: each endpoint is the atom the exact law reaches its tail at
+        for statement in self.TABLE.categories:
+            assert_equals_enumeration(self.TABLE, statement, level)
 
     def test_dirichlet_matches_the_beta_marginals(self):
         # exact to 1e-5: a 5% smaller row total, or a rest shape of (K-2)
         # alpha instead of (K-1) alpha, moves every endpoint by far more
         for statement in self.TABLE.categories:
             assert_matches_scipy(self.TABLE, statement)
+
+
+class TestBootstrapExact:
+    """Small tables, where both binomials can be enumerated exactly."""
+
+    ZERO_CELLS = ConfusionTable(("ID", "Inconclusive", "Elimination"), (20, 6, 0), (0, 10, 31))
+    UNDEFINED = ConfusionTable(("ID", "NONE", "Elimination"), (100, 0, 3), (0, 0, 40))
+    # R is 0/0 with probability (2/3)**3 * (1/2)**2 = 0.074
+    RARE = ConfusionTable(("a", "b"), (1, 2), (1, 1))
+
+    @pytest.mark.parametrize("table", ["ZERO_CELLS", "UNDEFINED", "RARE"])
+    @pytest.mark.parametrize("level", [0.95, 0.9, 0.5])
+    def test_zero_cells_and_undefined_replicates(self, table, level):
+        table = getattr(self, table)
+        for statement in table.categories:
+            if statement != "NONE":
+                assert_equals_enumeration(table, statement, level)
+
+    def test_seeded_small_tables(self):
+        g = np.random.default_rng(20260105)
+        for _ in range(40):
+            n1, n2 = (int(n) for n in g.integers(1, 41, 2))
+            c1, c2 = int(g.integers(0, n1 + 1)), int(g.integers(0, n2 + 1))
+            if c1 or c2:
+                table = ConfusionTable(("a", "b"), (c1, n1 - c1), (c2, n2 - c2))
+                assert_equals_enumeration(table, "a", float(g.choice([0.95, 0.9, 0.5, 0.99])))
+
+    def test_the_bracketing_solve_reaches_the_same_atoms(self, monkeypatch):
+        # tables this small are normally walked whole; with no atoms walked
+        # until a bracket holds almost none, the solve narrows it by regula
+        # falsi steps down to adjacent floats, and must still land on each atom
+        from catlr import binomratio
+
+        monkeypatch.setattr(binomratio, "_WALK_ATOMS", 1)
+        for table in (TestMarginalDrawLaw.TABLE, self.ZERO_CELLS, self.RARE):
+            for statement in table.categories:
+                assert_equals_enumeration(table, statement, 0.9)
+
+
+def numpy_bootstrap(n1, c1, n2, c2, size, seed):
+    """``size`` replicates of the LR under the stratified bootstrap, drawn as
+    catlr drew them before it computed the law: numpy binomial draws of
+    each row's cell, 0/0 dropped, sorted with inf last."""
+    g = np.random.default_rng(seed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (g.binomial(n1, c1 / n1, size) / n1) / (g.binomial(n2, c2 / n2, size) / n2)
+    return np.sort(ratios[~np.isnan(ratios)]), size
+
+
+def assert_in_bootstrap_reference(n1, c1, n2, c2, intervals, seed=0, size=10**6):
+    """Each (lower, upper, level) of ``intervals`` inside the tolerance of
+    bench/checks.py::IntervalLaw, for an interval as good as a
+    1e6-replicate run: 5 standard errors of a percentile from that many
+    defined replicates, 5 of the reference's own, and two replicates' worth
+    of discreteness.  An atom's value may differ by a rounding, as numpy
+    divides the two proportions and catlr the two integer products."""
+    rtol = 1e-12
+    reference, drawn = numpy_bootstrap(n1, c1, n2, c2, size, seed)
+    n = max(1.0, size * reference.size / drawn)
+    for lower, upper, level in intervals:
+        tail = (1 - level) / 2
+        for q, value in ((tail, lower), (1 - tail, upper)):
+            tol = 5.0 * math.sqrt(q * (1 - q) / n) + 5.0 * math.sqrt(q * (1 - q) / reference.size) + 2.0 / n
+            below = np.searchsorted(reference, value * (1 - rtol), "left") / reference.size
+            upto = np.searchsorted(reference, value * (1 + rtol), "right") / reference.size
+            assert below <= q + tol and upto >= q - tol, ((n1, c1, n2, c2), level, q, value, below, upto)
+
+
+def assert_table_in_bootstrap_reference(table, levels=(0.95, 0.8)):
+    n1, n2 = sum(table.same_source), sum(table.different_source)
+    for k, statement in enumerate(table.categories):
+        c1, c2 = table.same_source[k], table.different_source[k]
+        if c1 or c2:
+            intervals = [bootstrap_interval(table, statement, level=level) for level in levels]
+            assert_in_bootstrap_reference(n1, c1, n2, c2, [(i.lower, i.upper, i.level) for i in intervals], seed=k)
+
+
+class TestBootstrapAccuracy:
+    """Every endpoint inside the tolerance of a 1e6-replicate numpy bootstrap."""
+
+    K20_BENCH = ConfusionTable(
+        tuple(f"Level-{i:02d}" for i in range(1, 21)),
+        (212, 198, 205, 187, 220, 201, 196, 209, 193, 204, 199, 211, 188, 207, 195, 202, 210, 190, 197, 176),
+        (230, 185, 0, 215, 190, 205, 180, 220, 199, 210, 195, 188, 240, 200, 175, 212, 205, 198, 222, 231),
+    )
+
+    def test_corpus_tables(self):
+        import cli_corpus
+        from catlr.ingest import parse_aggregated
+
+        for name in ("bullets", "infinite", "zero_same_source", "undefined", "one_category", "quoted"):
+            table = parse_aggregated(cli_corpus.TABLES[name].decode(), name)
+            assert_table_in_bootstrap_reference(table)
+
+    def test_bench_tables(self):
+        for table in (TestDirichletAccuracy.K2_BENCH, TestDirichletAccuracy.K6_BENCH, self.K20_BENCH):
+            assert_table_in_bootstrap_reference(table)
+
+    @pytest.mark.parametrize("total", [1, 2, 7, 40, 300, 4000, 30_000, 250_000, 10**6, 4 * 10**6, 10**7])
+    def test_sparse_grid_of_totals(self, total):
+        # cells 1, n / 10, n / 2 and n - 1 against one another; past ~3.2e6
+        # per row the n / 2 and n / 10 cells are tabulated with a stride
+        tenth, half, most = max(1, total // 10), max(1, total // 2), max(1, total - 1)
+        for c1, c2 in {(1, 1), (tenth, half), (half, half), (most, 1), (1, most), (most, tenth)}:
+            cells = (total, c1, total + 3, c2)
+            assert_in_bootstrap_reference(*cells, [(*ratio_quantiles(*cells, 0.025), 0.95)])
+
+
+class TestBootstrapStride:
+    """The stride rule's error, measured against the same law tabulated at
+    every count (``MAX_POINTS`` raised so that no row is strided)."""
+
+    UNIT = 2**17
+
+    @pytest.fixture
+    def unstrided(self, monkeypatch):
+        from catlr import binomratio
+
+        def call(function, *args):
+            with monkeypatch.context() as patch:
+                patch.setattr(binomratio, "MAX_POINTS", self.UNIT)
+                return function(*args)
+
+        return call
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((4_000_000, 2_000_000), (4_000_000, 1_000_000)),  # row 1 strided, row 2 not; atoms line up at t = 2
+            ((9_000_000, 3_000_000), (5_000_000, 2_600_000)),  # both strided
+            ((9_000_000, 3_000_000), (500_000, 20_000)),  # row 1 strided, row 2 not
+            ((200_000, 1_000), (9_000_000, 4_500_000)),  # row 2 strided: the sum runs over row 1
+            ((4_000_000, 2_000_000), (4_000_000, 2_000_000)),  # identical rows: atoms line up at t = 1
+        ],
+    )
+    def test_cdf_within_the_documented_bound(self, rows, unstrided):
+        strided = [_Row(n, c) for n, c in rows]
+        unit = [unstrided(_Row, n, c) for n, c in rows]
+        assert all(r.size <= MAX_POINTS for r in strided) and max(r.step for r in strided) > 1
+        assert all(r.step == 1 for r in unit)
+        sigma = min(math.sqrt(c * (n - c) / n) for (n, c), r in zip(rows, strided) if r.step > 1)
+        bound = 1e-7 + 0.2 / sigma
+        one, two = strided
+        law = _Ratio(two, one) if two.step > 1 and one.step == 1 else _Ratio(one, two)
+        exact = _Ratio(*((unit[1], unit[0]) if law.x is two else unit))
+        (n1, c1), (n2, c2) = rows
+        center = (c1 * n2) / (c2 * n1)
+        if law.x is two:
+            center = 1 / center
+        worst = 0.0
+        for step in range(-40, 41):
+            t = center * math.exp(step * 1e-4)
+            N, D = t.as_integer_ratio()
+            worst = max(worst, abs(law.cdf(N, D) - exact.cdf(N, D)))
+        assert worst <= bound, (rows, worst, bound)
+
+    def test_endpoints_move_by_less_than_the_bound_allows(self, unstrided):
+        rows = (9_000_000, 3_000_000, 5_000_000, 2_600_000)
+        strided = ratio_quantiles(*rows, 0.025)
+        unit = unstrided(ratio_quantiles, *rows, 0.025)
+        # the law's density at the 2.5% points is ~0.058 / (t * spread): a
+        # probability error of 2.3e-4 moves t by under 4e-3 spreads
+        spread = math.hypot(math.sqrt(6e6 / (9e6 * 3e6)), math.sqrt(2.4e6 / (5e6 * 2.6e6)))
+        for a, b in zip(strided, unit):
+            assert abs(a - b) / b <= 4e-3 * spread
 
 
 class TestDirichletAccuracy:
@@ -349,6 +529,18 @@ class TestDirichletAccuracy:
         assert (interval.lower, interval.upper) == (1.0, 1.0)
 
 
+def best_of_three_seconds(call):
+    """The least processor time of three calls, and the last call's result:
+    processor time, and the best of three, so that other load on the host
+    does not count."""
+    times = []
+    for _ in range(3):
+        start = time.process_time()
+        result = call()
+        times.append(time.process_time() - start)
+    return min(times), result
+
+
 class TestDirichletCost:
     """Extreme priors and row totals finish fast, with a bounded grid."""
 
@@ -358,9 +550,8 @@ class TestDirichletCost:
         table = ConfusionTable(("a", "b", "c"), (total - 1, 1, 0) if total > 1 else (1, 0, 0),
                                (0, 0, total))
         for statement in table.categories:
-            start = time.perf_counter()
-            interval = dirichlet_interval(table, statement, alpha=alpha)
-            assert time.perf_counter() - start < 0.1, (alpha, total, statement)
+            seconds, interval = best_of_three_seconds(lambda: dirichlet_interval(table, statement, alpha=alpha))
+            assert seconds < 0.1, (alpha, total, statement)
             assert 0.0 <= interval.lower <= interval.upper <= math.inf
 
     def test_node_count_is_bounded_for_every_shape(self):
@@ -370,6 +561,26 @@ class TestDirichletCost:
             for b in shapes:
                 if max(a, b) >= 0.5:
                     assert len(_LogitBeta(a, b).grid(*_TABLE_GRID, _DROP)) < 500, (a, b)
+
+
+class TestBootstrapCost:
+    """Every row total finishes fast, and no row is tabulated at more than
+    ``MAX_POINTS`` points, however large its total."""
+
+    @pytest.mark.parametrize("total", [1, 4000, 10**6, 2**63 - 1, 2**70])
+    def test_extremes_finish_under_100_ms(self, total):
+        cells = sorted({0, 1, total // 2, total - 1})
+        for c1 in cells:
+            for c2 in cells:
+                if c1 == c2 == 0:
+                    continue
+                table = ConfusionTable(("a", "b"), (c1, total - c1), (c2, total - c2))
+                seconds, interval = best_of_three_seconds(lambda: bootstrap_interval(table, "a"))
+                assert seconds < 0.1, (total, c1, c2)
+                assert 0.0 <= interval.lower <= interval.upper <= math.inf
+                for c in (c1, c2):
+                    if c:
+                        assert _Row(total, c).size <= MAX_POINTS == 2**14, (total, c)
 
 
 class TestZeroCountBound:
@@ -424,8 +635,8 @@ class TestWidthVersusSampleSize:
 
 
 def test_interval_results_are_reproducible_across_processes(bullets):
-    # replicate streams depend only on (seed, index); numpy bit-generator
-    # state never leaks between calls
+    # the bootstrap interval is computed, not drawn: numpy's global random
+    # state is irrelevant to it
     first = [
         bootstrap_interval(bullets, s, replicates=200, seed=17)
         for s in bullets.categories
