@@ -35,8 +35,9 @@ t x2 n1 / n2.  The cost of a quantile is then bounded for every row total.
 The sum runs over row 2 unless row 2 is strided and row 1 is not, or both
 are and row 1's relative spread is the smaller; then it runs over row 1, for
 the quantiles of 1 / R.  The solve stops at the first t found with
-P(R <= t) within ``_STRIDED_TOL`` of q, or within what the law puts on two
-float spacings there: t itself if P(R <= t) >= q, else the next float up.
+P(R <= t) within ``_STRIDED_TOL`` of q, relative to min(q, 1 - q), or
+within what the law puts on two float spacings there: t itself if
+P(R <= t) >= q, else the next float up.
 P(R <= t) is then within 1e-7 + 0.2 / sigma of the exact law's, sigma the
 smallest standard deviation of a strided row, so within 2.3e-4.  The second
 term, for reading a CDF that steps at integers at a continuous argument,
@@ -58,7 +59,7 @@ MAX_POINTS = 2**14  # the most points tabulated per row
 _LOG_CUTOFF = -40.0  # log pmf, relative to the mode's, at which a table ends
 _SPAN = 18.5  # standard deviations a strided table spans; a 40-nat window spans ~17.9
 _WALK_ATOMS = 2048  # a bracket expected to hold this few atoms is walked
-_STRIDED_TOL = 1e-10  # probability by which a strided solve's answer may miss q
+_STRIDED_TOL = 1e-8  # by how much of its tail's probability a strided solve may miss q
 
 
 class _Row:
@@ -230,14 +231,15 @@ class _Ratio:
                     else:  # P(R <= b) fell short of q by a rounding
                         return b
             else:  # within the tolerance, or what the law puts on two float spacings
-                tolerance = max(_STRIDED_TOL, 2 * (fb - fa) / (b - a) * math.ulp(b))
+                tolerance = max(_STRIDED_TOL * min(target, self.defined - target),
+                                2 * (fb - fa) / (b - a) * math.ulp(b))
                 if fb - target <= tolerance:
                     return b
                 if target - fa <= tolerance:
                     return math.nextafter(a, b)
             if probing:
                 t = math.exp(min(s, 709.0))
-            elif bisect:
+            elif bisect or za == zb:  # z rounds flat in far tails
                 t = math.exp((math.log(a) + math.log(b)) / 2)
             else:
                 sa, sb = math.log(a), math.log(b)
