@@ -221,14 +221,14 @@ class _Ratio:
             if self.exact:
                 if min((b - a) * x.n / y.n * y.hi * y.size, x.size * y.size) <= walk_at:
                     # a single value may carry an atom of every y point
-                    found = self._walk(a, b, target, 8 * walk_at + y.size)
+                    found = self._walk(a, b, target, 8 * walk_at + y.size, exact_floors)
                     if found is None:
                         walk_at /= 8  # more atoms than expected: narrow further
                     elif not math.isnan(found):
                         return found
                     elif not exact_floors:  # a float floor misplaced an atom
                         return self.quantile(q, exact_floors=True)
-                    else:  # P(R <= b) fell short of q by a rounding
+                    else:  # a rounding put P(R <= a) at q, or (a, b] holds no atom
                         return b
             else:  # within the tolerance, or what the law puts on two float spacings
                 tolerance = max(_STRIDED_TOL * min(target, self.defined - target),
@@ -271,10 +271,12 @@ class _Ratio:
             widths.append(math.log(b / a))
             bisect = widths[-1] > widths[-3] / 2
 
-    def _walk(self, a: float, b: float, target: float, cap: float) -> float | None:
+    def _walk(self, a: float, b: float, target: float, cap: float, exact_floors: bool) -> float | None:
         """The quantile, by listing the atoms in (a, b] and walking their
         masses up from P(R <= a); None if there are more than ``cap``, and
         NaN if P(R <= a) already reaches ``target`` or P(R <= b) does not.
+        With ``exact_floors`` a walk short of ``target`` falls short by
+        roundings only, and returns the last atom walked.
 
         Each y point from the first with an atom at or below b to the last
         with one above a takes the floors of a and b x's offset in floats;
@@ -313,7 +315,7 @@ class _Ratio:
             f += mass
             if f >= target:
                 return value
-        return math.nan
+        return atoms[-1][0] if exact_floors and atoms else math.nan
 
     def _adjacent(self, a: float, b: float, target: float) -> float:
         """The quantile between adjacent floats a and b: the one it rounds

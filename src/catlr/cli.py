@@ -20,7 +20,7 @@ from typing import IO, TYPE_CHECKING, Iterable
 
 # Each command imports the modules it runs when it runs: a call pays only
 # for its own code, and only drawing commands load numpy.
-from .model import FORMATS, INTERVAL_METHOD_NAMES, DataError
+from .model import FORMATS, INTERVAL_METHOD_NAMES, DataError, check_seed
 
 if TYPE_CHECKING:
     from .engine import SmoothingPolicy
@@ -106,7 +106,7 @@ def _cmd_report(args):
     from .ingest import _read_input
     from .report import build_report, check_report_options, read_display_fixture, render_summary_table
 
-    options = (args.smoothing, args.interval, args.level, args.seed)
+    options = (args.smoothing, args.interval, args.level)
     if args.summary:
         check_report_options(*options)  # as a table report does, though a summary has no interval
         if args.table:
@@ -134,7 +134,7 @@ def _cmd_interval(args):
     from .ingest import use_table
     from .uncertainty import interval_of
 
-    method = interval_of(args.method, args.level, args.seed, args.replicates, args.alpha)
+    method = interval_of(args.method, args.level, args.alpha)
     interval = use_table(args.table, lambda table: method(table, args.statement))
     return f"{_fmt(interval.lower)}\t{_fmt(interval.upper)}\n"
 
@@ -185,7 +185,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--smoothing", type=_smoothing_arg, default="none")
         p.add_argument("--interval", choices=INTERVAL_METHOD_NAMES, default=None)
         p.add_argument("--level", type=float, default=0.95)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="deprecated; ignored")
         p.add_argument("--out", default=None, metavar="OUT_FILE")
         p.set_defaults(func=_cmd_report)
 
@@ -203,9 +203,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--table", required=True, metavar="TABLE_CSV")
         p.add_argument("--statement", required=True)
         p.add_argument("--method", choices=INTERVAL_METHOD_NAMES, required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="deprecated; ignored")
         p.add_argument("--level", type=float, default=0.95)
-        p.add_argument("--replicates", type=int, default=2000)
         p.add_argument("--alpha", type=float, default=0.5)
         p.add_argument("--workers", type=int, default=1, help="deprecated; ignored")
         p.set_defaults(func=_cmd_interval)
@@ -235,6 +234,7 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
+        check_seed(getattr(args, "seed", 0))  # report and interval accept --seed and ignore it
         _write(args.func(args), getattr(args, "out", None), out)
         return 0
     except BrokenPipeError:

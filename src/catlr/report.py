@@ -26,7 +26,6 @@ from .model import (
     DataError,
     check_interval_method,
     check_level,
-    check_seed,
 )
 
 if TYPE_CHECKING:
@@ -180,7 +179,7 @@ def read_display_fixture(source: str | Iterable[str]) -> tuple[tuple[str, ...], 
 
 
 def check_report_options(smoothing: SmoothingPolicy, interval_method: str | None,
-                         level: float, seed: int) -> None:
+                         level: float) -> None:
     """DataError unless these ``build_report`` options are valid."""
     if interval_method is not None:
         check_interval_method(interval_method)
@@ -192,7 +191,6 @@ def check_report_options(smoothing: SmoothingPolicy, interval_method: str | None
                 f"drop smoothing {smoothing.describe()} or the interval"
             )
     check_level(level)
-    check_seed(seed)
 
 
 def build_report(
@@ -201,7 +199,6 @@ def build_report(
     smoothing: SmoothingPolicy = NO_SMOOTHING,
     interval_method: str | None = None,
     level: float = 0.95,
-    seed: int = 0,
 ) -> str:
     """The LR table of the aggregated table file at ``path``.
 
@@ -210,18 +207,20 @@ def build_report(
     JSON only, nested per study; md and csv show the point LRs.
     """
     fmt = _normalize_format(output_format)
-    check_report_options(smoothing, interval_method, level, seed)
+    check_report_options(smoothing, interval_method, level)
+    interval = None
+    if fmt == "json" and interval_method is not None:
+        # imported here, not at module level: only a JSON report with
+        # intervals computes them
+        from .uncertainty import interval_of
+
+        interval = interval_of(interval_method, level)
 
     def render(table: ConfusionTable) -> str:
         if fmt != "json":
             return render_lr_table(table, fmt, smoothing)
         intervals = None
-        if interval_method is not None:
-            # imported here, not at module level: only a JSON report with
-            # intervals computes them
-            from .uncertainty import interval_of
-
-            interval = interval_of(interval_method, level, seed)
+        if interval is not None:
             bootstrap = interval_method == "bootstrap"
             # a 0/0 row's bootstrap law has no defined value: it has no interval
             intervals = {

@@ -27,21 +27,18 @@ string.  Two interval methods are provided, each bound to its options by
   the finite lower bound obtained by replacing the zero-count probability
   with its one-sided upper binomial bound 1 - (1-level)^(1/N).
 
-Neither interval draws anything.  The bootstrap's endpoints are the
-smallest atoms of the ratio's law at which its CDF reaches each tail,
-computed in ``catlr.binomratio``, which this module loads only for a
-bootstrap call; they depend on the table, the statement and the level
-only.  Infinite ratios are ordered above all finite ones; 0/0 ratios
-(possible only when a resampled row loses the statement entirely under
-both hypotheses) carry no information about the ratio and are excluded,
-and a statement with no count in either row has no interval.  The
-bootstrap's ``replicates`` (100 to ``MAX_REPLICATES``) and ``seed`` are
-checked and change nothing.
-
-The Dirichlet interval's endpoints depend on the table,
-the statement, alpha and the level only.  They are the quantiles of B1 / B2
-computed by quadrature in ``catlr.betaratio``, which this module loads only
-for a Dirichlet call.
+Neither interval draws anything: each depends on the table, the
+statement and the level, plus alpha for the Dirichlet, and on nothing
+else.  A level whose upper quantile 1 - (1 - level) / 2 rounds to 1 is a
+data error for both.  The bootstrap's endpoints are the smallest atoms of
+the ratio's law at which its CDF reaches each tail, computed in
+``catlr.binomratio``; the Dirichlet's are the quantiles of B1 / B2
+computed by quadrature in ``catlr.betaratio``.  This module loads each
+solver only for a call of its method.  Infinite ratios are ordered above
+all finite ones; 0/0 ratios (possible only when a resampled row loses the
+statement entirely under both hypotheses) carry no information about the
+ratio and are excluded, and a statement with no count in either row has
+no bootstrap interval.
 """
 
 from __future__ import annotations
@@ -55,10 +52,7 @@ from .model import (
     GroundTruth,
     check_interval_method,
     check_level,
-    check_seed,
 )
-
-MAX_REPLICATES = 1_000_000
 
 
 class Interval(Frozen):
@@ -86,23 +80,32 @@ def _normal_quantile(q: float) -> float:
     return 5.5556 * (1.0 - ((1.0 - q) / q) ** 0.1186)
 
 
+def _tail(level: float) -> float:
+    """Each tail's probability at ``level``; DataError unless ``level`` is in
+    (0, 1) and leaves the upper tail's quantile, 1 - tail, below 1."""
+    tail = (1.0 - check_level(level)) / 2.0
+    if 1.0 - tail == 1.0:
+        raise DataError(f"level must be at most {1.0 - 2.0**-52!r}, got {level!r}: "
+                        "its upper quantile 1 - (1 - level) / 2 rounds to 1")
+    return tail
+
+
 def bootstrap_interval(
     table: ConfusionTable,
     statement: str,
-    replicates: int = 2000,
     level: float = 0.95,
-    seed: int = 0,
+    *,
+    replicates: int = 2000,
 ) -> Interval:
     """Stratified percentile-bootstrap interval for one statement's LR, in the
     limit of infinitely many replicates (Efron's ideal bootstrap).
 
     The endpoints are exact quantiles of the law the bootstrap resamples,
     computed in ``catlr.binomratio``: they depend on the table, the
-    statement and ``level`` only.  ``replicates`` and ``seed`` are checked
-    and change nothing: callers pass them, and the benchmark's tracer reads
-    ``replicates`` by name.
+    statement and ``level`` only.  ``replicates`` is neither checked nor
+    used; it stays only because the benchmark's tracer reads it by name.
     """
-    _check_bootstrap_options(replicates=replicates, level=level, seed=seed)
+    tail = _tail(level)
     k = table.index_of(statement)
     (n1, c1), (n2, c2) = (
         (table.observed_total(truth), table.row(truth)[k])  # raises for a row with no observations
@@ -115,7 +118,7 @@ def bootstrap_interval(
     # imported here, not at module level: the Dirichlet interval runs none of it
     from .binomratio import ratio_quantiles
 
-    lower, upper = ratio_quantiles(n1, c1, n2, c2, (1.0 - level) / 2.0)
+    lower, upper = ratio_quantiles(n1, c1, n2, c2, tail)
     return Interval(lower, upper, level, "bootstrap-percentile(ideal,lattice-v1)")
 
 
@@ -135,10 +138,11 @@ def dirichlet_interval(
     ``alpha`` is the per-cell prior concentration; the default 0.5 is a
     Jeffreys-style choice.  The interval is computed, not sampled: it
     depends on the table, the statement, ``alpha`` and ``level`` only.
-    ``draws`` counts the random draws a call makes, which is none; it is
-    kept, at 0, for callers that read that count by name.
+    ``draws`` is neither checked nor used; it stays only because the
+    benchmark's tracer reads it by name.
     """
-    _check_dirichlet_options(alpha=alpha, level=level, draws=draws)
+    tail = _tail(level)
+    _check_dirichlet_options(alpha)
     k = table.index_of(statement)
     method = f"dirichlet-posterior(alpha={alpha:g},quadrature-v1)"
     rest_alpha = (len(table.categories) - 1) * alpha
@@ -149,7 +153,6 @@ def dirichlet_interval(
         shapes.append((c + alpha, (n - c) + rest_alpha))
     if rest_alpha == 0:  # one category: each cell is 1, and so is the ratio
         return Interval(1.0, 1.0, level, method)
-    tail = (1.0 - level) / 2.0
     # imported here, not at module level: the bootstrap runs none of it
     from .betaratio import ratio_quantiles
 
@@ -157,38 +160,25 @@ def dirichlet_interval(
     return Interval(lower, upper, level, method)
 
 
-def _check_bootstrap_options(replicates: int, level: float, seed: int) -> None:
-    check_level(level)
-    check_seed(seed)
-    if replicates < 100:
-        raise DataError(f"bootstrap needs at least 100 replicates, got {replicates}")
-    if replicates > MAX_REPLICATES:
-        raise DataError(f"replicates must be at most {MAX_REPLICATES}, got {replicates}")
-
-
-def _check_dirichlet_options(alpha: float, level: float, draws: int = 0) -> None:
-    check_level(level)
+def _check_dirichlet_options(alpha: float) -> None:
     if not (alpha > 0 and math.isfinite(alpha)):
         raise DataError(f"alpha must be a positive finite number, got {alpha!r}")
     low, high = _ALPHA_RANGE
     if not low <= alpha <= high:
         raise DataError(f"alpha must be from {low:g} to {high:g}, got {alpha!r}")
-    if draws != 0:
-        raise DataError(f"the Dirichlet interval is computed, not drawn: draws must be 0, got {draws!r}")
 
 
-def interval_of(method: str, level: float = 0.95, seed: int = 0, replicates: int = 2000,
-                alpha: float = 0.5):
+def interval_of(method: str, level: float = 0.95, alpha: float = 0.5):
     """The ``method`` interval as a function of (table, statement), its options
-    checked now, before any table is read; the bootstrap ignores ``alpha``, the
-    Dirichlet interval ``replicates``.  The function calls ``bootstrap_interval``
-    or ``dirichlet_interval`` by this module's name for it, so a wrapper bound
-    here later, such as a tracer, sees each call."""
-    if check_interval_method(method) == "bootstrap":
-        _check_bootstrap_options(replicates, level, seed)
-        return lambda table, statement: bootstrap_interval(table, statement, replicates, level, seed)
-    check_seed(seed)
-    _check_dirichlet_options(alpha, level)
+    checked now, before any table is read; the bootstrap ignores ``alpha``.
+    The function calls ``bootstrap_interval`` or ``dirichlet_interval`` by
+    this module's name for it, so a wrapper bound here later, such as a
+    tracer, sees each call."""
+    check_interval_method(method)
+    _tail(level)
+    if method == "bootstrap":
+        return lambda table, statement: bootstrap_interval(table, statement, level)
+    _check_dirichlet_options(alpha)
     return lambda table, statement: dirichlet_interval(table, statement, alpha, level)
 
 

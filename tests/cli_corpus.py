@@ -201,14 +201,14 @@ def _calls() -> list[list[str]]:
         ]
     bullets = ["--table", "bullets.csv"]
     json_report = ["report", *bullets, "--format", "json"]
+    # 0.9999999999999999 = 1 - 2**-53, whose upper quantile 1 - (1 - level) / 2 rounds to 1
     levels_and_seeds = (
         ["--level", "0.9"], ["--level", "0.99", "--seed", "7"], ["--seed", "1"],
-        ["--level", "1.5"], ["--seed", "-1"],
+        ["--level", "1.5"], ["--seed", "-1"], ["--level", "0.9999999999999999"],
     )
-    bootstrap_options = ([], ["--level", "0.5"], ["--seed", "3", "--replicates", "100"],
-                         ["--replicates", "99"])
+    bootstrap_options = ([], ["--level", "0.5"], ["--seed", "3"], ["--level", "0.9999999999999999"])
     dirichlet_options = ([], ["--alpha", "2"], ["--alpha", "1e-9"], ["--alpha", "1e101"],
-                         ["--alpha", "0"])
+                         ["--alpha", "0"], ["--level", "0.9999999999999999"])
     calls += [
         ["lr", "--table", "missing.csv"],
         ["lr", *bullets, "--smoothing", "alpha=1", "--format", "md"],

@@ -279,6 +279,10 @@ class TestContentErrorNamesTheFile:
     JSON_REPORT = ("report", "--format", "json", "--interval")
     LEVEL = "level must be in (0, 1), got "
     SEED = "seed must be a non-negative integer, got -1"
+    ROUNDS_TO_ONE = (
+        "level must be at most 0.9999999999999998, got 0.9999999999999999: "
+        "its upper quantile 1 - (1 - level) / 2 rounds to 1"
+    )
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -287,31 +291,27 @@ class TestContentErrorNamesTheFile:
             ((*DIRICHLET, "--alpha", "0"), "alpha must be a positive finite number, got 0.0"),
             ((*DIRICHLET, "--alpha", "1e101"), "alpha must be from 1e-100 to 1e+100, got 1e+101"),
             ((*DIRICHLET, "--seed", "-1"), SEED),
-            # the Dirichlet interval checks the seed, then the level, then alpha
+            # the seed is checked first, then the level, then alpha
             ((*DIRICHLET, "--alpha", "0", "--level", "0", "--seed", "-1"), SEED),
             ((*DIRICHLET, "--alpha", "0", "--level", "0"), LEVEL + "0.0"),
-            ((*BOOTSTRAP, "--replicates", "99"), "bootstrap needs at least 100 replicates, got 99"),
-            (
-                (*BOOTSTRAP, "--replicates", "1000001"),
-                "replicates must be at most 1000000, got 1000001",
-            ),
+            ((*DIRICHLET, "--level", "0.9999999999999999"), ROUNDS_TO_ONE),
             ((*BOOTSTRAP, "--seed", "-1"), SEED),
             ((*BOOTSTRAP, "--level", "0"), LEVEL + "0.0"),
-            # the bootstrap checks the level, then the seed, then the replicate count
-            ((*BOOTSTRAP, "--replicates", "99", "--seed", "-1", "--level", "0"), LEVEL + "0.0"),
-            ((*BOOTSTRAP, "--replicates", "99", "--seed", "-1"), SEED),
+            ((*BOOTSTRAP, "--seed", "-1", "--level", "0"), SEED),
+            ((*BOOTSTRAP, "--level", "0.9999999999999999"), ROUNDS_TO_ONE),
             ((*JSON_REPORT, "bootstrap", "--level", "1.5"), LEVEL + "1.5"),
             ((*JSON_REPORT, "bootstrap", "--seed", "-1"), SEED),
+            ((*JSON_REPORT, "bootstrap", "--level", "0.9999999999999999"), ROUNDS_TO_ONE),
             ((*JSON_REPORT, "dirichlet", "--level", "1.5"), LEVEL + "1.5"),
             ((*JSON_REPORT, "dirichlet", "--seed", "-1"), SEED),
+            ((*JSON_REPORT, "dirichlet", "--level", "0.9999999999999999"), ROUNDS_TO_ONE),
         ],
         ids=[
             "dirichlet-level", "dirichlet-alpha-0", "dirichlet-alpha-1e101", "dirichlet-seed",
-            "dirichlet-seed-first", "dirichlet-level-before-alpha",
-            "bootstrap-replicates-99", "bootstrap-replicates-1000001", "bootstrap-seed",
-            "bootstrap-level", "bootstrap-level-first", "bootstrap-seed-before-replicates",
-            "report-bootstrap-level", "report-bootstrap-seed",
-            "report-dirichlet-level", "report-dirichlet-seed",
+            "dirichlet-seed-first", "dirichlet-level-before-alpha", "dirichlet-level-rounding-to-one",
+            "bootstrap-seed", "bootstrap-level", "bootstrap-seed-first", "bootstrap-level-rounding-to-one",
+            "report-bootstrap-level", "report-bootstrap-seed", "report-bootstrap-level-rounding-to-one",
+            "report-dirichlet-level", "report-dirichlet-seed", "report-dirichlet-level-rounding-to-one",
         ],
     )
     def test_option_error_is_found_before_the_read_and_names_no_file(self, tmp_path, argv, message):
@@ -457,7 +457,7 @@ class TestIntervalCommand:
     def test_bootstrap_is_byte_stable(self, bullets_csv):
         args = (
             "interval", "--table", bullets_csv, "--statement", "ID",
-            "--method", "bootstrap", "--seed", "42", "--replicates", "500",
+            "--method", "bootstrap", "--seed", "42",
         )
         first = invoke(*args)
         second = invoke(*args)
@@ -469,7 +469,7 @@ class TestIntervalCommand:
     def test_worker_count_does_not_change_output(self, bullets_csv):
         base = (
             "interval", "--table", bullets_csv, "--statement", "ID",
-            "--method", "bootstrap", "--seed", "7", "--replicates", "300",
+            "--method", "bootstrap", "--seed", "7",
         )
         serial = invoke(*base, "--workers", "1")
         threaded = invoke(*base, "--workers", "4")
@@ -536,13 +536,21 @@ class TestIntervalCommand:
             "the bootstrap law has no defined value; no interval exists\n"
         )
 
-    def test_replicate_count_above_ceiling_is_data_error(self, bullets_csv):
+    def test_replicates_is_a_usage_error(self, bullets_csv):
+        # the ideal bootstrap draws no replicates, so there is no count to set
         code, out, err = invoke(
             "interval", "--table", bullets_csv, "--statement", "ID",
-            "--method", "bootstrap", "--replicates", str(10**12),
+            "--method", "bootstrap", "--replicates", "500",
         )
-        assert (code, out) == (2, "")
-        assert err == f"data error: replicates must be at most 1000000, got {10**12}\n"
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: unrecognized arguments: --replicates")
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    @pytest.mark.parametrize("method", ["bootstrap", "dirichlet"])
+    def test_md_or_csv_report_at_the_level_whose_quantile_rounds_to_one(self, bullets_csv, fmt, method):
+        # md and csv compute no interval, so they print their bytes at any level in (0, 1)
+        base = ("report", "--table", bullets_csv, "--format", fmt)
+        assert invoke(*base, "--interval", method, "--level", "0.9999999999999999") == invoke(*base)
 
     @pytest.mark.parametrize(
         "argv",

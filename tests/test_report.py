@@ -108,7 +108,7 @@ class TestJsonOutput:
         assert json.loads(text)[0]["lr_display"] == "> 12"
 
     def test_intervals_included(self, bullets):
-        interval = bootstrap_interval(bullets, "ID", replicates=200, seed=3)
+        interval = bootstrap_interval(bullets, "ID")
         rows = json.loads(
             render_lr_table(bullets, "json", intervals={"ID": interval})
         )
@@ -228,13 +228,20 @@ class TestBuildReport:
                 "computed without smoothing",
             ),
             ({"interval_method": "bootstrap", "level": 2.0}, "level must be in"),
-            ({"interval_method": "dirichlet", "seed": -1}, "seed must be"),
             ({"level": 2.0}, "level must be in"),
             ({"output_format": "json", "level": 0.0}, "level must be in"),
-            ({"output_format": "csv", "seed": -1}, "seed must be"),
+            (
+                {"output_format": "json", "interval_method": "bootstrap", "level": 1 - 2**-53},
+                "level must be at most 0.9999999999999998",
+            ),
+            (
+                {"output_format": "json", "interval_method": "dirichlet", "level": 1 - 2**-53},
+                "level must be at most 0.9999999999999998",
+            ),
         ],
-        ids=["format", "method", "smoothing-bootstrap", "smoothing-dirichlet", "level", "seed",
-             "level-no-interval", "level-json-no-interval", "seed-no-interval"],
+        ids=["format", "method", "smoothing-bootstrap", "smoothing-dirichlet", "level",
+             "level-no-interval", "level-json-no-interval", "json-bootstrap-level-rounding-to-one",
+             "json-dirichlet-level-rounding-to-one"],
     )
     def test_options_checked_before_the_file_is_read(self, options, message):
         # the file does not exist, so any other order fails with FileNotFoundError
@@ -250,7 +257,7 @@ class TestBuildReport:
     def test_build_json_with_intervals(self, tmp_path, bullets):
         path = tmp_path / "bullets.csv"
         path.write_text(emit_aggregated(bullets), encoding="utf-8")
-        options = {"output_format": "json", "interval_method": "bootstrap", "seed": 11}
+        options = {"output_format": "json", "interval_method": "bootstrap"}
         text = build_report(str(path), **options)
         payload = json.loads(text)
         assert payload[0]["study"] == "bullets"
@@ -277,7 +284,7 @@ class TestBuildReport:
 
 def test_infinite_interval_endpoint_serializes_as_null():
     t = ConfusionTable(("a", "b"), (5, 5), (1, 9))
-    interval = bootstrap_interval(t, "a", replicates=500, seed=3)
+    interval = bootstrap_interval(t, "a")
     assert interval.upper == math.inf
     rows = json.loads(render_lr_table(t, "json", intervals={"a": interval}))
     assert rows[0]["interval"]["upper"] is None

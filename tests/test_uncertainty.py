@@ -23,6 +23,7 @@ from catlr.uncertainty import (
     Interval,
     bootstrap_interval,
     dirichlet_interval,
+    interval_of,
     zero_count_lower_bound,
 )
 
@@ -43,45 +44,41 @@ class TestInterval:
 
 
 class TestBootstrap:
-    def test_deterministic_for_fixed_seed(self, bullets):
-        a = bootstrap_interval(bullets, "ID", replicates=2000, seed=42)
-        b = bootstrap_interval(bullets, "ID", replicates=2000, seed=42)
-        assert a == b
+    def test_deterministic(self, bullets):
+        assert bootstrap_interval(bullets, "ID") == bootstrap_interval(bullets, "ID")
 
-    def test_seed_and_replicates_change_nothing(self, bullets):
-        # the interval is the ideal bootstrap's, computed, not drawn: --seed and
-        # --replicates are checked and ignored
+    def test_replicates_change_nothing_and_seed_is_gone(self, bullets):
+        # the interval is the ideal bootstrap's, computed, not drawn: replicates
+        # is neither checked nor used, and nothing takes a seed
         a = bootstrap_interval(bullets, "ID")
-        for options in ({"seed": 1}, {"seed": 2}, {"replicates": 100}, {"replicates": 10**6, "seed": 7}):
-            assert bootstrap_interval(bullets, "ID", **options) == a
+        for replicates in (20, 100, 10**6, 10**12):
+            assert bootstrap_interval(bullets, "ID", replicates=replicates) == a
+        with pytest.raises(TypeError):
+            bootstrap_interval(bullets, "ID", seed=1)
 
     def test_point_estimate_inside(self, bullets):
-        interval = bootstrap_interval(bullets, "ID", replicates=2000, seed=42)
+        interval = bootstrap_interval(bullets, "ID")
         point = likelihood_ratio(bullets, "ID").lr
         assert interval.contains(point)
         assert math.isfinite(interval.upper)
 
     def test_identical_rows_interval_contains_one(self):
         t = ConfusionTable(("a", "b", "c"), (40, 35, 25), (40, 35, 25))
-        interval = bootstrap_interval(t, "a", replicates=500, seed=9)
+        interval = bootstrap_interval(t, "a")
         assert interval.contains(1.0)
 
     def test_infinite_replicates_push_upper_to_infinity(self):
         # 0/10 different-source count for "a": ~35% of resampled rows drop
         # the denominator entirely, so the upper percentile is infinite.
         t = ConfusionTable(("a", "b"), (5, 5), (1, 9))
-        interval = bootstrap_interval(t, "a", replicates=500, seed=3)
+        interval = bootstrap_interval(t, "a")
         assert interval.upper == math.inf
         assert math.isfinite(interval.lower)
 
     def test_degenerate_concentrated_row_still_returns(self):
         t = ConfusionTable(("a", "b"), (50, 0), (10, 40))
-        interval = bootstrap_interval(t, "a", replicates=300, seed=8)
+        interval = bootstrap_interval(t, "a")
         assert interval.lower <= interval.upper
-
-    def test_replicate_floor(self, bullets):
-        with pytest.raises(DataError, match="at least 100"):
-            bootstrap_interval(bullets, "ID", replicates=20)
 
     def test_zero_row_total_rejected(self):
         t = ConfusionTable(("a",), (0,), (5,))
@@ -91,16 +88,16 @@ class TestBootstrap:
     def test_row_total_up_to_the_binomial_limit(self):
         # no row total is too large: the law is summed, not drawn
         largest = ConfusionTable(("a", "b"), (2**63 - 11, 10), (1, 5))
-        assert bootstrap_interval(largest, "a", replicates=100).lower > 0
+        assert bootstrap_interval(largest, "a").lower > 0
         over = ConfusionTable(("a", "b"), (1, 5), (2**63 - 10, 10))
-        interval = bootstrap_interval(over, "a", replicates=100)
+        interval = bootstrap_interval(over, "a")
         # X2 / n2 is 1 within 1e-18, so R is X1 / 6: 0 with probability 0.33, at most 3 / 6 at 97.5%
         assert (interval.lower, interval.upper) == (0.0, 0.5)
         beyond = ConfusionTable(("a", "b"), (2**63 - 10, 10), (1, 5))
         assert 1.99 < bootstrap_interval(beyond, "a").lower < 2.01
 
     def test_method_metadata_names_algorithm(self, bullets):
-        interval = bootstrap_interval(bullets, "ID", replicates=300, seed=5)
+        interval = bootstrap_interval(bullets, "ID")
         assert interval.method == "bootstrap-percentile(ideal,lattice-v1)"
         assert interval.method.startswith("bootstrap")
         assert interval.level == 0.95
@@ -127,12 +124,30 @@ class TestBootstrap:
         for s in range(runs):
             profile = PanelProfile(categories, p1, p2, 500, 500, seed=5000 + s)
             table = tally(simulate_study(profile), vocabulary=categories)
-            interval = bootstrap_interval(
-                table, "w", replicates=400, seed=6000 + s
-            )
+            interval = bootstrap_interval(table, "w")
             if interval.contains(true_lr(profile, "w")):
                 covered += 1
         assert 0.85 <= covered / runs <= 1.0
+
+
+class TestLevel:
+    """Both methods take any level whose upper quantile 1 - (1 - level) / 2 is
+    below 1 in floating point, and reject the one level below 1 that is not."""
+
+    MESSAGE = ("level must be at most 0.9999999999999998, got 0.9999999999999999: "
+               "its upper quantile 1 - (1 - level) / 2 rounds to 1")
+
+    @pytest.mark.parametrize("interval", [bootstrap_interval, dirichlet_interval])
+    def test_the_last_level_below_one_is_a_data_error(self, bullets, interval):
+        with pytest.raises(DataError, match=f"^{re.escape(self.MESSAGE)}$"):
+            interval(bullets, "ID", level=1 - 2**-53)
+        widest = interval(bullets, "ID", level=1 - 2**-52)
+        assert widest.lower <= likelihood_ratio(bullets, "ID").lr <= widest.upper
+
+    @pytest.mark.parametrize("method", ["bootstrap", "dirichlet"])
+    def test_interval_of_rejects_it_before_any_table(self, method):
+        with pytest.raises(DataError, match=f"^{re.escape(self.MESSAGE)}$"):
+            interval_of(method, 1 - 2**-53)
 
 
 class TestDirichlet:
@@ -164,11 +179,13 @@ class TestDirichlet:
 
     def test_parameter_validation(self, bullets):
         for options in ({"alpha": 0.0}, {"alpha": math.inf}, {"alpha": 1e101}, {"alpha": 1e-101},
-                        {"level": 0.0}, {"draws": 1000}):
+                        {"level": 0.0}):
             with pytest.raises(DataError):
                 dirichlet_interval(bullets, "ID", **options)
         with pytest.raises(TypeError):
             dirichlet_interval(bullets, "ID", seed=1)  # nothing is drawn
+        # draws is neither checked nor used
+        assert dirichlet_interval(bullets, "ID", draws=1000) == dirichlet_interval(bullets, "ID")
 
     def test_loads_neither_numpy_nor_rng(self):
         # in a fresh interpreter: the suite itself has both loaded
@@ -344,6 +361,11 @@ class TestBootstrapExact:
                 table = ConfusionTable(("a", "b"), (c1, n1 - c1), (c2, n2 - c2))
                 level = float(g.choice([0.95, 0.9, 0.5, 0.99, 0.999999, 1 - 1e-12, 1e-9]))
                 assert_equals_enumeration(table, "a", level)
+
+    @pytest.mark.parametrize("n1, c1, n2, c2", [(20, 19, 2, 1), (61, 31, 2, 1), (61, 47, 2, 1)])
+    def test_a_walk_short_of_its_tail_by_roundings_ends_on_an_atom(self, n1, c1, n2, c2):
+        # the upper endpoint is the last atom walked, 2.0, not the float above it
+        assert_equals_enumeration(ConfusionTable(("a", "b"), (c1, n1 - c1), (c2, n2 - c2)), "a", 0.5)
 
     def test_the_bracketing_solve_reaches_the_same_atoms(self, monkeypatch):
         # tables this small are normally walked whole; with no atoms walked
@@ -628,28 +650,22 @@ class TestZeroCountBound:
 
 class TestWidthVersusSampleSize:
     def test_bootstrap_interval_narrows_on_scaled_table(self, bullets):
-        base = bootstrap_interval(bullets, "ID", replicates=800, seed=13)
+        base = bootstrap_interval(bullets, "ID")
         big = ConfusionTable(
             bullets.categories,
             tuple(c * 50 for c in bullets.same_source),
             tuple(c * 50 for c in bullets.different_source),
         )
-        scaled = bootstrap_interval(big, "ID", replicates=800, seed=13)
+        scaled = bootstrap_interval(big, "ID")
         assert (scaled.upper - scaled.lower) < (base.upper - base.lower)
 
 
 def test_interval_results_are_reproducible_across_processes(bullets):
     # the bootstrap interval is computed, not drawn: numpy's global random
     # state is irrelevant to it
-    first = [
-        bootstrap_interval(bullets, s, replicates=200, seed=17)
-        for s in bullets.categories
-    ]
+    first = [bootstrap_interval(bullets, s) for s in bullets.categories]
     np.random.seed(0)  # global numpy state must be irrelevant
-    second = [
-        bootstrap_interval(bullets, s, replicates=200, seed=17)
-        for s in bullets.categories
-    ]
+    second = [bootstrap_interval(bullets, s) for s in bullets.categories]
     assert first == second
     assert all(
         iv.contains(e.lr) for iv, e in zip(first, full_table_lrs(bullets))
