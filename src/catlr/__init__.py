@@ -78,7 +78,7 @@ _MODULE_OF = {
 }
 
 # Submodules reachable as attributes of a bare ``import catlr``.
-_SUBMODULES = {*_MODULE_OF.values(), "betaratio", "binomratio", "rng"}
+_SUBMODULES = {*_MODULE_OF.values(), "betaratio", "binomratio"}
 
 __version__ = "0.1.0"
 

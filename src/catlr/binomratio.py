@@ -23,7 +23,10 @@ bracket is expected to hold few atoms they are listed, floors in integer
 arithmetic, and their masses walked in order from P(R <= the bracket's lower
 end) to the first atom that reaches q.  Where atoms are closer than the
 float spacing, the bracket ends at two adjacent floats, and P(R <= their
-midpoint) decides which one the quantile rounds to.
+midpoint) decides which one the quantile rounds to.  The atom at 0 is
+decided from P(X1 = 0) and P(X2 = 0), in closed form where a table ends
+short of 0; where it falls short of q by under 2**-30 q, less than the
+sums resolve, the positive atoms are walked up from the least instead.
 
 Stride rule.  A row whose 40-nat window would pass ``MAX_POINTS`` = 2**14
 points (a standard deviation sigma above ~885) is tabulated instead at every
@@ -60,6 +63,7 @@ _LOG_CUTOFF = -40.0  # log pmf, relative to the mode's, at which a table ends
 _SPAN = 18.5  # standard deviations a strided table spans; a 40-nat window spans ~17.9
 _WALK_ATOMS = 2048  # a bracket expected to hold this few atoms is walked
 _STRIDED_TOL = 1e-8  # by how much of its tail's probability a strided solve may miss q
+_NEAR_ZERO = 2.0**-30  # P(R = 0) this close below q, relative to q, leaves the solve to _least
 
 
 class _Row:
@@ -88,6 +92,17 @@ class _Row:
         self.above = [*accumulate(reversed(self.mass))][::-1]
         if self.step > 1:
             self.base = list(map(sub, self.below, map(mul, range(self.size + 1), self.mass)))
+
+    @property
+    def zero(self) -> float:
+        """P(count = 0): the table's where it reaches 0, else in closed form."""
+        n, c = self.n, self.c
+        if self.lo == 0:
+            return self.mass[0]
+        if c == n:
+            return 0.0
+        # n log(1 - c / n), with no rounding of c / n near 1
+        return math.exp(n * (math.log((n - c) / n) if 2 * c > n else math.log1p(-c / n)))
 
     @property
     def relative_spread(self) -> float:
@@ -155,8 +170,7 @@ class _Ratio:
         self.x, self.y = x, y
         self.exact = x.step == y.step == 1
         self.first = 1 if y.lo == 0 else 0  # the index of y's first point above 0
-        x_zero = x.mass[0] if x.lo == 0 else 0.0
-        y_zero = y.mass[0] if y.lo == 0 else 0.0
+        self.zeros = x_zero, y_zero = x.zero, y.zero
         self.defined = 1.0 - x_zero * y_zero
         self.finite = y.above[self.first]  # P(R < inf, defined)
         self.at_zero = x_zero * self.finite  # P(R = 0)
@@ -198,10 +212,16 @@ class _Ratio:
     def quantile(self, q: float, exact_floors: bool = False) -> float:
         """The smallest atom r with P(R <= r | defined) >= q, 0 < q < 1."""
         target = q * self.defined
-        if target <= self.at_zero:
+        x0, y0 = self.zeros
+        # P(R = 0 | defined) = x0 (1 - y0) / (1 - x0 y0) reaches q by need <= 0,
+        # with no rounding in the difference x0 - q where the two are close
+        need = q - x0 + x0 * y0 * (1.0 - q)
+        if need <= 0.0:
             return 0.0
         if target > self.finite:
             return math.inf
+        if need <= _NEAR_ZERO * q and self.exact:  # below what the solve's sums resolve
+            return self._least(need)
         x, y = self.x, self.y
         goal = _normal_quantile(q)
 
@@ -216,15 +236,13 @@ class _Ratio:
         # has slope 1 / spread, each step twice the last, until one lands on each side
         spread = math.hypot(x.relative_spread, y.relative_spread)
         s = math.log(x.c) - math.log(x.n) - math.log(y.c) + math.log(y.n) + goal * spread
-        probing, side, widths, bisect, walk_at = True, 0, [math.inf, math.inf], False, _WALK_ATOMS
+        probing, side, widths, bisect = True, 0, [math.inf, math.inf], False
         while True:
             if self.exact:
-                if min((b - a) * x.n / y.n * y.hi * y.size, x.size * y.size) <= walk_at:
-                    # a single value may carry an atom of every y point
-                    found = self._walk(a, b, target, 8 * walk_at + y.size, exact_floors)
-                    if found is None:
-                        walk_at /= 8  # more atoms than expected: narrow further
-                    elif not math.isnan(found):
+                # the bracket holds about that many atoms, plus at most one per y point
+                if min((b - a) * x.n / y.n * y.hi * y.size, x.size * y.size) <= _WALK_ATOMS:
+                    found = self._walk(a, b, target, exact_floors)
+                    if not math.isnan(found):
                         return found
                     elif not exact_floors:  # a float floor misplaced an atom
                         return self.quantile(q, exact_floors=True)
@@ -271,10 +289,10 @@ class _Ratio:
             widths.append(math.log(b / a))
             bisect = widths[-1] > widths[-3] / 2
 
-    def _walk(self, a: float, b: float, target: float, cap: float, exact_floors: bool) -> float | None:
+    def _walk(self, a: float, b: float, target: float, exact_floors: bool) -> float:
         """The quantile, by listing the atoms in (a, b] and walking their
-        masses up from P(R <= a); None if there are more than ``cap``, and
-        NaN if P(R <= a) already reaches ``target`` or P(R <= b) does not.
+        masses up from P(R <= a); NaN if P(R <= a) already reaches
+        ``target`` or P(R <= b) does not.
         With ``exact_floors`` a walk short of ``target`` falls short by
         roundings only, and returns the last atom walked.
 
@@ -295,8 +313,6 @@ class _Ratio:
         floors = list(map(math.floor, us))
         near = list(compress(range(count), map(lt, map(math.floor, map(sub, us, repeat(error))),
                                                map(math.floor, map(add, vs, repeat(error))))))
-        if len(near) > cap:
-            return None
         atoms = []
         for j in near:
             low = floors[j] = (offset_a + j * slope_a) // Ba
@@ -304,8 +320,6 @@ class _Ratio:
             count_y, mass = y.lo + start + j, y.mass[start + j]
             atoms += [((x.lo + k) * y.n / (count_y * x.n), x.mass[k] * mass)
                       for k in range(max(low, -1) + 1, high + 1)]
-            if len(atoms) > cap:
-                return None
         below = x.below
         f = sum(map(mul, y.mass[start_a:end], [below[k + 1] for k in floors[start_a - start:]])) + y.above[end]
         if f >= target:
@@ -316,6 +330,29 @@ class _Ratio:
             if f >= target:
                 return value
         return atoms[-1][0] if exact_floors and atoms else math.nan
+
+    def _least(self, need: float) -> float:
+        """The smallest atom r > 0 with P(0 < R <= r) >= need, for unit
+        steps: the atoms up to a bound are listed and walked, the bound
+        doubling from the least atom until they reach ``need``, or the last
+        atom if all of them fall short, by roundings only."""
+        x, y = self.x, self.y
+        low, first = max(x.lo, 1), max(y.lo, 1)
+        N, D = low * y.n, y.hi * x.n  # the bound, N / D
+        while True:
+            atoms = sorted(
+                (k * y.n / (count * x.n), x.mass[k - x.lo] * y.mass[count - y.lo])
+                for count in range(first, y.hi + 1)
+                for k in range(low, min(x.hi, N * count * x.n // (D * y.n)) + 1)
+            )
+            f = 0.0
+            for value, mass in atoms:
+                f += mass
+                if f >= need:
+                    return value
+            if N * first * x.n >= x.hi * y.n * D:  # the bound is above every atom
+                return atoms[-1][0]
+            N *= 2
 
     def _adjacent(self, a: float, b: float, target: float) -> float:
         """The quantile between adjacent floats a and b: the one it rounds

@@ -19,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from typing import IO, TYPE_CHECKING, Iterable
 
 # Each command imports the modules it runs when it runs: a call pays only
-# for its own code, and only drawing commands load numpy.
+# for its own code.
 from .model import FORMATS, INTERVAL_METHOD_NAMES, DataError, check_seed
 
 if TYPE_CHECKING:

@@ -410,10 +410,10 @@ def tally(
 
     Categories follow ``vocabulary`` order when given (zero-count
     categories are retained), else first appearance in the records.  A
-    ``RecordBatch`` is counted from its code arrays without row views.
+    ``RecordBatch`` is counted from its code columns without row views.
     """
     # a RecordBatch exists only once its module has loaded: a list of records
-    # is tallied without loading catlr.simulate or numpy
+    # is tallied without loading catlr.simulate
     simulate = sys.modules.get("catlr.simulate")
     if simulate is not None and isinstance(records, simulate.RecordBatch):
         counts = simulate._batch_counts(records)

@@ -10,6 +10,23 @@ examiner ids are synthetic round-robin labels over a fixed panel (see
 Because the true probabilities are known, simulated studies serve as an
 oracle: ``true_lr`` is the estimand the tally-then-divide pipeline
 targets, and consistency / coverage tests compare against it.
+
+Seeded contract (``RNG_ALGORITHM``).  ``simulate_study`` draws every record
+from one ``random.Random(profile.seed)``, CPython's MT19937, with the
+standard library alone: the n_h1 same-source codes first, then the n_h2
+different-source codes.  A record's category is that of a uniform 53-bit
+integer U: the number of thresholds T_j <= U, where T_j is 2**53 (p_0 +
+... + p_j) / (p_0 + ... + p_{K-1}), j < K - 1, rounded half up in exact
+arithmetic, so a category of probability 0 is never drawn.  U's bits are
+taken in three stages, so that most records take one byte:
+
+1. ``getrandbits(8 n)`` as n little-endian bytes gives U's top 8 bits for
+   each of the n records;
+2. the m records whose byte leaves their category open, because a
+   threshold falls inside its range of U, take U's next 8 bits, in record
+   order, from ``getrandbits(8 m)`` as m little-endian bytes;
+3. the records still open take U's last 37 bits, in record order, one
+   ``getrandbits(37)`` each.
 """
 
 from __future__ import annotations
@@ -17,9 +34,12 @@ from __future__ import annotations
 import io
 import math
 import operator
+import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
-from typing import IO, TYPE_CHECKING
+from itertools import accumulate, chain, repeat
+from typing import IO
 
 from .ingest import RAW_HEADER, _csv_text
 from .model import (
@@ -32,14 +52,11 @@ from .model import (
     check_seed,
     ratio,
 )
-from .rng import stream
 
-if TYPE_CHECKING:
-    import numpy as np
+RNG_ALGORITHM = "mt19937-u53-v3"
 
 MAX_RECORDS = 10_000_000
 _SUM_TOLERANCE = 1e-12
-_BLOCK_ROWS = 64_000  # RecordBatch item numbers written per block of codes: whole chunks of 1000
 
 
 class PanelProfile(Frozen):
@@ -103,8 +120,10 @@ class RecordBatch(Sequence):
     source, 1 different source), statement ``categories[statement_codes[i]]``,
     and the synthetic ids of a round-robin examiner panel: examiner
     ``EXAMINER_IDS[i % 10]`` and item ``ITEM_ID % (i + 1)``.  Indexing and
-    iteration build each ``EvaluationRecord`` only when it is read.  The code
-    arrays are read-only copies, so a batch never changes after construction.
+    iteration build each ``EvaluationRecord`` only when it is read.  The
+    batch holds copies of its code columns: ``bytes``, or an unsigned
+    ``array`` for statement codes of over 256 categories, shown only as
+    read-only memoryviews, so a batch never changes after construction.
     Every label reads back from ``emit_records`` text unchanged: none holds a
     line break or a lone surrogate, starts or ends with whitespace or outgrows
     the csv field limit.
@@ -126,70 +145,42 @@ class RecordBatch(Sequence):
     __slots__ = ("_categories", "_truth", "_codes")
 
     def __init__(self, categories: Sequence[str], truth_codes, statement_codes):
-        # imported here, not at module level: a profile is read without numpy
-        import csv
-
-        import numpy as np
-
-        categories = tuple(str(c) for c in categories)
-        if not categories or any(not c for c in categories):
-            raise DataError(f"categories must be non-empty labels: {categories}")
-        limit = csv.field_size_limit()
-        for label in categories:
-            if len(label) > limit:
-                raise DataError(
-                    f"category label {label[:20]!r}... would not read back from a records "
-                    f"file: it has {len(label)} characters, more than the csv field limit {limit}"
-                )
-            if "\n" in label or "\r" in label or label != label.strip():
-                raise DataError(
-                    f"category label {label!r} would not read back from a records file: "
-                    "a label must not hold a line break or start or end with whitespace"
-                )
-            try:
-                label.encode("utf-8")
-            except UnicodeEncodeError:
-                raise DataError(
-                    f"category label {label!r} would not read back from a records file: "
-                    "it holds a lone surrogate, which UTF-8 cannot encode"
-                ) from None
-        if len(set(categories)) != len(categories):
-            raise DataError(f"duplicate category label in {categories}")
-        truth, codes = np.asarray(truth_codes), np.asarray(statement_codes)
-        if truth.ndim != 1 or truth.shape != codes.shape:
+        categories = _labels(categories)
+        truth, codes = _integers(truth_codes), _integers(statement_codes)
+        if len(truth) != len(codes):
             raise DataError(
-                "truth and statement codes must be 1-d and equally long, "
-                f"got shapes {truth.shape} and {codes.shape}"
+                "truth and statement codes must be equally long, "
+                f"got {len(truth)} and {len(codes)}"
             )
-        if truth.size and not (
-            truth.dtype.kind in "biu" and codes.dtype.kind in "biu"
-        ):
-            raise DataError("truth and statement codes must be integers")
-        if truth.size and (truth.min() < 0 or truth.max() > 1):
+        if truth and (min(truth) < 0 or max(truth) > 1):
             raise DataError("truth codes must be 0 (same source) or 1 (different source)")
-        if codes.size and (codes.min() < 0 or codes.max() >= len(categories)):
+        if codes and (min(codes) < 0 or max(codes) >= len(categories)):
             raise DataError(f"statement codes must index the {len(categories)} categories")
         self._categories = categories
-        self._truth = truth.astype(np.uint8)
-        # the narrowest unsigned type that holds every code: one byte for up to 256 categories
-        self._codes = codes.astype(np.min_scalar_type(len(categories) - 1))
-        self._truth.flags.writeable = False
-        self._codes.flags.writeable = False
+        self._truth = bytes(truth)
+        self._codes = bytes(codes) if len(categories) <= 256 else _wide(len(categories), codes)
+
+    @classmethod
+    def _of_columns(cls, categories: Sequence[str], truth: bytes, codes) -> RecordBatch:
+        """A batch of columns already stored as ``__init__`` stores them, unchecked."""
+        batch = cls.__new__(cls)
+        batch._categories, batch._truth, batch._codes = _labels(categories), truth, codes
+        return batch
 
     @property
     def categories(self) -> tuple[str, ...]:
         return self._categories
 
     @property
-    def truth_codes(self) -> np.ndarray:
-        return self._truth
+    def truth_codes(self) -> memoryview:
+        return memoryview(self._truth)
 
     @property
-    def statement_codes(self) -> np.ndarray:
-        return self._codes
+    def statement_codes(self) -> memoryview:
+        return memoryview(self._codes).toreadonly()
 
     def __len__(self) -> int:
-        return self._codes.size
+        return len(self._codes)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -202,8 +193,7 @@ class RecordBatch(Sequence):
         return self._row(i, self._truth[i], self._codes[i])
 
     def __iter__(self):
-        rows = zip(self._truth.tolist(), self._codes.tolist())
-        for i, (truth, code) in enumerate(rows):
+        for i, (truth, code) in enumerate(zip(self._truth, self._codes)):
             yield self._row(i, truth, code)
 
     def _row(self, i: int, truth: int, code: int) -> EvaluationRecord:
@@ -217,13 +207,9 @@ class RecordBatch(Sequence):
     def __eq__(self, other):
         if not isinstance(other, RecordBatch):
             return NotImplemented
-        import numpy as np
-
-        labels = np.array(self._categories, dtype=object)[self._codes]
-        other_labels = np.array(other._categories, dtype=object)[other._codes]
-        return np.array_equal(self._truth, other._truth) and np.array_equal(
-            labels, other_labels
-        )
+        return self._truth == other._truth and list(
+            map(self._categories.__getitem__, self._codes)
+        ) == list(map(other._categories.__getitem__, other._codes))
 
     __hash__ = None
 
@@ -235,20 +221,76 @@ class RecordBatch(Sequence):
 _TRUTHS = tuple(GroundTruth)
 
 
+def _labels(categories: Sequence[str]) -> tuple[str, ...]:
+    """``categories`` as a tuple of labels; DataError unless every one reads
+    back from ``emit_records`` text unchanged."""
+    import csv
+
+    categories = tuple(str(c) for c in categories)
+    if not categories or any(not c for c in categories):
+        raise DataError(f"categories must be non-empty labels: {categories}")
+    limit = csv.field_size_limit()
+    for label in categories:
+        if len(label) > limit:
+            raise DataError(
+                f"category label {label[:20]!r}... would not read back from a records "
+                f"file: it has {len(label)} characters, more than the csv field limit {limit}"
+            )
+        if "\n" in label or "\r" in label or label != label.strip():
+            raise DataError(
+                f"category label {label!r} would not read back from a records file: "
+                "a label must not hold a line break or start or end with whitespace"
+            )
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(
+                f"category label {label!r} would not read back from a records file: "
+                "it holds a lone surrogate, which UTF-8 cannot encode"
+            ) from None
+    if len(set(categories)) != len(categories):
+        raise DataError(f"duplicate category label in {categories}")
+    return categories
+
+
+def _integers(values) -> list[int]:
+    """The elements of ``values``, each read as an int: never its buffer, whose
+    bytes are not its elements when they are wider than one byte."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise DataError("truth and statement codes must be 1-d sequences of integers") from None
+
+
+def _wide(k: int, codes: Iterable[int]):
+    """Codes of more than 256 categories, in the narrowest unsigned array that holds them."""
+    # imported here, not at module level: only a profile of over 256 categories needs it
+    from array import array
+
+    return array("H" if k <= 1 << 16 else "L", codes)
+
+
+def _keys(batch: RecordBatch) -> Sequence[int]:
+    """Each row's truth * K + code, K the number of categories."""
+    k, truth, codes = len(batch.categories), batch._truth, batch._codes
+    if 2 * k <= 256:
+        # the sum of the two columns read as base-256 numerals, as no digit carries
+        keys = int.from_bytes(codes, "little") + k * int.from_bytes(truth, "little")
+        return keys.to_bytes(len(codes), "little")
+    return list(map(operator.add, map(operator.mul, truth, repeat(k)), codes))
+
+
 def _batch_counts(batch: RecordBatch) -> dict[tuple[GroundTruth, str], int]:
     """Nonzero (truth, statement) counts of a batch, statements in first-appearance order."""
-    import numpy as np
-
     k = len(batch.categories)
-    codes = batch.statement_codes
-    keys = batch.truth_codes.astype(np.intp) * k + codes
-    rows = np.bincount(keys, minlength=2 * k).reshape(2, k).tolist()
-    present, first = np.unique(codes, return_index=True)
+    # a Counter keeps its keys in the order each first appears, and so
+    # lists each code first where it first appears, whatever its truth
+    found = Counter(_keys(batch))
     counts = {}
-    for code in present[np.argsort(first)].tolist():
-        for truth, row in zip(GroundTruth, rows):
-            if row[code]:
-                counts[(truth, batch.categories[code])] = row[code]
+    for code in dict.fromkeys(key % k for key in found):
+        for t, truth in enumerate(GroundTruth):
+            if t * k + code in found:
+                counts[(truth, batch.categories[code])] = found[t * k + code]
     return counts
 
 
@@ -273,49 +315,103 @@ def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[bytes]:
         rows = ((r.examiner_id, r.item_id, r.truth.value, r.statement) for r in records)
         yield _csv_text(RAW_HEADER, rows).encode("utf-8")
         return
-    import numpy as np
-
     yield _csv_text(RAW_HEADER, ()).encode("utf-8")
-    k = len(records.categories)
-    # The ground-truth and statement cells of each truth * k + code, CSV-encoded
-    # once with their line ending; the synthetic ids never need quoting.
-    tails = np.array(
-        [_csv_text((t.value, label), ()).encode("utf-8")
-         for t in GroundTruth for label in records.categories],
-        dtype=object,
-    )
+    # The ground-truth and statement cells of each key, CSV-encoded once
+    # with their line ending; the synthetic ids never need quoting.
+    keys = _keys(records)
+    tails = [
+        _csv_text((truth.value, label), ()).encode("utf-8")
+        for truth in GroundTruth
+        for label in records.categories
+    ]
     lines = RecordBatch._CHUNK_LINES
     chunk = b"".join(lines)
     n = len(records)
-    # each block holds the item numbers first .. last - 1; there is no item 0
-    for first in range(0, n + 1, _BLOCK_ROWS):
-        last = min(first + _BLOCK_ROWS, n + 1)
-        block = slice(max(first - 1, 0), last - 1)
-        truth = records.truth_codes[block].astype(np.intp)
-        cells = tails[truth * k + records.statement_codes[block]].tolist()
-        # cells[0] holds item number block.start + 1
-        for c in range(first // 1000, (last + 999) // 1000):
-            j0, j1 = (1 if c == 0 else 0), min(last - c * 1000, 1000)
-            a = c * 1000 + j0 - block.start - 1
-            template = chunk if j1 - j0 == 1000 else b"".join(lines[j0:j1])
-            yield template.replace(b"{0}", b"%03d" % c) % tuple(cells[a : a + j1 - j0])
+    # chunk c holds item numbers c * 1000 + j, j0 <= j < j1; item i + 1 is
+    # row i, and there is no item 0
+    for c in range(n // 1000 + 1):
+        j0, j1 = (1 if c == 0 else 0), min(n + 1 - c * 1000, 1000)
+        rows = keys[c * 1000 + j0 - 1 : c * 1000 + j1 - 1]
+        # one itemgetter call looks up a chunk, but returns a tuple only for two or more rows
+        cells = operator.itemgetter(*rows)(tails) if len(rows) > 1 else tuple(tails[r] for r in rows)
+        template = chunk if j1 - j0 == 1000 else b"".join(lines[j0:j1])
+        yield template.replace(b"{0}", b"%03d" % c) % cells
 
 
 def simulate_study(profile: PanelProfile) -> RecordBatch:
     """Draw one study: n_h1 same-source then n_h2 different-source records.
 
     Single RNG stream per study (seeded by the profile), so a fixed seed
-    reproduces the records exactly.
+    reproduces the records exactly; the module docstring sets out how.
     """
-    # imported here, not at module level: a profile is read without numpy
-    import numpy as np
+    g = random.Random(profile.seed)
+    same = _draw(g, profile.n_h1, profile.p_given_h1)
+    different = _draw(g, profile.n_h2, profile.p_given_h2)
+    truth = bytes(profile.n_h1) + b"\x01" * profile.n_h2
+    return RecordBatch._of_columns(profile.categories, truth, same + different)
 
-    g = stream(profile.seed)
-    k = len(profile.categories)
-    same = g.choice(k, size=profile.n_h1, p=profile.p_given_h1)
-    different = g.choice(k, size=profile.n_h2, p=profile.p_given_h2)
-    truth = np.repeat(np.arange(2, dtype=np.uint8), (profile.n_h1, profile.n_h2))
-    return RecordBatch(profile.categories, truth, np.concatenate((same, different)))
+
+def _draw(g: random.Random, n: int, p: Sequence[float]) -> Sequence[int]:
+    """The category codes of ``n`` records under probabilities ``p``, drawn
+    from ``g`` in the seeded contract's three stages: bytes for up to 256
+    categories, else an array.
+
+    Each stage maps a record's bits through a table of one character per
+    code, as a str; ``open_`` marks the codes its bits leave open, which
+    the next stage fills in.  Only those records cost more than a C loop."""
+    k = len(p)
+    # every float is an integer over a power of two of at most 2**1074
+    weights = [a * (1 << 1074) // b for a, b in map(float.as_integer_ratio, p)]
+    total = sum(weights)
+    thresholds = [((w << 54) + total) // (2 * total) for w in accumulate(weights[:-1])]
+    open_ = chr(max(k, 255))  # a code no category has
+    first = _cells(thresholds, 0, 1 << 45, open_)
+    raw = g.getrandbits(8 * n).to_bytes(n, "little")
+    if k < 256:
+        codes = raw.translate(first.encode("latin-1")).decode("latin-1")
+    else:
+        codes = raw.decode("latin-1").translate(first)
+    # the bytes of the open records, in record order
+    firsts = raw.translate(None, bytes(b for b, c in enumerate(first) if c != open_))
+    if firsts:
+        m = len(firsts)
+        seconds = g.getrandbits(8 * m).to_bytes(m, "little")
+        tables = [
+            _cells(thresholds, b << 45, 1 << 37, open_) if c == open_ else ""
+            for b, c in enumerate(first)
+        ]
+        late = "".join(map(operator.getitem, map(tables.__getitem__, firsts), seconds))
+        last = []
+        j = late.find(open_)
+        while j >= 0:
+            u = firsts[j] << 45 | seconds[j] << 37 | g.getrandbits(37)
+            last.append(chr(bisect_right(thresholds, u)))
+            j = late.find(open_, j + 1)
+        codes = _fill(codes, open_, _fill(late, open_, last))
+    return codes.encode("latin-1") if k <= 256 else _wide(k, map(ord, codes))
+
+
+def _cells(thresholds: list[int], lo: int, width: int, open_: str) -> str:
+    """The code of each of the 256 cells [lo + e width, lo + (e + 1) width) of
+    U as one character, ``open_`` for a cell that a threshold falls inside."""
+    row: list[int | None] = []
+    code = bisect_right(thresholds, lo)  # the thresholds at or below lo
+    for t in thresholds[code : bisect_left(thresholds, lo + 256 * width)]:
+        e, inside = divmod(t - lo, width)
+        row += [code] * (e - len(row))
+        if inside and len(row) == e:
+            row.append(None)
+        code += 1
+    row += [code] * (256 - len(row))
+    return "".join(open_ if c is None else chr(c) for c in row)
+
+
+def _fill(text: str, mark: str, values: Sequence[str]) -> str:
+    """``text`` with each ``mark`` in turn replaced by the next of ``values``."""
+    pieces = text.split(mark)
+    out = [""] * (2 * len(pieces) - 1)
+    out[::2], out[1::2] = pieces, values
+    return "".join(out)
 
 
 def true_lr(profile: PanelProfile, statement: str) -> float | None:

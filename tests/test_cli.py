@@ -657,9 +657,9 @@ class TestSimulateCommand:
         )
         code, out, _ = invoke("simulate", "--profile", str(cfg))
         assert code == 0
-        assert out.splitlines()[1] == 'ex01,item000001,same,"say ""no"""'
+        assert out.splitlines()[2] == 'ex02,item000002,same,"say ""no"""'
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "b25ffcd0311298099a6598ceb2ec66f29c748a07ef4f2eabec1b50c8524e6bae"
+            "56dd2386184978e45b8380a5bedc95d4bf9123881e07ffd25f409eb66f3e3f7e"
         )
 
     def test_output_at_benchmark_scale_is_pinned(self, tmp_path):
@@ -676,9 +676,10 @@ class TestSimulateCommand:
         )
         code, out, _ = invoke("simulate", "--profile", str(cfg))
         assert code == 0
-        assert out.endswith("ex01,item1000001,different,50% sure\n")
+        assert out.endswith("ex01,item1000001,different,Elimination\n")
+        assert out.splitlines()[12] == "ex02,item000012,same,50% sure"
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "54951558c034db77ada88fca59c5c23c6364eeb4a16dceafb9e061fd28790377"
+            "d01a06403f8433554f7048735204560cd7c5cd4a99b43e3a1816459c585307f3"
         )
 
     def test_lone_percent_in_profile_is_data_error(self, tmp_path):

@@ -27,7 +27,7 @@ from catlr.ingest import (
 from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
 from catlr.records import parse_records, tally, tally_csv, tally_file
 from catlr.report import read_display_fixture
-from catlr.simulate import _BLOCK_ROWS, RecordBatch, emit_records
+from catlr.simulate import RecordBatch, emit_records
 
 SAME = GroundTruth.SAME_SOURCE
 DIFF = GroundTruth.DIFFERENT_SOURCE
@@ -666,6 +666,16 @@ class TestTallyOfBatch:
             return
         assert tally(batch, vocabulary=vocabulary) == expected
 
+    @pytest.mark.parametrize("k", [128, 129, 256, 257, 300])
+    def test_wide_vocabularies_count_and_write_as_their_rows(self, k):
+        # up to 128 categories a row's truth * K + code is a byte, then a list
+        # entry; over 256 the statement codes are an array, not bytes
+        labels = tuple(f"c{j}" for j in range(k))
+        batch = _random_batch(labels, 5000, k)
+        assert type(batch.statement_codes.obj).__name__ == ("bytes" if k <= 256 else "array")
+        assert tally(batch) == tally(list(batch))
+        assert _first_difference(emit_records(batch), emit_records(list(batch))) is None
+
     def test_tally_of_a_list_loads_neither_simulate_nor_numpy(self):
         script = (
             "import sys\n"
@@ -778,7 +788,7 @@ class TestRoundTrips:
         assert list(batch) == parse_records(emit_records(batch))
 
     def test_batch_text_equals_text_of_its_rows(self):
-        # more rows than one block of batch output
+        # rows in 71 chunks of 1000 item numbers
         rng = np.random.default_rng(6)
         n = 70_001
         batch = RecordBatch(('say "no"', "ID"), rng.integers(0, 2, n), rng.integers(0, 2, n))
@@ -799,11 +809,8 @@ class TestBatchTemplate:
     their leading digits, each chunk one % over one prebuilt template; the
     text must equal that of the batch's row views, written row by row."""
 
-    @pytest.mark.parametrize(
-        "n", [0, 1, 999, 1000, 1001, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
-    )
-    def test_equals_row_text_at_chunk_and_block_edges(self, n):
-        assert _BLOCK_ROWS % 1000 == 0
+    @pytest.mark.parametrize("n", [0, 1, 999, 1000, 1001, 63_999, 64_000, 64_001])
+    def test_equals_row_text_at_chunk_edges(self, n):
         batch = _random_batch(("ID", "Elim"), n, n)
         assert _first_difference(emit_records(batch), emit_records(list(batch))) is None
 

@@ -92,9 +92,9 @@ class TestRecordBatch:
         batch = RecordBatch(("a", "b"), [0, 0], codes)
         codes[0] = 1
         assert batch[0].statement == "a"
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             batch.statement_codes[0] = 1
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             batch.truth_codes[0] = 1
 
     @pytest.mark.parametrize(

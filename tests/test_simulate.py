@@ -1,13 +1,23 @@
 import io
 import math
+import random
+from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 
 from catlr.engine import full_table_lrs
 from catlr.model import DataError, GroundTruth
 from catlr.records import tally
-from catlr.rng import stream
-from catlr.simulate import PanelProfile, RecordBatch, load_profile, simulate_study, true_lr
+from catlr.simulate import (
+    RNG_ALGORITHM,
+    PanelProfile,
+    RecordBatch,
+    _draw,
+    load_profile,
+    simulate_study,
+    true_lr,
+)
 
 SAME = GroundTruth.SAME_SOURCE
 DIFF = GroundTruth.DIFFERENT_SOURCE
@@ -83,21 +93,111 @@ class TestSimulateStudy:
         assert records[9].examiner_id == "ex10"
         assert records[10].examiner_id == "ex01"
 
-    def test_codes_are_the_two_choice_draws_same_source_first(self):
+    def test_codes_are_the_two_draws_same_source_first(self):
         profile = PanelProfile(("a", "b", "c"), (0.2, 0.3, 0.5), (0.6, 0.3, 0.1), 50, 70, seed=11)
-        g = stream(11)
-        same = g.choice(3, size=50, p=profile.p_given_h1)
-        different = g.choice(3, size=70, p=profile.p_given_h2)
+        g = random.Random(11)
+        same, _ = reference_codes(g, 50, profile.p_given_h1)
+        different, _ = reference_codes(g, 70, profile.p_given_h2)
         batch = simulate_study(profile)
         assert isinstance(batch, RecordBatch)
         assert batch.categories == profile.categories
-        assert batch.statement_codes.tolist() == same.tolist() + different.tolist()
+        assert batch.statement_codes.tolist() == same + different
         assert batch.truth_codes.tolist() == [0] * 50 + [1] * 70
 
     def test_item_ids_unique(self):
         profile = PanelProfile(("a", "b"), (0.5, 0.5), (0.5, 0.5), 100, 100, seed=5)
         records = simulate_study(profile)
         assert len({r.item_id for r in records}) == len(records)
+
+
+def reference_codes(g, n, p):
+    """The codes of ``n`` records under ``p`` as the seeded contract draws
+    them from ``g``, by bisecting every record's 53-bit U on thresholds
+    computed in rationals, and the number of records that took 1, 2 and 3
+    stages of bits.  U's bits that a record does not take are 0 here."""
+    weights = [Fraction(x) for x in p]
+    cdf = [sum(weights[: j + 1]) / sum(weights) for j in range(len(p) - 1)]
+    thresholds = [math.floor(2**53 * f + Fraction(1, 2)) for f in cdf]
+
+    def code(u):
+        return bisect_right(thresholds, u)
+
+    def is_open(u, free_bits):  # U's category is not yet fixed by its drawn bits
+        return code(u) != code(u + 2**free_bits - 1)
+
+    us = [b << 45 for b in g.getrandbits(8 * n).to_bytes(n, "little")]
+    second = [i for i in range(n) if is_open(us[i], 45)]
+    for i, b in zip(second, g.getrandbits(8 * len(second)).to_bytes(len(second), "little")):
+        us[i] |= b << 37
+    third = [i for i in second if is_open(us[i], 37)]
+    for i in third:
+        us[i] |= g.getrandbits(37)
+    return [code(u) for u in us], (n - len(second), len(second) - len(third), len(third))
+
+
+def _weights(k, seed):
+    rng = random.Random(seed)
+    weights = [rng.random() + 0.01 for _ in range(k)]
+    return [w / math.fsum(weights) for w in weights]
+
+
+class TestSampler:
+    """``_draw`` against the contract in ``catlr.simulate``'s docstring."""
+
+    PROFILES = {
+        # 0.3 * 2**53 falls inside a byte's range: those records take more bits
+        "straddling": (0.3, 0.7),
+        # 0.5 * 2**53 is a byte's edge: no record takes more than one byte
+        "byte edge": (0.5, 0.25, 0.25),
+        "zero category": (0.4, 0.0, 0.6),
+        "K=1": (1.0,),
+        # a threshold 2**13 above a byte's edge, inside one cell of U's top 16 bits
+        "tiny": (0.5, 2.0**-40, 0.5 - 2.0**-40),
+        "K=6": (0.6, 0.15, 0.1, 0.05, 0.06, 0.04),
+        "K=254": _weights(254, 1),
+        "K=255": _weights(255, 2),
+        "K=300": _weights(300, 3),
+    }
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_codes_equal_the_bisection_of_every_records_u(self, name):
+        p = self.PROFILES[name]
+        for seed, n in ((0, 1), (1, 7), (2, 20_000)):
+            expected, _ = reference_codes(random.Random(seed), n, p)
+            codes = _draw(random.Random(seed), n, p)
+            assert type(codes).__name__ == ("bytes" if len(p) <= 256 else "array")
+            assert list(codes) == expected
+
+    def test_every_stage_of_bits_is_taken(self):
+        _, (one, two, three) = reference_codes(random.Random(2), 20_000, self.PROFILES["K=254"])
+        assert one and two and three
+        _, stages = reference_codes(random.Random(2), 20_000, self.PROFILES["byte edge"])
+        assert stages == (20_000, 0, 0)
+
+    def test_a_category_of_probability_zero_is_never_drawn(self):
+        assert 1 not in _draw(random.Random(4), 100_000, self.PROFILES["zero category"])
+
+    def test_draws_follow_the_stream_after_them(self):
+        # the stages take exactly the bits the contract names, so the next draw matches
+        for name in ("straddling", "K=254", "K=300"):
+            g, h = random.Random(5), random.Random(5)
+            _draw(g, 5000, self.PROFILES[name])
+            reference_codes(h, 5000, self.PROFILES[name])
+            assert g.getrandbits(64) == h.getrandbits(64)
+
+    @pytest.mark.parametrize("name", ["K=6", "tiny", "K=300"])
+    def test_frequencies_of_a_million_draws(self, name):
+        # within 6 standard deviations plus one, as bench/checks.py::check_simulated
+        p, n = self.PROFILES[name], 10**6
+        codes = _draw(random.Random(6), n, p)
+        counts = [0] * len(p)
+        for code in codes:
+            counts[code] += 1
+        for x, q in zip(counts, p):
+            assert abs(x - n * q) <= 6.0 * math.sqrt(n * q * (1.0 - q)) + 1.0
+
+    def test_algorithm_is_named(self):
+        assert RNG_ALGORITHM == "mt19937-u53-v3"
 
 
 class TestTrueLr:

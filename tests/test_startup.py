@@ -101,7 +101,7 @@ def test_import_loads_no_numpy():
 LIGHT = {"catlr", "catlr.cli", "catlr.model"}
 TABLE = LIGHT | {"catlr.engine", "catlr.ingest"}
 REPORT = TABLE | {"catlr.report"}
-# neither interval draws: no catlr.rng, no numpy, and each loads only its own solver
+# each interval loads only its own solver
 BOOTSTRAP = {"catlr.ingest", "catlr.binomratio", "catlr.uncertainty"}
 COMPUTE = {"catlr.ingest", "catlr.betaratio", "catlr.uncertainty"}
 
@@ -128,8 +128,7 @@ COMMANDS = [
     (("interval", "--table", "{table}", "--statement", "ID", "--method", "dirichlet"),
      LIGHT | COMPUTE, False),
     (("tally", "--in", "{records}"), LIGHT | {"catlr.ingest", "catlr.records"}, False),
-    (("simulate", "--profile", "{profile}"),
-     LIGHT | {"catlr.ingest", "catlr.rng", "catlr.simulate"}, False),
+    (("simulate", "--profile", "{profile}"), LIGHT | {"catlr.ingest", "catlr.simulate"}, False),
     (("--help",), LIGHT, False),
 ]
 
@@ -142,16 +141,16 @@ COMMANDS = [
 def test_command_loads_only_the_modules_it_runs(
     bullets_csv, records_csv, profile_cfg, argv, catlr_modules, json_loaded
 ):
-    # simulate alone loads catlr.simulate, catlr.rng and numpy, posterior
-    # and adjust alone catlr.interpret, only interval commands
-    # catlr.uncertainty, only the Dirichlet interval catlr.betaratio, and
-    # only the bootstrap catlr.binomratio
+    # simulate alone loads catlr.simulate, posterior and adjust alone
+    # catlr.interpret, only interval commands catlr.uncertainty, only the
+    # Dirichlet interval catlr.betaratio, and only the bootstrap
+    # catlr.binomratio; no command loads numpy
     argv = [a.format(table=bullets_csv, records=records_csv, profile=profile_cfg) for a in argv]
     code, out, err, loaded = cold_run(*argv)
     assert (code, err) == (0, "")
     assert out
     assert {m for m in loaded if m.partition(".")[0] == "catlr"} == catlr_modules
-    assert ("numpy" in loaded) == ("catlr.rng" in loaded)
+    assert "numpy" not in loaded
     assert ("json" in loaded) == json_loaded
     assert "dataclasses" not in loaded
 
@@ -181,7 +180,7 @@ def test_submodules_are_package_attributes_after_a_bare_import():
     # in a fresh interpreter, so that no earlier import has bound them
     script = (
         "import catlr, types\n"
-        "names = ('betaratio', 'binomratio', 'engine', 'ingest', 'interpret', 'model', 'report', 'rng',"
+        "names = ('betaratio', 'binomratio', 'engine', 'ingest', 'interpret', 'model', 'report',"
         " 'simulate', 'uncertainty')\n"
         "assert all(isinstance(getattr(catlr, n), types.ModuleType) for n in names)\n"
         "assert set(names) <= set(dir(catlr))\n"
@@ -215,22 +214,20 @@ def test_md_or_csv_report_draws_no_interval(bullets_csv, fmt, method):
 
 
 @pytest.mark.parametrize(
-    "argv, draws",
+    "argv",
     [
-        (("simulate", "--profile", "{profile}"), True),
-        (("interval", "--table", "{table}", "--statement", "ID",
-          "--method", "bootstrap", "--seed", "42"), False),
-        (("interval", "--table", "{table}", "--statement", "ID",
-          "--method", "dirichlet"), False),
-        (("report", "--table", "{table}", "--format", "json", "--interval", "dirichlet"), False),
+        ("simulate", "--profile", "{profile}"),
+        ("interval", "--table", "{table}", "--statement", "ID", "--method", "bootstrap", "--seed", "42"),
+        ("interval", "--table", "{table}", "--statement", "ID", "--method", "dirichlet"),
+        ("report", "--table", "{table}", "--format", "json", "--interval", "dirichlet"),
     ],
     ids=["simulate", "bootstrap", "dirichlet", "dirichlet-report"],
 )
-def test_interval_or_simulate_prints_the_same_bytes_cold(bullets_csv, profile_cfg, argv, draws):
-    # a fresh interpreter, with numpy loaded only by simulate, which draws
+def test_interval_or_simulate_prints_the_same_bytes_cold(bullets_csv, profile_cfg, argv):
+    # a fresh interpreter, with no numpy loaded
     argv = [a.format(table=bullets_csv, profile=profile_cfg) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     assert run(argv, stdout=out, stderr=err) == 0
     code, cold_out, cold_err, loaded = cold_run(*argv)
     assert (code, cold_out, cold_err) == (0, out.getvalue(), err.getvalue())
-    assert ("numpy" in loaded) == draws
+    assert "numpy" not in loaded

@@ -1,10 +1,12 @@
 """``records.tally_file`` against ``tally_csv``, with parts small enough to fork.
 
 Each check runs in a fresh interpreter with warnings as errors: ``tally_file``
-forks only in a process of one thread, which a test process that has loaded
-numpy's thread pool is not, and Python 3.12 warns on a fork in a process
-that has threads.  The interpreter buffers a line on its stdout before any
-fork, so a child that flushed it would print it twice.
+forks only in a process of one thread, and Python 3.12 warns on a fork in a
+process that has threads.  The test process need not be one: the test
+modules import numpy and scipy, whose BLAS libraries may start a thread
+pool on import, though catlr itself imports neither.  The interpreter
+buffers a line on its stdout before any fork, so a child that flushed it
+would print it twice.
 """
 
 from __future__ import annotations

@@ -367,6 +367,49 @@ class TestBootstrapExact:
         # the upper endpoint is the last atom walked, 2.0, not the float above it
         assert_equals_enumeration(ConfusionTable(("a", "b"), (c1, n1 - c1), (c2, n2 - c2)), "a", 0.5)
 
+    @pytest.mark.parametrize(
+        "n1, c1, n2, c2, lower",
+        [(2, 1, 61, 32, 0.5), (2, 1, 61, 57, 0.5), (2, 1, 35, 16, 35 / 66)],
+    )
+    def test_a_zero_atom_short_of_its_tail_by_less_than_a_rounding_is_not_the_endpoint(
+        self, n1, c1, n2, c2, lower
+    ):
+        # P(R = 0 | defined) = 0.25 (1 - y0) / (1 - y0 / 4), y0 = P(X2 = 0), falls
+        # short of the tail 0.25 by less than a float spacing.  The lower
+        # endpoint is then the least positive atom, 1 / 2 over 61 / 61, or
+        # where the least atoms' masses fall short of the shortfall, as those
+        # over 35 / 35 and 34 / 35 do, the atom at which their sum reaches it
+        table = ConfusionTable(("a", "b"), (c1, n1 - c1), (c2, n2 - c2))
+        assert exact_bootstrap_quantiles(n1, c1, n2, c2, (0.25, 0.75))[0] == lower
+        assert bootstrap_interval(table, "a", level=0.5).lower == lower
+
+    def test_adjacent_floats_round_to_the_atom_of_the_exact_order(self, monkeypatch):
+        # row 1's ~560 atoms per row 2 point are closer than the float spacing,
+        # so the bracket narrows to two adjacent floats; the endpoints must
+        # still be the atoms an exact-order walk of the tabulated masses reaches
+        original, calls = _Ratio._adjacent, []
+
+        def adjacent(law, a, b, target):
+            calls.append((a, b))
+            return original(law, a, b, target)
+
+        monkeypatch.setattr(_Ratio, "_adjacent", adjacent)
+        n1, c1, n2, c2, tail = 2**63, 2**63 - 1000, 100, 50, 0.025
+        got = ratio_quantiles(n1, c1, n2, c2, tail)
+        assert len(calls) == 2
+        x, y = _Row(n1, c1), _Row(n2, c2)
+        assert x.lo > 0 and y.lo > 0 and x.step == y.step == 1  # no 0, no inf
+        atoms = {}
+        for x2, m2 in zip(range(y.lo, y.hi + 1), y.mass):
+            for x1, m1 in zip(range(x.lo, x.hi + 1), x.mass):
+                value = Fraction(x1 * n2, x2 * n1)
+                atoms[value] = atoms.get(value, 0) + Fraction(m1) * Fraction(m2)
+        values = sorted(atoms)
+        cdf = list(itertools.accumulate(atoms[v] for v in values))
+        expected = tuple(float(values[bisect.bisect_left(cdf, Fraction(q) * cdf[-1])])
+                         for q in (tail, 1 - tail))
+        assert got == expected == (1.6666666666666665, 2.4999999999999996)
+
     def test_the_bracketing_solve_reaches_the_same_atoms(self, monkeypatch):
         # tables this small are normally walked whole; with no atoms walked
         # until a bracket holds almost none, the solve narrows it by regula
