@@ -229,11 +229,14 @@ def use_table(path: str | Path, use: Callable[[ConfusionTable], Any]) -> Any:
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text of the header row then ``rows``, every line ending in a bare newline."""
+    """CSV text of the header row then ``rows``, every line ending in a bare
+    newline.  A row whose first cell starts with "#", after any whitespace,
+    has every cell quoted, so that ``_blocks`` does not read it as a comment."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    plain = csv.writer(buffer, lineterminator="\n")
+    quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in chain((header,), rows):
+        (quoted if str(row[0]).lstrip()[:1] == "#" else plain).writerow(row)
     return buffer.getvalue()
 
 

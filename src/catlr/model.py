@@ -64,6 +64,34 @@ def check_interval_method(method: str) -> str:
     return method
 
 
+def check_labels(labels: Sequence[str]) -> tuple[str, ...]:
+    """``labels`` as a tuple of strings; DataError unless there is at least
+    one and every one reads back unchanged from each CSV file catlr writes:
+    none is empty, outgrows the csv field limit, holds a line break, starts
+    or ends with whitespace, holds a lone surrogate or repeats another."""
+    # imported here, not at module level: only the field-limit check needs it
+    import csv
+
+    labels = tuple(str(label) for label in labels)
+    if not labels or not all(labels):
+        raise DataError(f"categories must be non-empty labels: {labels}")
+    limit = csv.field_size_limit()
+    for label in labels:
+        if len(label) > limit:
+            why = f"it has {len(label)} characters, more than the csv field limit {limit}"
+            label = label[:20] + "..."
+        elif "\n" in label or "\r" in label or label != label.strip():
+            why = "a label must not hold a line break or start or end with whitespace"
+        elif label.encode("utf-8", "replace").decode("utf-8") != label:
+            why = "it holds a lone surrogate, which UTF-8 cannot encode"
+        else:
+            continue
+        raise DataError(f"category label {label!r} would not read back from a CSV file: {why}")
+    if len(set(labels)) != len(labels):
+        raise DataError(f"duplicate category label in {labels}")
+    return labels
+
+
 def category_index(categories: tuple[str, ...], statement: str) -> int:
     """Position of ``statement`` in ``categories``; DataError when absent."""
     try:
@@ -152,8 +180,10 @@ class ConfusionTable(Frozen):
     """Counts of each statement category under same- and different-source truth.
 
     Category order is preserved exactly as supplied (the source study's
-    layout order) and is never sorted.  Counts stay exact integers;
-    probabilities are only formed when a likelihood ratio is computed.
+    layout order) and is never sorted; the labels pass ``check_labels``, so
+    a table reads back from ``emit_aggregated`` text unchanged.  Counts
+    stay exact integers; probabilities are only formed when a likelihood
+    ratio is computed.
 
     ``study_name`` is descriptive metadata and does not participate in
     equality: two tables with the same categories and counts are the same
@@ -169,13 +199,7 @@ class ConfusionTable(Frozen):
         different_source: Sequence[int],
         study_name: str = "",
     ):
-        categories = tuple(str(c) for c in categories)
-        if not categories:
-            raise DataError("a confusion table needs at least one category")
-        if any(not c for c in categories):
-            raise DataError("category labels must be non-empty")
-        if len(set(categories)) != len(categories):
-            raise DataError(f"duplicate category label in {categories}")
+        categories = check_labels(categories)
         rows = []
         for name, raw in (("same_source", same_source), ("different_source", different_source)):
             try:

@@ -49,6 +49,7 @@ from .model import (
     Frozen,
     GroundTruth,
     category_index,
+    check_labels,
     check_seed,
     ratio,
 )
@@ -73,9 +74,7 @@ class PanelProfile(Frozen):
         n_h2: int,
         seed: int = 0,
     ):
-        categories = tuple(str(c) for c in categories)
-        if not categories or len(set(categories)) != len(categories):
-            raise DataError(f"categories must be non-empty and unique: {categories}")
+        categories = check_labels(categories)
         vectors = []
         for name, raw in (("p_given_h1", p_given_h1), ("p_given_h2", p_given_h2)):
             vector = tuple(float(p) for p in raw)
@@ -124,9 +123,8 @@ class RecordBatch(Sequence):
     batch holds copies of its code columns: ``bytes``, or an unsigned
     ``array`` for statement codes of over 256 categories, shown only as
     read-only memoryviews, so a batch never changes after construction.
-    Every label reads back from ``emit_records`` text unchanged: none holds a
-    line break or a lone surrogate, starts or ends with whitespace or outgrows
-    the csv field limit.
+    Its labels pass ``check_labels``, so each reads back from
+    ``emit_records`` text unchanged.
     """
 
     EXAMINER_IDS = tuple(f"ex{j + 1:02d}" for j in range(10))
@@ -145,7 +143,7 @@ class RecordBatch(Sequence):
     __slots__ = ("_categories", "_truth", "_codes")
 
     def __init__(self, categories: Sequence[str], truth_codes, statement_codes):
-        categories = _labels(categories)
+        categories = check_labels(categories)
         truth, codes = _integers(truth_codes), _integers(statement_codes)
         if len(truth) != len(codes):
             raise DataError(
@@ -162,9 +160,10 @@ class RecordBatch(Sequence):
 
     @classmethod
     def _of_columns(cls, categories: Sequence[str], truth: bytes, codes) -> RecordBatch:
-        """A batch of columns already stored as ``__init__`` stores them, unchecked."""
+        """A batch of columns already stored as ``__init__`` stores them, and
+        labels already checked, as a ``PanelProfile``'s are: unchecked."""
         batch = cls.__new__(cls)
-        batch._categories, batch._truth, batch._codes = _labels(categories), truth, codes
+        batch._categories, batch._truth, batch._codes = categories, truth, codes
         return batch
 
     @property
@@ -219,38 +218,6 @@ class RecordBatch(Sequence):
 
 # the GroundTruth of each RecordBatch truth code
 _TRUTHS = tuple(GroundTruth)
-
-
-def _labels(categories: Sequence[str]) -> tuple[str, ...]:
-    """``categories`` as a tuple of labels; DataError unless every one reads
-    back from ``emit_records`` text unchanged."""
-    import csv
-
-    categories = tuple(str(c) for c in categories)
-    if not categories or any(not c for c in categories):
-        raise DataError(f"categories must be non-empty labels: {categories}")
-    limit = csv.field_size_limit()
-    for label in categories:
-        if len(label) > limit:
-            raise DataError(
-                f"category label {label[:20]!r}... would not read back from a records "
-                f"file: it has {len(label)} characters, more than the csv field limit {limit}"
-            )
-        if "\n" in label or "\r" in label or label != label.strip():
-            raise DataError(
-                f"category label {label!r} would not read back from a records file: "
-                "a label must not hold a line break or start or end with whitespace"
-            )
-        try:
-            label.encode("utf-8")
-        except UnicodeEncodeError:
-            raise DataError(
-                f"category label {label!r} would not read back from a records file: "
-                "it holds a lone surrogate, which UTF-8 cannot encode"
-            ) from None
-    if len(set(categories)) != len(categories):
-        raise DataError(f"duplicate category label in {categories}")
-    return categories
 
 
 def _integers(values) -> list[int]:

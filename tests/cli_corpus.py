@@ -99,6 +99,9 @@ PROFILES = {
     "bom_profile": b"\xef\xbb\xbf" + _PROFILE.encode(),
     "sums_above_one": _PROFILE.replace("0.2, 0.05", "0.3, 0.05").encode(),
     "not_utf8_profile": _PROFILE.encode().replace(b"Elimination", b"\xffElimination"),
+    "empty_label_profile": _PROFILE.replace("Inconclusive", "").encode(),
+    # a "#"-leading label, which tally must quote so that lr does not read it as a comment
+    "hash_label_profile": _PROFILE.replace("= ID,", "= #1 pick,").encode(),
 }
 
 # The four raw-records layouts: header, then data line n of truth token t and label
@@ -254,6 +257,10 @@ def _calls() -> list[list[str]]:
         ["simulate", "--profile", "small.cfg", "--out", "simulated.csv"],
         ["tally", "--in", "simulated.csv"],
         ["tally", "--in", "missing.csv"],
+        ["simulate", "--profile", "hash_label_profile.cfg", "--out", "hash_label_records.csv"],
+        ["tally", "--in", "hash_label_records.csv", "--out", "hash_label.csv"],
+        ["lr", "--table", "hash_label.csv"],
+        ["report", "--table", "hash_label.csv", "--format", "csv"],
     ]
     calls += [["tally", "--in", f"{name}.csv"] for name in RECORDS]
     return calls

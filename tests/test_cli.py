@@ -368,6 +368,19 @@ class TestTallyCommand:
         assert code == 0
         assert out.startswith("statement,same_source_count,different_source_count")
 
+    def test_hash_leading_statement_reads_back(self, tmp_path):
+        # written unquoted, the "#1 pick" row would read back as a comment
+        records = tmp_path / "records.csv"
+        records.write_text(
+            'examiner_id,item_id,ground_truth,statement\n'
+            'e1,i1,same,"#1 pick"\ne2,i2,same,Elim\ne3,i3,different,Elim\n',
+            encoding="utf-8",
+        )
+        table = tmp_path / "table.csv"
+        assert invoke("tally", "--in", str(records), "--out", str(table))[0] == 0
+        assert table.read_text(encoding="utf-8").splitlines()[1] == '"#1 pick","1","0"'
+        assert invoke("lr", "--table", str(table)) == (0, "#1 pick\tinf\nElim\t0.5\n", "")
+
 
 class TestLrCommand:
     def test_markdown_contains_display_values(self, bullets_csv):
@@ -696,7 +709,16 @@ class TestSimulateCommand:
         cfg.write_text(PROFILE_CFG.replace("Elimination\n", "Elim\n  ination\n"), encoding="utf-8")
         code, out, err = invoke("simulate", "--profile", str(cfg))
         assert (code, out) == (2, "")
-        assert err.startswith("data error: category label 'Elim\\nination' would not read back")
+        # the profile rejects the label as it is read, so the error names the file
+        assert err.startswith(f"data error: {cfg}: category label 'Elim\\nination' would not read back")
+
+    def test_empty_label_is_data_error_naming_the_labels(self, tmp_path):
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text(PROFILE_CFG.replace("Inconclusive", ""), encoding="utf-8")
+        code, out, err = invoke("simulate", "--profile", str(cfg))
+        assert (code, out) == (2, "")
+        message = "categories must be non-empty labels: ('ID', '', 'Elimination')"
+        assert err == f"data error: {cfg}: {message}\n"
 
     def test_writes_file_equal_to_stdout(self, tmp_path):
         cfg = tmp_path / "profile.cfg"
@@ -819,7 +841,7 @@ def small_tables(draw):
     """Tables of 1-6 categories with counts 0-50: zero cells, 0/0 and infinite LRs occur."""
     labels = draw(
         st.lists(
-            st.sampled_from(("ID", "Inconclusive, A", "Élimination", 'say "no"', "a|b", "∞")),
+            st.sampled_from(("ID", "Inconclusive, A", "Élimination", 'say "no"', "a|b", "∞", "#1")),
             min_size=1, max_size=6, unique=True,
         )
     )

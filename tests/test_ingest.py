@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import catlr.records
@@ -746,7 +746,7 @@ label_strategy = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 .-()',\"/",
     min_size=1,
     max_size=12,
-).filter(lambda s: s == s.strip() and not s.startswith("#"))
+).filter(lambda s: s == s.strip())
 
 table_strategy = st.lists(
     st.tuples(label_strategy, st.integers(0, 10_000), st.integers(0, 10_000)),
@@ -768,6 +768,19 @@ class TestRoundTrips:
     def test_aggregated_round_trip(self, table):
         assert parse_aggregated(emit_aggregated(table)) == table
 
+    @given(rows=st.lists(st.tuples(st.text(max_size=8), st.integers(0, 2**64), st.integers(0, 9)),
+                         min_size=1, max_size=5))
+    @example(rows=[(" a", 1, 2)])
+    @example(rows=[("a\nb", 1, 2)])
+    @example(rows=[("#a", 1, 2), ("b", 3, 4)])
+    @settings(max_examples=200)
+    def test_every_accepted_table_round_trips(self, rows):
+        try:
+            table = ConfusionTable(*zip(*rows))
+        except DataError:
+            assume(False)
+        assert parse_aggregated(emit_aggregated(table)) == table
+
     def test_records_round_trip(self):
         rng = random.Random(11)
         records = [
@@ -780,6 +793,16 @@ class TestRoundTrips:
             for n in range(200)
         ]
         assert parse_records(emit_records(records)) == records
+
+    def test_records_with_hash_leading_ids_round_trip(self):
+        records = [
+            EvaluationRecord("#ex1", "#item1", SAME, "#1 pick"),
+            EvaluationRecord("#ex2", "item2", DIFF, "Elim"),
+        ]
+        assert parse_records(emit_records(records)) == records
+        # an id is trimmed on read, but its row is not lost as a comment
+        padded = [EvaluationRecord("  #ex3", "item3", SAME, "ID")]
+        assert [r.examiner_id for r in parse_records(emit_records(padded))] == ["#ex3"]
 
     def test_batch_round_trip(self):
         rng = np.random.default_rng(5)

@@ -14,6 +14,7 @@ from catlr.model import (
     EvaluationRecord,
     GroundTruth,
     LrEstimate,
+    check_labels,
     check_level,
     check_seed,
 )
@@ -142,7 +143,7 @@ class TestConfusionTable:
         assert bullets.row_total(DIFF) == 2891
 
     def test_empty_label_rejected(self):
-        with pytest.raises(DataError, match="^category labels must be non-empty$"):
+        with pytest.raises(DataError, match=r"^categories must be non-empty labels: \('a', ''\)$"):
             ConfusionTable(("a", ""), (1, 2), (3, 4))
 
     def test_all_zero_rows_total_zero(self):
@@ -366,3 +367,36 @@ def test_option_checks():
     for seed in (-1, True, 1.5):
         with pytest.raises(DataError, match="seed must be"):
             check_seed(seed)
+
+
+# Label lists no CSV file catlr writes could read back, and what the one label check says
+UNREADABLE_LABELS = [
+    ((), r"^categories must be non-empty labels: \(\)$"),
+    (("a", ""), r"^categories must be non-empty labels: \('a', ''\)$"),
+    ((" a",), "label ' a' would not read back"),
+    (("a\t",), r"label 'a\\t' would not read back"),
+    (("a\nb",), r"label 'a\\nb' would not read back"),
+    (("a\rb",), r"label 'a\\rb' would not read back"),
+    (("a\ud800",), "lone surrogate"),
+    (("x" * 131_073,), "more than the csv field limit 131072"),
+    (("a", "a"), r"^duplicate category label in \('a', 'a'\)$"),
+]
+_BUILDERS = (
+    lambda labels: ConfusionTable(labels, [0] * len(labels), [0] * len(labels)),
+    lambda labels: PanelProfile(labels, [1.0] + [0.0] * (len(labels) - 1), [1.0], 1, 1),
+    lambda labels: RecordBatch(labels, [], []),
+)
+
+
+@pytest.mark.parametrize("labels, match", UNREADABLE_LABELS)
+def test_tables_profiles_and_batches_reject_a_label_alike(labels, match):
+    with pytest.raises(DataError, match=match) as raised:
+        check_labels(labels)
+    for build in _BUILDERS:
+        with pytest.raises(DataError) as built:
+            build(labels)
+        assert str(built.value) == str(raised.value)
+
+
+def test_label_check_returns_the_labels_as_strings():
+    assert check_labels(["ID", 7, "#1 pick", "a\x0cb"]) == ("ID", "7", "#1 pick", "a\x0cb")

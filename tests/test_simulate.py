@@ -5,15 +5,18 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from catlr.engine import full_table_lrs
-from catlr.model import DataError, GroundTruth
-from catlr.records import tally
+from catlr.model import ConfusionTable, DataError, GroundTruth
+from catlr.records import parse_records, tally
 from catlr.simulate import (
     RNG_ALGORITHM,
     PanelProfile,
     RecordBatch,
     _draw,
+    emit_records,
     load_profile,
     simulate_study,
     true_lr,
@@ -39,7 +42,7 @@ class TestPanelProfile:
             PanelProfile(("a", "b"), (0.6, 0.5), (0.5, 0.5), 10, 10)
 
     def test_categories_must_be_unique(self):
-        with pytest.raises(DataError, match=r"^categories must be non-empty and unique: \('a', 'a'\)$"):
+        with pytest.raises(DataError, match=r"^duplicate category label in \('a', 'a'\)$"):
             PanelProfile(("a", "a"), (0.5, 0.5), (0.5, 0.5), 10, 10)
 
     def test_lengths_must_match(self):
@@ -60,6 +63,21 @@ class TestPanelProfile:
         assert profile.p_given_h1[0] == 1076 / 1429
         assert profile.p_given_h2[0] == 20 / 2891
         assert (profile.n_h1, profile.n_h2) == (100, 200)
+
+
+    @given(rows=st.lists(st.tuples(st.text(max_size=6), st.integers(0, 5), st.integers(0, 5)),
+                         min_size=1, max_size=5))
+    @example(rows=[("a\nb", 1, 1)])
+    @example(rows=[(" a", 1, 0), ("b", 0, 1)])
+    @settings(max_examples=60, deadline=None)
+    def test_from_table_simulates_every_accepted_table(self, rows):
+        try:
+            table = ConfusionTable(*zip(*rows))
+        except DataError:
+            assume(False)
+        assume(table.row_total(SAME) and table.row_total(DIFF))
+        batch = simulate_study(PanelProfile.from_table(table, 30, 20, seed=1))
+        assert parse_records(emit_records(batch)) == list(batch)
 
 
 class TestSimulateStudy:
