@@ -106,6 +106,8 @@ class _LogitBeta:
         if d > 1.0:
             r = (self.b / self.a) * math.exp(-d)
             curvature = self.n * r / ((1.0 + r) * (1.0 + r))
+            if not math.isfinite(curvature):  # n r past the float range, as for shapes near 1e300
+                curvature = self.n / (1.0 + r) * (r / (1.0 + r))
         else:
             e = math.expm1(d)
             q = 1.0 + self.sig * e

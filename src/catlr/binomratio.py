@@ -242,12 +242,9 @@ class _Ratio:
                 # the bracket holds about that many atoms, plus at most one per y point
                 if min((b - a) * x.n / y.n * y.hi * y.size, x.size * y.size) <= _WALK_ATOMS:
                     found = self._walk(a, b, target, exact_floors)
-                    if not math.isnan(found):
-                        return found
-                    elif not exact_floors:  # a float floor misplaced an atom
+                    if math.isnan(found) and not exact_floors:  # a float floor misplaced an atom
                         return self.quantile(q, exact_floors=True)
-                    else:  # a rounding put P(R <= a) at q, or (a, b] holds no atom
-                        return b
+                    return found  # with exact floors, a walk ends on an atom
             else:  # within the tolerance, or what the law puts on two float spacings
                 tolerance = max(_STRIDED_TOL * min(target, self.defined - target),
                                 2 * (fb - fa) / (b - a) * math.ulp(b))
@@ -293,8 +290,9 @@ class _Ratio:
         """The quantile, by listing the atoms in (a, b] and walking their
         masses up from P(R <= a); NaN if P(R <= a) already reaches
         ``target`` or P(R <= b) does not.
-        With ``exact_floors`` a walk short of ``target`` falls short by
-        roundings only, and returns the last atom walked.
+        With ``exact_floors`` it is never NaN: the sum at a is the one the
+        solve found below ``target``, (a, b] holds an atom, and a walk short
+        of ``target`` falls short by roundings only and returns the last atom.
 
         Each y point from the first with an atom at or below b to the last
         with one above a takes the floors of a and b x's offset in floats;
@@ -308,11 +306,14 @@ class _Ratio:
         first_a, per_a, first_b, per_b = offset_a / Ba, slope_a / Ba, offset_b / Bb, slope_b / Bb
         # a bound on the rounding of the running sums, in units of x's counts
         error = 1e-15 * count * (abs(first_a) + abs(first_b) + count * (per_a + per_b) + 1.0)
-        us = list(accumulate(repeat(per_a, count - 1), initial=first_a))
-        vs = accumulate(repeat(per_b, count - 1), initial=first_b)
-        floors = list(map(math.floor, us))
-        near = list(compress(range(count), map(lt, map(math.floor, map(sub, us, repeat(error))),
-                                               map(math.floor, map(add, vs, repeat(error))))))
+        if error < 1.0:
+            us = list(accumulate(repeat(per_a, count - 1), initial=first_a))
+            vs = accumulate(repeat(per_b, count - 1), initial=first_b)
+            floors = list(map(math.floor, us))
+            near = list(compress(range(count), map(lt, map(math.floor, map(sub, us, repeat(error))),
+                                                   map(math.floor, map(add, vs, repeat(error))))))
+        else:  # the floats resolve no floor, as for steps near a row total of 1e307
+            floors, near = [0] * count, range(count)
         atoms = []
         for j in near:
             low = floors[j] = (offset_a + j * slope_a) // Ba
@@ -334,8 +335,8 @@ class _Ratio:
     def _least(self, need: float) -> float:
         """The smallest atom r > 0 with P(0 < R <= r) >= need, for unit
         steps: the atoms up to a bound are listed and walked, the bound
-        doubling from the least atom until they reach ``need``, or the last
-        atom if all of them fall short, by roundings only."""
+        doubling from the least atom until they reach ``need`` < 2**-30, as
+        all of them hold (1 - P(X = 0)) (1 - P(Y = 0)) > (1 - 1/e)**2."""
         x, y = self.x, self.y
         low, first = max(x.lo, 1), max(y.lo, 1)
         N, D = low * y.n, y.hi * x.n  # the bound, N / D
@@ -350,15 +351,12 @@ class _Ratio:
                 f += mass
                 if f >= need:
                     return value
-            if N * first * x.n >= x.hi * y.n * D:  # the bound is above every atom
-                return atoms[-1][0]
             N *= 2
 
     def _adjacent(self, a: float, b: float, target: float) -> float:
         """The quantile between adjacent floats a and b: the one it rounds
-        to; NaN if P(R <= a) reaches ``target`` or P(R <= b) does not."""
-        if not self.exact:
-            return b
+        to; NaN if P(R <= a) reaches ``target`` or P(R <= b) does not.  A
+        strided solve's tolerance stops it at two adjacent floats first."""
         (Na, Da), (Nb, Db) = a.as_integer_ratio(), b.as_integer_ratio()
         if not self.cdf(Na, Da, True) < target <= self.cdf(Nb, Db, True):
             return math.nan

@@ -69,12 +69,15 @@ def conditional_probability(
     smoothing: SmoothingPolicy = NO_SMOOTHING,
 ) -> float:
     """P(statement | truth) estimated from the table row."""
-    # smoothing gives an empty row a uniform distribution; without it the
-    # row needs observations.  alpha == 0 leaves (c + 0.0) / (N + 0.0),
-    # which is exactly c / N.
-    total = table.row_total(truth) if smoothing.alpha else table.observed_total(truth)
-    denominator = total + smoothing.alpha * len(table.categories)
-    return (table.count(truth, statement) + smoothing.alpha) / denominator
+    count, alpha = table.count(truth, statement), smoothing.alpha
+    if not alpha:  # the row needs observations; int / int rounds c / N correctly for every N
+        return count / table.observed_total(truth)
+    # smoothing gives an empty row a uniform distribution; where N + alpha K
+    # overflows, dividing through by alpha keeps the ratio in range
+    total, k = table.row_total(truth), len(table.categories)
+    if math.isinf(total + alpha * k):
+        return (count / alpha + 1.0) / (total / alpha + k)
+    return (count + alpha) / (total + alpha * k)
 
 
 def likelihood_ratio(

@@ -23,6 +23,11 @@ from collections.abc import Sequence
 FORMATS = ("md", "csv", "json")
 INTERVAL_METHOD_NAMES = ("bootstrap", "dirichlet")
 
+# The largest row total a table accepts: half the float range, so that every
+# probability, likelihood ratio, bootstrap atom (at most a row total) and
+# Dirichlet posterior shape sum drawn from a table is a finite float.
+MAX_ROW_TOTAL = 2**1023
+
 
 class DataError(ValueError):
     """Input data or arguments violate a documented contract."""
@@ -182,8 +187,8 @@ class ConfusionTable(Frozen):
     Category order is preserved exactly as supplied (the source study's
     layout order) and is never sorted; the labels pass ``check_labels``, so
     a table reads back from ``emit_aggregated`` text unchanged.  Counts
-    stay exact integers; probabilities are only formed when a likelihood
-    ratio is computed.
+    stay exact integers, each row's total at most ``MAX_ROW_TOTAL``;
+    probabilities are only formed when a likelihood ratio is computed.
 
     ``study_name`` is descriptive metadata and does not participate in
     equality: two tables with the same categories and counts are the same
@@ -212,6 +217,8 @@ class ConfusionTable(Frozen):
                 )
             if any(c < 0 for c in row):
                 raise DataError(f"negative count in {name}: {row}")
+            if sum(row) > MAX_ROW_TOTAL:
+                raise DataError(f"{name} counts sum past 2**1023 = {float(MAX_ROW_TOTAL)!r}")
             rows.append(row)
         self._init(categories, *rows, study_name)
 

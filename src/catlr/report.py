@@ -5,18 +5,20 @@ output, always with a trailing newline.  Human-facing formats carry the
 display strings ("42", "1 / 8"); JSON additionally carries the raw
 unrounded numbers.
 
-JSON row schema: ``statement``, ``lr`` (number, or null when infinite or
-undefined), ``lr_display``, ``p_h1``, ``p_h2``, and optionally
-``interval`` with ``lower`` / ``upper`` (null when infinite), ``level``
-and ``method``; a bootstrap ``interval`` is null for an undefined (0/0)
-point LR, as the bootstrap law has no defined value there either.
+JSON schema: a list of one ``{"study": <table's study name>, "statements":
+rows}``, a row per category in table order.  Row schema: ``statement``,
+``lr`` (number, or null when infinite or undefined), ``lr_display``,
+``p_h1``, ``p_h2``, and with an interval method ``interval``: ``lower`` /
+``upper`` (null when infinite), ``level`` and ``method``.  A bootstrap
+``interval`` is null for an undefined (0/0) point LR, as the bootstrap law
+has no defined value there either.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs, presentation_round
 from .ingest import _blocks, _csv_text, _DataRows, use_table
@@ -27,9 +29,6 @@ from .model import (
     check_interval_method,
     check_level,
 )
-
-if TYPE_CHECKING:
-    from .uncertainty import Interval
 
 _SUMMARY_HEADERS_TWO = ("", "LR (identification)", "LR (exclusion)")
 _SUMMARY_HEADERS_ONE = ("", "LR")
@@ -60,64 +59,63 @@ def _md_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _json_number(value: float) -> float | None:
+def _json_number(value: float | None) -> float | None:
     return None if (value is None or math.isinf(value)) else value
 
 
-def _interval_payload(interval: Interval | None) -> dict | None:
-    if interval is None:
-        return None
-    return {
-        "lower": _json_number(interval.lower),
-        "upper": _json_number(interval.upper),
-        "level": interval.level,
-        "method": interval.method,
-    }
+def _lr_table_renderer(
+    fmt: str, smoothing: SmoothingPolicy, interval_method: str | None, level: float
+) -> Callable[[ConfusionTable], str]:
+    """The LR table of a table in these options, every option checked now,
+    before any table is read.  Intervals are computed for JSON only."""
+    fmt = _normalize_format(fmt)
+    check_report_options(smoothing, interval_method, level)
+    interval = None
+    if fmt == "json" and interval_method is not None:
+        # imported here, not at module level: only a JSON table with
+        # intervals computes them
+        from .uncertainty import interval_of
 
+        interval = interval_of(interval_method, level)
 
-def lr_rows_payload(
-    table: ConfusionTable,
-    smoothing: SmoothingPolicy = NO_SMOOTHING,
-    intervals: Mapping[str, Interval | None] | None = None,
-    lower_bounds: Mapping[str, float] | None = None,
-) -> list[dict]:
-    """JSON-ready rows, one per category in table order."""
-    rows = []
-    for est in full_table_lrs(table, smoothing):
-        bound = (lower_bounds or {}).get(est.statement)
-        row = {
-            "statement": est.statement,
-            "lr": _json_number(est.lr),
-            "lr_display": presentation_round(est.lr, zero_count_bound=bound),
-            "p_h1": est.p_given_h1,
-            "p_h2": est.p_given_h2,
-        }
-        if intervals and est.statement in intervals:
-            row["interval"] = _interval_payload(intervals[est.statement])
-        rows.append(row)
-    return rows
+    def render(table: ConfusionTable) -> str:
+        estimates = full_table_lrs(table, smoothing)
+        if fmt != "json":
+            header = [""] + [e.statement for e in estimates]
+            body = [["LR"] + [presentation_round(e.lr) for e in estimates]]
+            return _md_table(header, body) if fmt == "md" else _csv_text(header, body)
+        rows = []
+        for e in estimates:
+            row = {"statement": e.statement, "lr": _json_number(e.lr),
+                   "lr_display": presentation_round(e.lr), "p_h1": e.p_given_h1, "p_h2": e.p_given_h2}
+            if interval is not None:
+                row["interval"] = None  # a 0/0 row's bootstrap law has no defined value
+                if e.lr is not None or interval_method != "bootstrap":
+                    bounds = interval(table, e.statement)
+                    row["interval"] = {"lower": _json_number(bounds.lower),
+                                       "upper": _json_number(bounds.upper),
+                                       "level": bounds.level, "method": bounds.method}
+            rows.append(row)
+        return canonical_json([{"study": table.study_name, "statements": rows}])
+
+    return render
 
 
 def render_lr_table(
     table: ConfusionTable,
     fmt: str = "md",
     smoothing: SmoothingPolicy = NO_SMOOTHING,
-    intervals: Mapping[str, Interval | None] | None = None,
-    lower_bounds: Mapping[str, float] | None = None,
+    interval_method: str | None = None,
+    level: float = 0.95,
 ) -> str:
-    """One column per category, one "LR" row of display strings.
+    """The LR table of ``table``: ``build_report``'s bytes for a file that
+    holds it, in the same options.
 
-    ``lower_bounds`` may supply a finite zero-count bound per statement;
-    infinite cells then render as "> bound".  Intervals, when given,
-    appear in the JSON output only.
+    md and csv have one column per category and one "LR" row of display
+    strings.  JSON nests the rows under the study, and with an
+    ``interval_method`` each row has its interval at ``level``.
     """
-    fmt = _normalize_format(fmt)
-    rows = lr_rows_payload(table, smoothing, intervals, lower_bounds)
-    if fmt == "json":
-        return canonical_json(rows)
-    header = [""] + [r["statement"] for r in rows]
-    body = [["LR"] + [r["lr_display"] for r in rows]]
-    return _md_table(header, body) if fmt == "md" else _csv_text(header, body)
+    return _lr_table_renderer(fmt, smoothing, interval_method, level)(table)
 
 
 def render_summary_table(
@@ -200,35 +198,9 @@ def build_report(
     interval_method: str | None = None,
     level: float = 0.95,
 ) -> str:
-    """The LR table of the aggregated table file at ``path``.
+    """``render_lr_table`` of the aggregated table file at ``path``.
 
     Every option is checked before the file is read, and a data error
-    about the table's content names the file.  Intervals are computed for
-    JSON only, nested per study; md and csv show the point LRs.
+    about the table's content names the file.
     """
-    fmt = _normalize_format(output_format)
-    check_report_options(smoothing, interval_method, level)
-    interval = None
-    if fmt == "json" and interval_method is not None:
-        # imported here, not at module level: only a JSON report with
-        # intervals computes them
-        from .uncertainty import interval_of
-
-        interval = interval_of(interval_method, level)
-
-    def render(table: ConfusionTable) -> str:
-        if fmt != "json":
-            return render_lr_table(table, fmt, smoothing)
-        intervals = None
-        if interval is not None:
-            bootstrap = interval_method == "bootstrap"
-            # a 0/0 row's bootstrap law has no defined value: it has no interval
-            intervals = {
-                e.statement: None if e.lr is None and bootstrap else interval(table, e.statement)
-                for e in full_table_lrs(table)
-            }
-        statements = lr_rows_payload(table, smoothing, intervals)
-        return canonical_json([{"study": table.study_name, "statements": statements}])
-
-    # a data error about the table's content names the file
-    return use_table(path, render)
+    return use_table(path, _lr_table_renderer(output_format, smoothing, interval_method, level))

@@ -51,6 +51,12 @@ TABLES = {
     "form_feed": f"{_AGGREGATED}ID\x0cx,30,2\nElimination,4,50\n".encode(),
     "row_total_2p63_minus_1": f"{_AGGREGATED}ID,{2**63 - 11},1\nElimination,10,5\n".encode(),
     "row_total_2p63": f"{_AGGREGATED}ID,{2**63 - 10},1\nElimination,10,5\n".encode(),
+    # p_h1 of ID is 1/3 + 2**-54 / 3, whose correctly rounded float is 0.33333333333333337
+    "row_total_2p53": f"{_AGGREGATED}ID,{2**53 + 1},1\nElimination,{2**54 - 1},2\n".encode(),
+    # the largest row total a table accepts, and one past it
+    "row_total_2p1023": f"{_AGGREGATED}ID,{2**1023 - 7},3\nInconclusive,4,{2**1022}\n"
+                        f"Elimination,3,{2**1022 - 3}\n".encode(),
+    "row_total_1e400": f"{_AGGREGATED}ID,{10**400},1\nElimination,1,1\n".encode(),
     "bom": b"\xef\xbb\xbf" + _BULLETS.encode(),
     "not_utf8": f"{_AGGREGATED}ID,30,2\n".encode() + b"\xff\xfe,4,50\n",
     # header faults
@@ -240,6 +246,8 @@ def _calls() -> list[list[str]]:
             for command in ("lr", "report")
             for fmt in _FORMATS
         ),
+        # N + alpha K is past the largest float: each LR is the uniform limit, 1
+        *(["lr", *bullets, "--smoothing", "alpha=1e308", *fmt] for fmt in ([], ["--format", "json"])),
     ]
     for name in SUMMARIES:
         calls += [["report", "--summary", f"{name}.csv", "--format", fmt] for fmt in _FORMATS]

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from catlr import cli, fixtures
 from catlr.cli import run
+from catlr.engine import NO_SMOOTHING, SmoothingPolicy
 from catlr.ingest import emit_aggregated, parse_aggregated
-from catlr.model import ConfusionTable
+from catlr.model import FORMATS, INTERVAL_METHOD_NAMES, MAX_ROW_TOTAL, ConfusionTable, DataError
 from catlr.records import parse_records, tally
-from catlr.report import canonical_json
+from catlr.report import build_report, canonical_json, render_lr_table
 from catlr.simulate import emit_records, load_profile, simulate_study
 
 PROFILE_CFG = """
@@ -266,6 +267,43 @@ class TestContentErrorNamesTheFile:
         code, out, err = invoke(*argv, "--table", str(path))
         assert (code, out) == (2, "")
         assert err == f"data error: {path}: no observations under hypothesis 'different'\n"
+
+    TABLE_COMMANDS = pytest.mark.parametrize(
+        "argv",
+        [
+            ("lr",),
+            ("lr", "--format", "json"),
+            ("lr", "--smoothing", "alpha=0.5"),
+            ("report", "--format", "csv"),
+            ("report", "--format", "json", "--interval", "dirichlet"),
+            ("report", "--format", "json", "--interval", "bootstrap"),
+            ("interval", "--statement", "ID", "--method", "dirichlet"),
+            ("interval", "--statement", "ID", "--method", "bootstrap"),
+        ],
+    )
+
+    @TABLE_COMMANDS
+    @pytest.mark.parametrize("total", [10**400, MAX_ROW_TOTAL + 1], ids=["1e400", "max+1"])
+    def test_row_total_past_the_limit_names_the_file(self, tmp_path, argv, total):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"statement,same_source_count,different_source_count\nID,{total - 1},1\n"
+                        "Elim,1,1\n", encoding="utf-8")
+        code, out, err = invoke(*argv, "--table", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"data error: {path}: same_source counts sum past 2**1023 = {2.0**1023!r}\n"
+
+    @TABLE_COMMANDS
+    @pytest.mark.parametrize("total", [10**300, MAX_ROW_TOTAL], ids=["1e300", "max"])
+    def test_row_totals_up_to_the_limit_render(self, tmp_path, argv, total):
+        # a count near the row total beside small ones, and a row split in halves
+        path = tmp_path / "large.csv"
+        path.write_text(f"statement,same_source_count,different_source_count\nID,{total - 7},3\n"
+                        f"Inconclusive,4,{total // 2}\nElim,3,{total - total // 2 - 3}\n",
+                        encoding="utf-8")
+        code, out, err = invoke(*argv, "--table", str(path))
+        assert (code, err) == (0, ""), argv
+        if "json" in argv:
+            assert out == canonical_json(json.loads(out))
 
     def test_unknown_statement_names_the_file_it_is_not_in(self, bullets_csv):
         code, out, err = invoke(
@@ -838,14 +876,16 @@ class TestOutputPolicy:
 
 @st.composite
 def small_tables(draw):
-    """Tables of 1-6 categories with counts 0-50: zero cells, 0/0 and infinite LRs occur."""
+    """Tables of 1-6 categories with counts 0-50: zero cells, 0/0 and infinite LRs occur.
+    A count may also reach a sixth of ``MAX_ROW_TOTAL``, so that a row total nears it."""
     labels = draw(
         st.lists(
             st.sampled_from(("ID", "Inconclusive, A", "Élimination", 'say "no"', "a|b", "∞", "#1")),
             min_size=1, max_size=6, unique=True,
         )
     )
-    counts = st.lists(st.integers(0, 50), min_size=len(labels), max_size=len(labels))
+    count = st.integers(0, 50) | st.integers(0, MAX_ROW_TOTAL // 6)
+    counts = st.lists(count, min_size=len(labels), max_size=len(labels))
     return ConfusionTable(labels, draw(counts), draw(counts))
 
 
@@ -876,6 +916,28 @@ class TestEveryTableThroughEveryCommand:
                 assert (out, err.startswith("data error: ")) == ("", True), argv
             elif "json" in argv:
                 assert out == canonical_json(json.loads(out)), argv
+
+
+class TestRenderLrTableIsBuildReport:
+    @settings(max_examples=40, deadline=None)
+    @given(table=small_tables(), study=st.sampled_from(("t", "study 1", "Étude")),
+           level=st.sampled_from((0.95, 0.5)))
+    def test_same_bytes_or_error_in_every_option(self, tmp_path_factory, table, study, level):
+        table = ConfusionTable(table.categories, table.same_source, table.different_source, study)
+        path = tmp_path_factory.mktemp("report") / f"{study}.csv"
+        path.write_text(emit_aggregated(table), encoding="utf-8")
+        smoothings = (NO_SMOOTHING, SmoothingPolicy.add_alpha(0.5))
+        options = [(fmt, smoothing, None) for fmt in FORMATS for smoothing in smoothings]
+        options += [(fmt, NO_SMOOTHING, m) for fmt in FORMATS for m in INTERVAL_METHOD_NAMES]
+        for option in options:
+            try:
+                expected = render_lr_table(table, *option, level)
+            except DataError as exc:
+                with pytest.raises(DataError) as raised:
+                    build_report(path, *option, level)
+                assert str(raised.value) == f"{path}: {exc}", option
+            else:
+                assert build_report(path, *option, level) == expected, option
 
 
 class TestReportCommand:

@@ -59,6 +59,32 @@ class TestConditionalProbability:
         assert conditional_probability(t, "a", SAME, smoothing) == (3 + 0.5) / (4 + 1.0)
         assert conditional_probability(t, "a", DIFF, smoothing) == 0.5 / 5.0
 
+    def test_raw_frequency_is_the_correctly_rounded_quotient_above_2_to_the_53(self):
+        # (c + 0.0) / (N + 0.0) rounds c and N first: 0.3333333333333333 here
+        t = ConfusionTable(("ID", "Elim"), (2**53 + 1, 2**54 - 1), (1, 2))
+        assert conditional_probability(t, "ID", SAME) == 0.33333333333333337
+        rng = random.Random(64)
+        for _ in range(200):
+            total = rng.randrange(2**53, 2**64)
+            count = rng.randrange(total + 1)
+            t = ConfusionTable(("a", "b"), (count, total - count), (1, 1))
+            assert conditional_probability(t, "a", SAME) == float(Fraction(count, total))
+
+    @pytest.mark.parametrize("alpha", [1e307, 1e308, 1.7976931348623157e308])
+    def test_alpha_so_large_that_n_plus_alpha_k_overflows_gives_the_uniform_limit(self, bullets, alpha):
+        # N + alpha K is past the largest float from alpha = 1e308 on; dividing
+        # through by alpha keeps each probability near 1 / K, so each LR near 1
+        smoothing = SmoothingPolicy.add_alpha(alpha)
+        for est in full_table_lrs(bullets, smoothing):
+            assert est.p_given_h1 == pytest.approx(1 / 6) and est.p_given_h2 == pytest.approx(1 / 6)
+            assert presentation_round(est.lr) == "1"
+
+    def test_smoothed_frequencies_keep_the_plain_formula_where_it_is_finite(self):
+        t = ConfusionTable(("a", "b", "c"), (3, 1, 0), (0, 4, 2))
+        for alpha in (1e-320, 0.5, 1e300, 5e307):
+            smoothing = SmoothingPolicy.add_alpha(alpha)
+            assert conditional_probability(t, "a", SAME, smoothing) == (3 + alpha) / (4 + alpha * 3)
+
     def test_add_alpha_allows_empty_row(self):
         t = ConfusionTable(("a", "b"), (0, 0), (1, 1))
         p = conditional_probability(t, "a", SAME, SmoothingPolicy.add_alpha(1.0))

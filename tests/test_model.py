@@ -9,6 +9,7 @@ import pytest
 from catlr.engine import SmoothingPolicy, presentation_round
 from catlr.interpret import VerbalScale, bundled_scale, hardness_adjust, posterior_probability
 from catlr.model import (
+    MAX_ROW_TOTAL,
     ConfusionTable,
     DataError,
     EvaluationRecord,
@@ -145,6 +146,15 @@ class TestConfusionTable:
     def test_empty_label_rejected(self):
         with pytest.raises(DataError, match=r"^categories must be non-empty labels: \('a', ''\)$"):
             ConfusionTable(("a", ""), (1, 2), (3, 4))
+
+    def test_row_total_up_to_the_limit_accepted(self):
+        t = ConfusionTable(("a", "b"), (MAX_ROW_TOTAL - 1, 1), (0, MAX_ROW_TOTAL))
+        assert t.row_total(SAME) == t.row_total(DIFF) == MAX_ROW_TOTAL == 2**1023
+
+    @pytest.mark.parametrize("row", [(MAX_ROW_TOTAL, 1), (10**400, 0)])
+    def test_row_total_past_the_limit_rejected(self, row):
+        with pytest.raises(DataError, match=r"^different_source counts sum past 2\*\*1023 = 8.98846567431158e\+307$"):
+            ConfusionTable(("a", "b"), (1, 1), row)
 
     def test_all_zero_rows_total_zero(self):
         t = ConfusionTable(("a", "b"), (0, 0), (0, 0))

@@ -74,9 +74,16 @@ class TestRenderLrTable:
         assert render_lr_table(bullets, "markdown") == render_lr_table(bullets, "md")
 
 
+def _json_rows(table, **options):
+    """The statement rows of ``table``'s JSON LR table, checking the one study around them."""
+    (study,) = json.loads(render_lr_table(table, "json", **options))
+    assert study["study"] == table.study_name
+    return study["statements"]
+
+
 class TestJsonOutput:
     def test_row_schema(self, bullets):
-        rows = json.loads(render_lr_table(bullets, "json"))
+        rows = _json_rows(bullets)
         assert [r["statement"] for r in rows] == list(bullets.categories)
         first = rows[0]
         assert set(first) == {"statement", "lr", "lr_display", "p_h1", "p_h2"}
@@ -91,33 +98,55 @@ class TestJsonOutput:
 
     def test_infinite_lr_is_null_with_infinity_display(self):
         t = ConfusionTable(("a", "b"), (5, 5), (0, 10))
-        rows = json.loads(render_lr_table(t, "json"))
+        rows = _json_rows(t)
         assert rows[0]["lr"] is None
         assert rows[0]["lr_display"] == "∞"
 
     def test_undefined_lr_is_null_with_undefined_display_in_every_format(self):
         t = ConfusionTable(("a", "none", "b"), (5, 0, 5), (0, 0, 10))
-        rows = json.loads(render_lr_table(t, "json"))
+        rows = _json_rows(t)
         assert (rows[1]["lr"], rows[1]["lr_display"]) == (None, "undefined")
         assert render_lr_table(t, "csv").splitlines()[1] == "LR,∞,undefined,1 / 2"
         assert render_lr_table(t, "md").splitlines()[2] == "| LR | ∞ | undefined | 1 / 2 |"
 
-    def test_zero_count_bound_display(self):
-        t = ConfusionTable(("a", "b"), (5, 5), (0, 10))
-        text = render_lr_table(t, "json", lower_bounds={"a": 12.3})
-        assert json.loads(text)[0]["lr_display"] == "> 12"
-
     def test_intervals_included(self, bullets):
         interval = bootstrap_interval(bullets, "ID")
-        rows = json.loads(
-            render_lr_table(bullets, "json", intervals={"ID": interval})
-        )
+        rows = _json_rows(bullets, interval_method="bootstrap")
         payload = rows[0]["interval"]
         assert payload["level"] == 0.95
         assert payload["lower"] == interval.lower
         assert payload["upper"] == interval.upper
         assert "bootstrap-percentile" in payload["method"]
-        assert "interval" not in rows[1]
+        assert all(row["interval"]["method"] == payload["method"] for row in rows)
+        assert not any("interval" in row for row in _json_rows(bullets))
+
+    def test_level_reaches_every_interval(self, bullets):
+        rows = _json_rows(bullets, interval_method="dirichlet", level=0.5)
+        assert {row["interval"]["level"] for row in rows} == {0.5}
+
+    def test_md_and_csv_ignore_the_interval(self, bullets, golden):
+        assert render_lr_table(bullets, "md", interval_method="bootstrap") == golden("bullets_lr.md")
+        assert render_lr_table(bullets, "csv", interval_method="dirichlet") == golden("bullets_lr.csv")
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"fmt": "html"}, "unknown output format"),
+            ({"interval_method": "jackknife"}, "interval method"),
+            ({"interval_method": "bootstrap", "smoothing": SmoothingPolicy.add_alpha(5)},
+             "computed without smoothing"),
+            ({"fmt": "json", "interval_method": "dirichlet", "level": 1 - 2**-53},
+             "level must be at most"),
+            ({"level": 2.0}, "level must be in"),
+        ],
+        ids=["format", "method", "smoothing", "level-rounding-to-one", "level"],
+    )
+    def test_options_checked_before_the_table_is_read(self, options, message):
+        class Untouchable:  # any use of the table fails with AttributeError
+            pass
+
+        with pytest.raises(DataError, match=message):
+            render_lr_table(Untouchable(), **options)
 
 
 class TestRenderSummaryTable:
@@ -283,9 +312,13 @@ class TestBuildReport:
 
 
 def test_infinite_interval_endpoint_serializes_as_null():
-    t = ConfusionTable(("a", "b"), (5, 5), (1, 9))
-    interval = bootstrap_interval(t, "a")
+    # c2 = 0: the bootstrap never draws a different-source count, so both endpoints are inf
+    t = ConfusionTable(("a", "b", "c"), (5, 5, 5), (0, 1, 9))
+    assert bootstrap_interval(t, "a").upper == math.inf
+    rows = _json_rows(t, interval_method="bootstrap")
+    assert (rows[0]["interval"]["lower"], rows[0]["interval"]["upper"]) == (None, None)
+    # c2 = 1 of 10: an inf upper endpoint above a finite lower one
+    interval = bootstrap_interval(t, "b")
     assert interval.upper == math.inf
-    rows = json.loads(render_lr_table(t, "json", intervals={"a": interval}))
-    assert rows[0]["interval"]["upper"] is None
-    assert rows[0]["interval"]["lower"] == interval.lower
+    assert rows[1]["interval"]["upper"] is None
+    assert rows[1]["interval"]["lower"] == interval.lower

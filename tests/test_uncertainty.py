@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import catlr
+from catlr import betaratio
 from catlr.betaratio import _DROP, _TABLE_GRID, _LogitBeta
 from catlr.binomratio import MAX_POINTS, _Ratio, _Row, ratio_quantiles
 from catlr.engine import full_table_lrs, likelihood_ratio
@@ -410,6 +411,23 @@ class TestBootstrapExact:
                          for q in (tail, 1 - tail))
         assert got == expected == (1.6666666666666665, 2.4999999999999996)
 
+    @pytest.mark.parametrize("n1, c1, n2, c2", [(200, 60, 300, 100), (5000, 4990, 80, 40)])
+    def test_a_float_floor_that_misplaces_an_atom_is_solved_again_in_integers(
+        self, monkeypatch, n1, c1, n2, c2
+    ):
+        # a float-floor CDF understated by 1% moves the bracket's lower end
+        # past the endpoint; the walk's own sum there reaches the tail, and the
+        # solve taken again with every floor in integers finds the same atoms
+        expected = ratio_quantiles(n1, c1, n2, c2, 0.025)
+        original = _Ratio.cdf
+
+        def cdf(law, N, D, exact_floors=False):
+            value = original(law, N, D, exact_floors)
+            return value if exact_floors else 0.99 * value
+
+        monkeypatch.setattr(_Ratio, "cdf", cdf)
+        assert ratio_quantiles(n1, c1, n2, c2, 0.025) == expected
+
     def test_the_bracketing_solve_reaches_the_same_atoms(self, monkeypatch):
         # tables this small are normally walked whole; with no atoms walked
         # until a bracket holds almost none, the solve narrows it by regula
@@ -420,6 +438,58 @@ class TestBootstrapExact:
         for table in (TestMarginalDrawLaw.TABLE, self.ZERO_CELLS, self.RARE):
             for statement in table.categories:
                 assert_equals_enumeration(table, statement, 0.9)
+
+
+class TestSolverEdges:
+    """Branches of the two solvers that only extreme tables reach."""
+
+    def test_bootstrap_step_past_the_float_range_takes_every_floor_in_integers(self):
+        # row 1's total is ~1e307: a walk's running offsets pass the largest
+        # float.  X1 / n1 is 1 to within 1e-306 and X2 ~ Binomial(70, 1 / 70)
+        # is 3 or more with probability 0.079 >= 0.025 > 0.018, 4 or more
+        interval = bootstrap_interval(ConfusionTable(("a", "b"), (2**1020, 25), (1, 69)), "a")
+        assert (interval.lower, interval.upper) == (70 / 3, math.inf)
+
+    def test_bootstrap_atoms_closer_than_the_float_spacing_round_to_their_float(self):
+        # every atom is within 1e-63 of 1: the bracket narrows to two adjacent
+        # floats, where the float floors of the solve misplace an atom and the
+        # solve is taken again in integers
+        table = ConfusionTable(("same", "other"), (10**65 - 1, 1), (10**280 - 57, 57))
+        interval = bootstrap_interval(table, "same")
+        assert (interval.lower, interval.upper) == (1.0, 1.0)
+
+    def test_dirichlet_interval_of_a_huge_row_scales_with_its_total(self):
+        # Beta(5.5, N) is N times a Gamma(5.5) law, to within 1 / N: the same
+        # interval, times N, for N = 2**40 and N = 2**1020
+        def scaled(n):
+            interval = dirichlet_interval(ConfusionTable(("a", "b"), (5, n), (7, 3)), "a")
+            return interval.lower * n, interval.upper * n
+
+        assert scaled(2**1020) == pytest.approx(scaled(2**40), rel=1e-9)
+
+    def test_dirichlet_law_narrower_than_a_float_spacing_is_its_point(self):
+        # posterior shapes near 1e307: log(B1 / B2) has a spread near 1e-153,
+        # so no step from the guess moves it, and the solve returns the guess
+        t = ConfusionTable(("a", "b"), (3 * 10**306, 2 * 10**307), (4 * 10**197, 10**307))
+        interval = dirichlet_interval(t, "b", level=0.5)
+        assert interval.lower == interval.upper == pytest.approx(likelihood_ratio(t, "b").lr, rel=1e-15)
+
+    def test_dirichlet_cdf_is_one_where_the_bound_passes_one(self):
+        # P(U <= e**s D) = 1 at every point with e**s D >= 1, and P(U > e**s D) = 0
+        cdf = betaratio._Cdf(2.0, 3.0)
+        points = [(-0.5, 0.25), (-0.1, 0.75)]  # (log D, weight)
+        assert cdf.expect(points, 1.0, upper=False) == (1.0, 0.0)
+        assert cdf.expect(points, 1.0, upper=True) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("q", [0.025, 0.975])
+    def test_dirichlet_solve_from_a_guess_below_the_law_steps_up_to_it(self, q):
+        # at s = -700 the lower tail is 0 and the upper 1: the solve doubles
+        # its step up from there until it brackets the quantile
+        ratio = betaratio._Ratio((30.5, 10.5), (20.5, 20.5))
+        (m1, v1), (m2, v2) = betaratio._log_beta_moments(30.5, 10.5), betaratio._log_beta_moments(20.5, 20.5)
+        scale = math.sqrt(v1 + v2)
+        guess = m1 - m2 + betaratio._normal_quantile(q) * scale
+        assert ratio.quantile(q, -700.0, scale) == pytest.approx(ratio.quantile(q, guess, scale), abs=1e-9)
 
 
 def numpy_bootstrap(n1, c1, n2, c2, size, seed):
