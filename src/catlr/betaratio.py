@@ -65,6 +65,9 @@ class _LogitBeta:
             a, b = b, a
         self.a, self.b, self.n = a, b, a + b
         self.sig = a / self.n  # the logistic of the mode, at most 1/2
+        if not self.sig:  # log(a / b) below would be log(0), and so would logdens
+            raise DataError(f"no quadrature grid for Beta({a!r}, {b!r}): a / (a + b) is below "
+                            "the smallest float")
         self.kappa = a * (b / self.n)  # minus the curvature at the mode
         self.mode = math.log(a / b)
         # above this d the factor (1 + e**v)**-(a+b) departs from its

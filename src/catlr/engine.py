@@ -5,22 +5,21 @@ relative frequencies: how often ``s`` was given when the sources truly
 were the same, over how often it was given when they were different.
 Values above 1 support same source, below 1 different source.
 
-Counts stay exact integers up to this point; the two divisions happen
-here.  Ratios are always formed from the unrounded probabilities, never
-from their rounded presentations.
+Ratios are formed from the counts, never from rounded probabilities: with
+alpha = m / d exactly, P(s | h) = (c·d + m) / (N·d + m·K), and the LR is
+one integer ratio, of which ``lr`` is the correctly rounded float.
 
 Display convention (``presentation_round``): ratios at or above 1 are
-rounded half-up to a whole number ("42"); ratios below 1 are shown in
-the reciprocal form "1 / n" with n rounded half-up ("1 / 8"), collapsing
-to "1" when the reciprocal rounds to 1.  Half-up (not banker's) rounding
-keeps the human convention predictable: a reciprocal of 7.51 reads "1 / 8".
+rounded half-up to a whole number ("42"), ratios below 1 shown as "1 / n"
+with n rounded half-up ("1 / 8"), or "1" when n is 1.  Rounding the exact
+ratio in integers sends each half up: 3/2 reads "2" and 2/3 "1 / 2".
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import ConfusionTable, DataError, Frozen, GroundTruth, LrEstimate, check_lr, ratio
+from .model import ConfusionTable, DataError, Frozen, GroundTruth, LrEstimate, exact_ratio, ratio
 
 
 class SmoothingPolicy(Frozen):
@@ -62,49 +61,55 @@ class SmoothingPolicy(Frozen):
 NO_SMOOTHING = SmoothingPolicy.none()
 
 
-def conditional_probability(
-    table: ConfusionTable,
-    statement: str,
-    truth: GroundTruth,
-    smoothing: SmoothingPolicy = NO_SMOOTHING,
-) -> float:
+def _totals(table: ConfusionTable, truth: GroundTruth, m: int, d: int) -> tuple[int, int]:
+    """The row total N and the smoothed total N·d + m·K, for alpha = m / d."""
+    row = table.row(truth)
+    total = sum(row)
+    smoothed = total * d + m * len(row)
+    if not smoothed:  # only an unsmoothed row can be empty: smoothing makes it uniform
+        raise DataError(f"no observations under hypothesis {truth.value!r}")
+    return total, smoothed
+
+
+def conditional_probability(table: ConfusionTable, statement: str, truth: GroundTruth,
+                            smoothing: SmoothingPolicy = NO_SMOOTHING) -> float:
     """P(statement | truth) estimated from the table row."""
-    count, alpha = table.count(truth, statement), smoothing.alpha
-    if not alpha:  # the row needs observations; int / int rounds c / N correctly for every N
-        return count / table.observed_total(truth)
-    # smoothing gives an empty row a uniform distribution; where N + alpha K
-    # overflows, dividing through by alpha keeps the ratio in range
-    total, k = table.row_total(truth), len(table.categories)
-    if math.isinf(total + alpha * k):
-        return (count / alpha + 1.0) / (total / alpha + k)
-    return (count + alpha) / (total + alpha * k)
+    count = table.count(truth, statement)
+    m, d = smoothing.alpha.as_integer_ratio()
+    return (count * d + m) / _totals(table, truth, m, d)[1]
 
 
-def likelihood_ratio(
-    table: ConfusionTable,
-    statement: str,
-    smoothing: SmoothingPolicy = NO_SMOOTHING,
-) -> LrEstimate:
+def _estimates(table: ConfusionTable, smoothing: SmoothingPolicy,
+               indices: list[int] | range) -> list[LrEstimate]:
+    """The estimate of each category at ``indices``, each row summed once."""
+    m, d = smoothing.alpha.as_integer_ratio()
+    (n1, t1), (n2, t2) = (_totals(table, truth, m, d) for truth in GroundTruth)
+    how = smoothing.describe()
+    estimates = []
+    for k in indices:
+        c1, c2 = table.same_source[k], table.different_source[k]
+        s1, s2 = c1 * d + m, c2 * d + m
+        exact = s1 * t2, t1 * s2
+        try:
+            lr = ratio(*exact)
+        except OverflowError:
+            raise DataError(f"the likelihood ratio of {table.categories[k]!r} at smoothing "
+                            f"{how} is past the largest float") from None
+        estimates.append(LrEstimate(table.categories[k], s1 / t1, s2 / t2, lr, how,
+                                    c1, n1, c2, n2, exact))
+    return estimates
+
+
+def likelihood_ratio(table: ConfusionTable, statement: str,
+                     smoothing: SmoothingPolicy = NO_SMOOTHING) -> LrEstimate:
     """Likelihood ratio for one statement, with count provenance attached."""
-    p1 = conditional_probability(table, statement, GroundTruth.SAME_SOURCE, smoothing)
-    p2 = conditional_probability(table, statement, GroundTruth.DIFFERENT_SOURCE, smoothing)
-    return LrEstimate.from_probabilities(
-        statement,
-        p1,
-        p2,
-        smoothing=smoothing.describe(),
-        h1_count=table.count(GroundTruth.SAME_SOURCE, statement),
-        h1_total=table.row_total(GroundTruth.SAME_SOURCE),
-        h2_count=table.count(GroundTruth.DIFFERENT_SOURCE, statement),
-        h2_total=table.row_total(GroundTruth.DIFFERENT_SOURCE),
-    )
+    return _estimates(table, smoothing, [table.index_of(statement)])[0]
 
 
-def full_table_lrs(
-    table: ConfusionTable, smoothing: SmoothingPolicy = NO_SMOOTHING
-) -> list[LrEstimate]:
+def full_table_lrs(table: ConfusionTable,
+                   smoothing: SmoothingPolicy = NO_SMOOTHING) -> list[LrEstimate]:
     """One estimate per category, in table order."""
-    return [likelihood_ratio(table, s, smoothing) for s in table.categories]
+    return _estimates(table, smoothing, range(len(table.categories)))
 
 
 def lr_from_error_rates(fnr: float, fpr: float) -> float | None:
@@ -121,31 +126,23 @@ def lr_from_error_rates(fnr: float, fpr: float) -> float | None:
     return ratio(1.0 - fnr, fpr)
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def presentation_round(lr: float | None, zero_count_bound: float | None = None) -> str:
+def presentation_round(lr: LrEstimate | float | None, zero_count_bound: float | None = None) -> str:
     """Render a ratio in the human display convention.
 
-    An infinite ratio renders as "∞", or as "> <bound>" when the caller
-    supplies the one-sided bound that replaces it (see
-    ``uncertainty.zero_count_lower_bound``).  An exact zero renders as
-    "0".  An undefined (0/0) ratio renders as "undefined".
+    An estimate is rounded from its ``exact_lr``, a float from its exact
+    value: the float 0.4 lies above 2/5, so it reads "1 / 2".  An infinite
+    ratio renders as "∞", or as "> <bound>" given the one-sided bound that
+    replaces it (``uncertainty.zero_count_lower_bound``); an exact zero as
+    "0", and an undefined (0/0) ratio as "undefined".
     """
-    if lr is None:
-        return "undefined"
-    if math.isinf(check_lr(lr)):
-        if zero_count_bound is None:
-            return "∞"
-        return f"> {presentation_round(zero_count_bound)}"
-    if lr >= 1.0:
-        return str(_round_half_up(lr))
-    if lr == 0.0:
+    num, den = lr.exact_lr if isinstance(lr, LrEstimate) else exact_ratio(lr)
+    if not den:
+        if not num:
+            return "undefined"
+        return "∞" if zero_count_bound is None else f"> {presentation_round(zero_count_bound)}"
+    if num >= den:
+        return str((2 * num + den) // (2 * den))
+    if not num:
         return "0"
-    try:
-        reciprocal = _round_half_up(1.0 / lr)
-    except OverflowError:  # 1 / lr is past the largest float: round it in integers
-        numerator, denominator = lr.as_integer_ratio()
-        reciprocal = (2 * denominator + numerator) // (2 * numerator)
+    reciprocal = (2 * den + num) // (2 * num)
     return "1" if reciprocal == 1 else f"1 / {reciprocal}"

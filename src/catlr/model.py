@@ -34,7 +34,8 @@ class DataError(ValueError):
 
 
 def ratio(numerator: float, denominator: float) -> float | None:
-    """numerator / denominator; ``math.inf`` for x/0 and ``None`` (undefined) for 0/0."""
+    """numerator / denominator; ``math.inf`` for x/0 and ``None`` (undefined) for 0/0.
+    Of two integers, the correctly rounded quotient; OverflowError past the float range."""
     if denominator > 0.0:
         return numerator / denominator
     return math.inf if numerator > 0.0 else None
@@ -45,6 +46,13 @@ def check_lr(lr: float) -> float:
     if math.isnan(lr) or lr < 0:
         raise DataError(f"likelihood ratio must be >= 0 or infinite, got {lr!r}")
     return lr
+
+
+def exact_ratio(lr: float | None) -> tuple[int, int]:
+    """``lr``'s exact value as an integer pair, in ``ratio``'s convention: inf (1, 0), None (0, 0)."""
+    if lr is None:
+        return 0, 0
+    return (1, 0) if math.isinf(check_lr(lr)) else lr.as_integer_ratio()
 
 
 def check_level(level: float) -> float:
@@ -259,10 +267,11 @@ class ConfusionTable(Frozen):
 class LrEstimate(Frozen):
     """A per-statement likelihood ratio with its two conditional probabilities.
 
-    ``lr`` is ``p_given_h1 / p_given_h2`` when the denominator is positive,
-    ``math.inf`` when only the denominator is zero, and ``None`` when both
-    probabilities are zero (see ``ratio``): a 0/0 ratio carries no
-    evidential meaning and must never silently become a number.
+    ``exact_lr`` is the ratio as an integer pair (numerator, denominator),
+    ``lr`` its correctly rounded float: ``math.inf`` when only the
+    denominator is zero, and ``None`` when both are (see ``ratio``), as a
+    0/0 ratio carries no evidential meaning and must never silently become
+    a number.  Given no pair, ``exact_lr`` is ``lr``'s exact value.
 
     The ``h*_count`` / ``h*_total`` fields record the integer counts the
     probabilities came from, when they came from a table at all.
@@ -270,7 +279,7 @@ class LrEstimate(Frozen):
 
     __slots__ = _fields = (
         "statement", "p_given_h1", "p_given_h2", "lr", "smoothing",
-        "h1_count", "h1_total", "h2_count", "h2_total",
+        "h1_count", "h1_total", "h2_count", "h2_total", "exact_lr",
     )
 
     def __init__(
@@ -284,25 +293,10 @@ class LrEstimate(Frozen):
         h1_total: int | None = None,
         h2_count: int | None = None,
         h2_total: int | None = None,
+        exact_lr: tuple[int, int] | None = None,
     ):
-        self._init(statement, p_given_h1, p_given_h2, lr, smoothing,
-                   h1_count, h1_total, h2_count, h2_total)
-
-    @classmethod
-    def from_probabilities(
-        cls,
-        statement: str,
-        p_given_h1: float,
-        p_given_h2: float,
-        smoothing: str = "none",
-        **provenance: int | None,
-    ) -> "LrEstimate":
-        """Build an estimate, deriving ``lr`` from the two probabilities."""
-        for name, p in (("p_given_h1", p_given_h1), ("p_given_h2", p_given_h2)):
-            if not (0.0 <= p <= 1.0):
-                raise DataError(f"{name} must be in [0, 1], got {p!r}")
-        lr = ratio(p_given_h1, p_given_h2)
-        return cls(statement, p_given_h1, p_given_h2, lr, smoothing, **provenance)
+        self._init(statement, p_given_h1, p_given_h2, lr, smoothing, h1_count, h1_total,
+                   h2_count, h2_total, exact_ratio(lr) if exact_lr is None else exact_lr)
 
     @property
     def is_undefined(self) -> bool:

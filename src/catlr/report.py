@@ -82,12 +82,12 @@ def _lr_table_renderer(
         estimates = full_table_lrs(table, smoothing)
         if fmt != "json":
             header = [""] + [e.statement for e in estimates]
-            body = [["LR"] + [presentation_round(e.lr) for e in estimates]]
+            body = [["LR"] + [presentation_round(e) for e in estimates]]
             return _md_table(header, body) if fmt == "md" else _csv_text(header, body)
         rows = []
         for e in estimates:
             row = {"statement": e.statement, "lr": _json_number(e.lr),
-                   "lr_display": presentation_round(e.lr), "p_h1": e.p_given_h1, "p_h2": e.p_given_h2}
+                   "lr_display": presentation_round(e), "p_h1": e.p_given_h1, "p_h2": e.p_given_h2}
             if interval is not None:
                 row["interval"] = None  # a 0/0 row's bootstrap law has no defined value
                 if e.lr is not None or interval_method != "bootstrap":

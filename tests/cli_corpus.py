@@ -57,6 +57,16 @@ TABLES = {
     "row_total_2p1023": f"{_AGGREGATED}ID,{2**1023 - 7},3\nInconclusive,4,{2**1022}\n"
                         f"Elimination,3,{2**1022 - 3}\n".encode(),
     "row_total_1e400": f"{_AGGREGATED}ID,{10**400},1\nElimination,1,1\n".encode(),
+    # exact LRs 2/3 and 3/2, and 46.5: each half rounds up
+    "exact_halves": f"{_AGGREGATED}a,2,3\nb,3,2\n".encode(),
+    "half_up_46": f"{_AGGREGATED}ID,1,1\nElim,1,92\n".encode(),
+    # B is 0/0; smoothed at alpha=1e-320 its probabilities are below the
+    # smallest float, but its LR is exactly 1
+    "zero_category_large": f"{_AGGREGATED}A,1000000,1000000\nB,0,0\n".encode(),
+    # smoothed at alpha=1e-320, the LR of ID is past the largest float
+    "past_float_smoothed": f"{_AGGREGATED}ID,5,0\nElim,5,5\n".encode(),
+    # at Dirichlet alpha=1e-80, Beta(1e-80, ~1e248) has a / (a + b) below the smallest float
+    "mode_underflow": f"{_AGGREGATED}a,0,2\nb,{10**248},{10**138}\n".encode(),
     "bom": b"\xef\xbb\xbf" + _BULLETS.encode(),
     "not_utf8": f"{_AGGREGATED}ID,30,2\n".encode() + b"\xff\xfe,4,50\n",
     # header faults
@@ -76,7 +86,8 @@ TABLES = {
     "field_over_limit": f'{_AGGREGATED}ID,30,2\n"{"x" * 140_000}",4,50\n'.encode(),
 }
 # The statement of a table's interval calls, where it is not "ID"
-_INTERVAL_STATEMENT = {"undefined": "NONE", "quoted": "Inconclusive, A", "form_feed": "ID\x0cx"}
+_INTERVAL_STATEMENT = {"undefined": "NONE", "quoted": "Inconclusive, A", "form_feed": "ID\x0cx",
+                       "exact_halves": "a", "zero_category_large": "B", "mode_underflow": "a"}
 
 _SUMMARY = (files("catlr") / "data" / "summary_published.csv").read_text(encoding="utf-8")
 _APPENDIX = ("bloodstain", "cartridge", "fingerprint", "footwear", "handwriting")
@@ -248,6 +259,15 @@ def _calls() -> list[list[str]]:
         ),
         # N + alpha K is past the largest float: each LR is the uniform limit, 1
         *(["lr", *bullets, "--smoothing", "alpha=1e308", *fmt] for fmt in ([], ["--format", "json"])),
+        # probabilities below the smallest float, an LR of 1; an LR past the largest float
+        *(
+            [command, "--table", f"{name}.csv", "--smoothing", "alpha=1e-320", *fmt]
+            for name in ("zero_category_large", "past_float_smoothed")
+            for command, fmt in (("lr", []), *((c, ["--format", f]) for c in ("lr", "report")
+                                               for f in _FORMATS))
+        ),
+        ["interval", "--table", "mode_underflow.csv", "--statement", "a", "--method", "dirichlet",
+         "--alpha", "1e-80"],
     ]
     for name in SUMMARIES:
         calls += [["report", "--summary", f"{name}.csv", "--format", fmt] for fmt in _FORMATS]

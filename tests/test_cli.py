@@ -460,20 +460,40 @@ class TestTinyLr:
         return str(path)
 
     @pytest.mark.parametrize("command", ["lr", "report"])
-    def test_renders_the_rounded_reciprocal_in_every_format(self, zero_cell_csv, command):
+    def test_renders_the_rounded_reciprocal_in_every_format(self, zero_cell_csv, command, exact_display):
+        alpha = Fraction(1e-320)
+        # both rows total 7 + 2 alpha: the LR of ID is alpha / (5 + alpha), and
+        # that of Elim (7 + alpha) / (2 + alpha), just below 3.5, reads "3"
+        exact = alpha / (5 + alpha)
+        elim = exact_display((7 + alpha) / (2 + alpha))
+        assert elim == "3"
         argv = (command, "--table", zero_cell_csv, "--smoothing", "alpha=1e-320")
         code, out, err = invoke(*argv, "--format", "json")
         assert (code, err) == (0, "")
         row = json.loads(out)[0]["statements"][0]
-        assert 0 < row["lr"] and 1.0 / row["lr"] == math.inf
-        display = f"1 / {math.floor(1 / Fraction(row['lr']) + Fraction(1, 2))}"
+        assert row["lr"] == float(exact) and 1.0 / row["lr"] == math.inf
+        display = exact_display(exact)
         assert row["lr_display"] == display
         code, out, err = invoke(*argv, "--format", "md")
         assert (code, err) == (0, "")
-        assert f"| LR | {display} | 4 |" in out
+        assert f"| LR | {display} | {elim} |" in out
         code, out, err = invoke(*argv, "--format", "csv")
         assert (code, err) == (0, "")
-        assert f"LR,{display},4\n" in out
+        assert f"LR,{display},{elim}\n" in out
+
+    def test_ratio_past_the_largest_float_is_a_data_error(self, tmp_path):
+        path = tmp_path / "over.csv"
+        path.write_text(
+            "statement,same_source_count,different_source_count\nID,5,0\nElim,5,5\n",
+            encoding="utf-8",
+        )
+        for fmt in ([], ["--format", "md"], ["--format", "json"]):
+            code, out, err = invoke("lr", "--table", str(path), "--smoothing", "alpha=1e-320", *fmt)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"data error: {path}: the likelihood ratio of 'ID' at smoothing "
+                "add-alpha(9.99989e-321) is past the largest float\n"
+            )
 
 
 class TestPosteriorCommand:

@@ -72,18 +72,19 @@ class TestConditionalProbability:
 
     @pytest.mark.parametrize("alpha", [1e307, 1e308, 1.7976931348623157e308])
     def test_alpha_so_large_that_n_plus_alpha_k_overflows_gives_the_uniform_limit(self, bullets, alpha):
-        # N + alpha K is past the largest float from alpha = 1e308 on; dividing
-        # through by alpha keeps each probability near 1 / K, so each LR near 1
+        # N + alpha K is past the largest float from alpha = 1e308 on; in
+        # integers each probability is still near 1 / K, so each LR near 1
         smoothing = SmoothingPolicy.add_alpha(alpha)
         for est in full_table_lrs(bullets, smoothing):
             assert est.p_given_h1 == pytest.approx(1 / 6) and est.p_given_h2 == pytest.approx(1 / 6)
-            assert presentation_round(est.lr) == "1"
+            assert presentation_round(est) == "1"
 
-    def test_smoothed_frequencies_keep_the_plain_formula_where_it_is_finite(self):
+    def test_smoothed_frequencies_are_the_correctly_rounded_exact_values(self):
         t = ConfusionTable(("a", "b", "c"), (3, 1, 0), (0, 4, 2))
-        for alpha in (1e-320, 0.5, 1e300, 5e307):
+        for alpha in (1e-320, 0.1, 0.5, 1e300, 5e307, 1e308):
             smoothing = SmoothingPolicy.add_alpha(alpha)
-            assert conditional_probability(t, "a", SAME, smoothing) == (3 + alpha) / (4 + alpha * 3)
+            exact = (3 + Fraction(alpha)) / (4 + 3 * Fraction(alpha))
+            assert conditional_probability(t, "a", SAME, smoothing) == float(exact)
 
     def test_add_alpha_allows_empty_row(self):
         t = ConfusionTable(("a", "b"), (0, 0), (1, 1))
@@ -124,6 +125,48 @@ class TestLikelihoodRatio:
         t = ConfusionTable(("a", "b"), (0, 5), (0, 10))
         est = likelihood_ratio(t, "a")
         assert est.is_undefined
+
+    def test_estimate_carries_the_exact_ratio_of_the_counts(self, bullets):
+        est = likelihood_ratio(bullets, "ID")
+        assert Fraction(*est.exact_lr) == Fraction(1076 * 2891, 1429 * 20)
+        # p1 / p2 in floats is 108.84240727781665, one unit in the last place low
+        assert est.lr == float(Fraction(1076 * 2891, 1429 * 20)) == 108.84240727781666
+
+    def test_smoothed_zero_cells_give_exactly_one(self):
+        # at alpha = 1e-320 each smoothed probability of B is below the
+        # smallest float, but their ratio is exactly 1
+        t = ConfusionTable(("A", "B"), (10**6, 0), (10**6, 0))
+        est = likelihood_ratio(t, "B", SmoothingPolicy.add_alpha(1e-320))
+        assert est.lr == 1.0
+        assert presentation_round(est) == "1"
+
+    def test_ratio_past_the_largest_float_is_a_data_error(self):
+        t = ConfusionTable(("ID", "Elim"), (5, 5), (0, 5))
+        smoothing = SmoothingPolicy.add_alpha(1e-320)
+        message = r"^the likelihood ratio of 'ID' at smoothing add-alpha\(9.99989e-321\) is past"
+        with pytest.raises(DataError, match=message):
+            likelihood_ratio(t, "ID", smoothing)
+        with pytest.raises(DataError, match=message):
+            full_table_lrs(t, smoothing)
+
+    @given(
+        n=st.integers(1, 1000),
+        scale=st.tuples(st.integers(1, 50), st.integers(1, 50)),
+        extra=st.integers(0, 1000),
+        below_one=st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_exact_halves_round_up(self, n, scale, extra, below_one):
+        # the same row holds (2n + 1) of 2n + 1 + extra, the different row 2
+        # of as many, each row scaled: the LR of "s" is exactly n + 1/2
+        same = (scale[0] * (2 * n + 1), scale[0] * extra)
+        different = (scale[1] * 2, scale[1] * (2 * n - 1 + extra))
+        if below_one:
+            same, different = different, same
+        est = likelihood_ratio(ConfusionTable(("s", "rest"), same, different), "s")
+        exact = Fraction(2 * n + 1, 2)
+        assert est.lr == float(1 / exact if below_one else exact)
+        assert presentation_round(est) == (f"1 / {n + 1}" if below_one else str(n + 1))
 
     def test_smoothing_recorded(self, bullets):
         est = likelihood_ratio(bullets, "ID", SmoothingPolicy.add_alpha(0.5))
@@ -212,6 +255,12 @@ class TestPresentationRound:
         reciprocal = math.floor(1 / Fraction(lr) + Fraction(1, 2))
         assert presentation_round(lr) == f"1 / {reciprocal}"
 
+    def test_a_float_is_rounded_by_its_exact_value(self):
+        # the float 0.4 lies above 2/5: its reciprocal is just below 2.5
+        assert Fraction(0.4) > Fraction(2, 5)
+        assert presentation_round(0.4) == "1 / 2"
+        assert presentation_round(2 / 3) == "1 / 2"  # 2 / 3 rounds below 2/3
+
     def test_infinite_with_bound_text(self):
         assert presentation_round(math.inf, zero_count_bound=100.64) == "> 101"
 
@@ -236,7 +285,7 @@ class TestFullTable:
     def test_order_matches_table(self, bullets):
         assert [e.statement for e in full_table_lrs(bullets)] == list(bullets.categories)
 
-    def test_random_tables_match_fraction_oracle(self):
+    def test_random_tables_match_fraction_oracle(self, exact_display):
         rng = random.Random(21)
         for _ in range(200):
             t = ConfusionTable(
@@ -248,12 +297,8 @@ class TestFullTable:
                 continue
             for est in full_table_lrs(t):
                 oracle = fraction_lr(t, est.statement)
-                if oracle is None:
-                    assert est.is_undefined
-                elif oracle == math.inf:
-                    assert est.lr == math.inf
-                else:
-                    assert est.lr == pytest.approx(float(oracle), rel=1e-12)
+                assert est.lr == (oracle if oracle in (None, math.inf) else float(oracle))
+                assert presentation_round(est) == exact_display(oracle)
 
 
 positive_table_strategy = st.lists(

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from catlr.engine import SmoothingPolicy, presentation_round
+from catlr.engine import SmoothingPolicy, likelihood_ratio, presentation_round
 from catlr.interpret import VerbalScale, bundled_scale, hardness_adjust, posterior_probability
 from catlr.model import (
     MAX_ROW_TOTAL,
@@ -241,34 +241,37 @@ class TestConfusionTable:
 
 class TestLrEstimate:
     def test_ratio_when_denominator_positive(self):
-        est = LrEstimate.from_probabilities("ID", 0.75, 0.25)
-        assert est.lr == 0.75 / 0.25
+        est = likelihood_ratio(ConfusionTable(("ID", "Elim"), (3, 1), (1, 3)), "ID")
+        assert (est.lr, est.exact_lr) == (3.0, (12, 4))
 
     def test_infinite_when_only_denominator_zero(self):
-        est = LrEstimate.from_probabilities("ID", 0.4, 0.0)
+        est = likelihood_ratio(ConfusionTable(("ID", "Elim"), (2, 3), (0, 5)), "ID")
         assert est.lr == math.inf
         assert not est.is_finite
         assert not est.is_undefined
 
     def test_undefined_when_both_zero(self):
-        est = LrEstimate.from_probabilities("ID", 0.0, 0.0)
+        est = likelihood_ratio(ConfusionTable(("ID", "Elim"), (0, 5), (0, 5)), "ID")
         assert est.lr is None
         assert est.is_undefined
         # None never silently behaves like a number
         with pytest.raises(TypeError):
             est.lr * 2
 
-    def test_probabilities_validated(self):
-        with pytest.raises(DataError):
-            LrEstimate.from_probabilities("ID", 1.2, 0.5)
-        with pytest.raises(DataError):
-            LrEstimate.from_probabilities("ID", 0.5, -0.1)
+    def test_lr_validated(self):
+        for lr in (-0.5, math.nan):
+            with pytest.raises(DataError, match="likelihood ratio must be >= 0 or infinite"):
+                LrEstimate("ID", 0.5, 0.5, lr)
 
     def test_provenance_fields(self):
-        est = LrEstimate.from_probabilities(
-            "ID", 0.5, 0.25, h1_count=1, h1_total=2, h2_count=1, h2_total=4
-        )
+        est = likelihood_ratio(ConfusionTable(("ID", "Elim"), (1, 1), (1, 3)), "ID")
         assert (est.h1_count, est.h1_total, est.h2_count, est.h2_total) == (1, 2, 1, 4)
+
+    def test_exact_ratio_defaults_to_the_exact_value_of_lr(self):
+        assert LrEstimate("ID", 0.75, 0.25, 3.0).exact_lr == (3, 1)
+        assert LrEstimate("ID", 0.4, 0.0, math.inf).exact_lr == (1, 0)
+        assert LrEstimate("ID", 0.0, 0.0, None).exact_lr == (0, 0)
+        assert LrEstimate("ID", 0.1, 0.2, 0.5, exact_lr=(1, 2)).exact_lr == (1, 2)
 
 
 @pytest.mark.parametrize("lr", [math.nan, -1.0])
@@ -307,10 +310,12 @@ VALUE_TYPES = [
     (
         LrEstimate,
         {"statement": "ID", "p_given_h1": 0.75, "p_given_h2": 0.0, "lr": math.inf,
-         "smoothing": "none", "h1_count": 3, "h1_total": 4, "h2_count": 0, "h2_total": 4},
+         "smoothing": "none", "h1_count": 3, "h1_total": 4, "h2_count": 0, "h2_total": 4,
+         "exact_lr": (12, 0)},
         {"statement": "ID", "p_given_h1": 0.75, "p_given_h2": 0.0, "lr": math.inf},
         "LrEstimate(statement='ID', p_given_h1=0.75, p_given_h2=0.0, lr=inf, "
-        "smoothing='none', h1_count=3, h1_total=4, h2_count=0, h2_total=4)",
+        "smoothing='none', h1_count=3, h1_total=4, h2_count=0, h2_total=4, "
+        "exact_lr=(12, 0))",
     ),
     (SmoothingPolicy, {"alpha": 0.5}, {}, "SmoothingPolicy(alpha=0.5)"),
     (

@@ -34,21 +34,27 @@ class TestRenderLrTable:
         t = ConfusionTable(("a", "b", "c"), (5, 5, 5), (5, 5, 5))
         assert render_lr_table(t, "csv").splitlines()[1] == "LR,1,1,1"
 
-    def test_cells_match_fraction_oracle(self):
+    def test_cells_match_fraction_oracle(self, exact_display):
         rng = random.Random(33)
-        for _ in range(50):
-            t = ConfusionTable(
+        # exact LRs 2/3, 3/2 and 46.5: each half rounds up
+        halves = [ConfusionTable(("p", "q"), (2, 3), (3, 2)),
+                  ConfusionTable(("p", "q"), (1, 1), (1, 92))]
+        randoms = [
+            ConfusionTable(
                 ("p", "q", "r", "s"),
                 tuple(rng.randint(1, 400) for _ in range(4)),
                 tuple(rng.randint(1, 400) for _ in range(4)),
             )
+            for _ in range(50)
+        ]
+        for t in halves + randoms:
             cells = render_lr_table(t, "csv").splitlines()[1].split(",")[1:]
             n1, n2 = sum(t.same_source), sum(t.different_source)
             for k, cell in enumerate(cells):
                 exact = Fraction(t.same_source[k], n1) / Fraction(
                     t.different_source[k], n2
                 )
-                assert cell == presentation_round(float(exact))
+                assert cell == exact_display(exact)
 
     def test_deterministic(self, bullets):
         assert render_lr_table(bullets, "md") == render_lr_table(bullets, "md")

@@ -474,6 +474,14 @@ class TestSolverEdges:
         interval = dirichlet_interval(t, "b", level=0.5)
         assert interval.lower == interval.upper == pytest.approx(likelihood_ratio(t, "b").lr, rel=1e-15)
 
+    @pytest.mark.parametrize("statement", ["a", "b"])
+    def test_dirichlet_shape_whose_mode_underflows_is_a_data_error(self, statement):
+        # Beta(1e-80, ~1e248): a / (a + b) is below the smallest float, so
+        # the log of the mode's odds, log(a / b), was a math domain error
+        t = ConfusionTable(("a", "b"), (0, 10**248), (2, 10**138))
+        with pytest.raises(DataError, match=r"^no quadrature grid for Beta\(1e-80, 1e\+248\): "):
+            dirichlet_interval(t, statement, alpha=1e-80)
+
     def test_dirichlet_cdf_is_one_where_the_bound_passes_one(self):
         # P(U <= e**s D) = 1 at every point with e**s D >= 1, and P(U > e**s D) = 0
         cdf = betaratio._Cdf(2.0, 3.0)
