@@ -11,11 +11,10 @@ alike, whatever the locale's encoding.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Iterable
 
 # Each command imports the modules it runs when it runs: a call pays only
@@ -26,24 +25,12 @@ if TYPE_CHECKING:
     from .engine import SmoothingPolicy
 
 
-_BROKEN_PIPE = 141  # a shell's status for a process that SIGPIPE ended
-
-
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1, not argparse's default 2
-        raise _UsageError(message)
-
-
 def _fmt(value: float | None) -> str:
-    if value is None:
-        return "undefined"
-    if math.isinf(value):
-        return "inf"
-    return f"{value:.4g}"
+    return "undefined" if value is None else "inf" if math.isinf(value) else f"{value:.4g}"
 
 
 def _smoothing_arg(text: str) -> SmoothingPolicy:
@@ -57,19 +44,14 @@ def _smoothing_arg(text: str) -> SmoothingPolicy:
             return SmoothingPolicy.add_alpha(float(token[len("alpha="):]))
         except (ValueError, DataError):
             pass
-    raise argparse.ArgumentTypeError(
-        f"invalid smoothing {text!r}: expected 'none' or 'alpha=<positive number>'"
-    )
+    raise _UsageError(f"argument --smoothing: invalid smoothing {text!r}: "
+                      "expected 'none' or 'alpha=<positive number>'")
 
 
 def _write(output: str | Iterable[bytes], out_path: str | None, out: IO[str]) -> None:
-    """Write a command's output, text or UTF-8 pieces, as UTF-8 with "\n" line ends.
-
-    It goes to the file at ``out_path``, else to the binary buffer under
-    ``out``, else (a text stream without one, such as ``io.StringIO``) to
-    ``out`` as text.  A file name that is not UTF-8, which names a study,
-    is written as the bytes it was given.
-    """
+    """Write a command's output, text or UTF-8 pieces, as UTF-8 with "\n" line ends: to the file
+    at ``out_path``, else to ``out``'s binary buffer, else (``io.StringIO`` has none) to ``out`` as
+    text.  A file name that is not UTF-8, which names a study, is written as the bytes it was given."""
     pieces = (output.encode("utf-8", "surrogateescape"),) if isinstance(output, str) else output
     if out_path:
         with open(out_path, "wb") as handle:
@@ -85,7 +67,6 @@ def _write(output: str | Iterable[bytes], out_path: str | None, out: IO[str]) ->
 def _cmd_tally(args):
     from .ingest import emit_aggregated
     from .records import tally_file
-
     return emit_aggregated(tally_file(args.infile))
 
 
@@ -93,19 +74,15 @@ def _cmd_lr(args):
     if args.format is None:
         from .engine import full_table_lrs
         from .ingest import use_table
-
         return use_table(args.table, lambda table: "".join(
-            f"{est.statement}\t{_fmt(est.lr)}\n" for est in full_table_lrs(table, args.smoothing)
-        ))
+            f"{est.statement}\t{_fmt(est.lr)}\n" for est in full_table_lrs(table, args.smoothing)))
     from .report import build_report
-
     return build_report(args.table, args.format, args.smoothing)
 
 
 def _cmd_report(args):
     from .ingest import _read_input
     from .report import build_report, check_report_options, read_display_fixture, render_summary_table
-
     options = (args.smoothing, args.interval, args.level)
     if args.summary:
         check_report_options(*options)  # as a table report does, though a summary has no interval
@@ -120,20 +97,17 @@ def _cmd_report(args):
 
 def _cmd_posterior(args):
     from .interpret import posterior_probability
-
     return _fmt(posterior_probability(args.prior, args.lr)) + "\n"
 
 
 def _cmd_adjust(args):
     from .interpret import hardness_adjust
-
     return _fmt(hardness_adjust(args.lr, args.fraction)) + "\n"
 
 
 def _cmd_interval(args):
     from .ingest import use_table
     from .uncertainty import interval_of
-
     method = interval_of(args.method, args.level, args.alpha)
     interval = use_table(args.table, lambda table: method(table, args.statement))
     return f"{_fmt(interval.lower)}\t{_fmt(interval.upper)}\n"
@@ -142,101 +116,126 @@ def _cmd_interval(args):
 def _cmd_simulate(args):
     from .ingest import _read_input
     from .simulate import _record_pieces, load_profile, simulate_study
-
     return _record_pieces(simulate_study(_read_input(args.profile, load_profile)))
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The catlr parser; given a ``command`` name, only that command's subparser.
+def _opt(flag, type=None, choices=None, default=None, required=False, dest=None, metavar=None, help=""):
+    """One option of a command: what the parser reads and --help shows."""
+    metavar = "{%s}" % ",".join(choices) if choices else metavar or flag[2:].upper()
+    help = "required" if required else help or ("" if default is None else f"default: {default}")
+    return SimpleNamespace(flag=flag, dest=dest or flag[2:], type=type, choices=choices, default=default,
+                           required=required, metavar=metavar, help=help)
 
-    A parse that reaches a command's subparser prints the same help and
-    errors either way: the other commands show only in the main parser's
-    help and errors, which come from a parser with every command built.
-    """
-    parser = _Parser(
-        prog="catlr",
-        description=(
-            "Likelihood ratios for categorical expert-witness statements, "
-            "computed from performance-study tallies."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help: str) -> argparse.ArgumentParser | None:
-        return sub.add_parser(name, help=help) if command in (None, name) else None
+# command: (handler, summary, options), the one table that parses argv and renders --help
+_COMMANDS = {
+    "tally": (_cmd_tally, "tally raw evaluation records into a table", (
+        _opt("--in", dest="infile", required=True, metavar="RECORDS_CSV"),
+        _opt("--out", metavar="TABLE_CSV"))),
+    "lr": (_cmd_lr, "likelihood ratios for every statement in a table", (
+        _opt("--table", required=True, metavar="TABLE_CSV"),
+        _opt("--smoothing", _smoothing_arg, default="none"),
+        _opt("--format", choices=FORMATS))),
+    "report": (_cmd_report, "render an LR table or a display-value summary", (
+        _opt("--table", metavar="TABLE_CSV"),
+        _opt("--summary", metavar="FIXTURE_CSV"),
+        _opt("--format", choices=FORMATS, default="md"),
+        _opt("--smoothing", _smoothing_arg, default="none"),
+        _opt("--interval", choices=INTERVAL_METHOD_NAMES),
+        _opt("--level", float, default=0.95),
+        _opt("--seed", int, default=0, help="deprecated; ignored"),
+        _opt("--out", metavar="OUT_FILE"))),
+    "posterior": (_cmd_posterior, "posterior probability from prior and LR", (
+        _opt("--prior", float, required=True), _opt("--lr", float, required=True))),
+    "adjust": (_cmd_adjust, "hardest-fraction sensitivity adjustment", (
+        _opt("--lr", float, required=True), _opt("--fraction", float, required=True))),
+    "interval": (_cmd_interval, "uncertainty interval for one statement's LR", (
+        _opt("--table", required=True, metavar="TABLE_CSV"),
+        _opt("--statement", required=True),
+        _opt("--method", choices=INTERVAL_METHOD_NAMES, required=True),
+        _opt("--seed", int, default=0, help="deprecated; ignored"),
+        _opt("--level", float, default=0.95),
+        _opt("--alpha", float, default=0.5),
+        _opt("--workers", int, default=1, help="deprecated; ignored"))),
+    "simulate": (_cmd_simulate, "generate a synthetic study from a profile", (
+        _opt("--profile", required=True, metavar="PROFILE_CFG"), _opt("--out", metavar="RECORDS_CSV"))),
+}
 
-    if p := add("tally", help="tally raw evaluation records into a table"):
-        p.add_argument("--in", dest="infile", required=True, metavar="RECORDS_CSV")
-        p.add_argument("--out", default=None, metavar="TABLE_CSV")
-        p.set_defaults(func=_cmd_tally)
 
-    if p := add("lr", help="likelihood ratios for every statement in a table"):
-        p.add_argument("--table", required=True, metavar="TABLE_CSV")
-        # argparse passes a string default through type=, so catlr.engine loads
-        # only when a command that takes --smoothing is parsed
-        p.add_argument("--smoothing", type=_smoothing_arg, default="none")
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.set_defaults(func=_cmd_lr)
+def _help(command: str | None) -> str:
+    """The --help text of ``command``, or of catlr itself when None."""
+    if command is None:
+        rows = "".join(f"\n  {name:<11}{summary}" for name, (_, summary, _) in _COMMANDS.items())
+        return (f"usage: catlr [-h] {{{','.join(_COMMANDS)}}} ...\n\nLikelihood ratios for categorical "
+                f"expert-witness statements, computed from\nperformance-study tallies.\n\ncommands:{rows}\n")
+    _, summary, options = _COMMANDS[command]
+    rows = "".join(f"\n  {o.flag + ' ' + o.metavar:<34}{o.help}".rstrip() for o in options)
+    return (f"usage: catlr {command} [-h] [options]\n\n{summary}\n\n"
+            f"options:\n  {'-h, --help':<34}show this help and exit{rows}\n")
 
-    if p := add("report", help="render an LR table or a display-value summary"):
-        p.add_argument("--table", default=None, metavar="TABLE_CSV")
-        p.add_argument("--summary", default=None, metavar="FIXTURE_CSV")
-        p.add_argument("--format", choices=FORMATS, default="md")
-        p.add_argument("--smoothing", type=_smoothing_arg, default="none")
-        p.add_argument("--interval", choices=INTERVAL_METHOD_NAMES, default=None)
-        p.add_argument("--level", type=float, default=0.95)
-        p.add_argument("--seed", type=int, default=0, help="deprecated; ignored")
-        p.add_argument("--out", default=None, metavar="OUT_FILE")
-        p.set_defaults(func=_cmd_report)
 
-    if p := add("posterior", help="posterior probability from prior and LR"):
-        p.add_argument("--prior", type=float, required=True)
-        p.add_argument("--lr", type=float, required=True)
-        p.set_defaults(func=_cmd_posterior)
-
-    if p := add("adjust", help="hardest-fraction sensitivity adjustment"):
-        p.add_argument("--lr", type=float, required=True)
-        p.add_argument("--fraction", type=float, required=True)
-        p.set_defaults(func=_cmd_adjust)
-
-    if p := add("interval", help="uncertainty interval for one statement's LR"):
-        p.add_argument("--table", required=True, metavar="TABLE_CSV")
-        p.add_argument("--statement", required=True)
-        p.add_argument("--method", choices=INTERVAL_METHOD_NAMES, required=True)
-        p.add_argument("--seed", type=int, default=0, help="deprecated; ignored")
-        p.add_argument("--level", type=float, default=0.95)
-        p.add_argument("--alpha", type=float, default=0.5)
-        p.add_argument("--workers", type=int, default=1, help="deprecated; ignored")
-        p.set_defaults(func=_cmd_interval)
-
-    if p := add("simulate", help="generate a synthetic study from a profile"):
-        p.add_argument("--profile", required=True, metavar="PROFILE_CFG")
-        p.add_argument("--out", default=None, metavar="RECORDS_CSV")
-        p.set_defaults(func=_cmd_simulate)
-
-    if command is not None and command not in sub.choices:
-        return build_parser()  # not a command name: help, or an error listing them all
-    return parser
+def _parse(argv: list[str]):
+    """(handler, its arguments) for ``argv``, the handler of --help returning the help.  An option
+    reads as --name value, --name=value or a unique prefix (--tab); the last one given wins."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command, *tokens = argv
+    if command in ("-h", "--help"):
+        return lambda args: _help(None), SimpleNamespace()
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    func, _, options = _COMMANDS[command]
+    by_flag = {**{option.flag: option for option in options}, "-h": None, "--help": None}
+    values = {option.dest: option.default for option in options}
+    extras, tokens = [], iter(tokens)
+    for token in tokens:
+        name, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        # no flag is a prefix of another, so an exact name is its own unique prefix
+        found = [f for f in by_flag if f == name or name[:2] == "--" != name and f.startswith(name)]
+        if len(found) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+        if not found:
+            extras.append(token)
+            continue
+        option = by_flag[found[0]]
+        if option is None:  # -h or --help
+            return lambda args: _help(command), SimpleNamespace()
+        if not eq:  # the next token, unless it is option-like: "-", "-1" and "-.5" are values
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and value[1:2] not in "0123456789.":
+                raise _UsageError(f"argument {option.flag}: expected one argument")
+        try:
+            values[option.dest] = option.type(value) if option.type else value
+        except ValueError:
+            raise _UsageError(f"argument {option.flag}: "
+                              f"invalid {option.type.__name__} value: {value!r}") from None
+        if option.choices and value not in option.choices:
+            raise _UsageError(f"argument {option.flag}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, option.choices))})")
+    missing = [option.flag for option in options if option.required and values[option.dest] is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    for option in options:  # a string default not given passes through its type last, as in argparse
+        if values[option.dest] is option.default and isinstance(option.default, str) and option.type:
+            values[option.dest] = option.type(option.default)
+    return func, SimpleNamespace(**values)
 
 
 def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
     """Parse and execute; returns the exit code instead of exiting."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        with redirect_stdout(out), redirect_stderr(err):
-            args = parser.parse_args(argv)
+        func, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        check_seed(getattr(args, "seed", 0))  # report and interval accept --seed and ignore it
+        _write(func(args), getattr(args, "out", None), out)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1
-    except SystemExit as exc:  # --help
-        return 0 if exc.code in (0, None) else int(exc.code)
-    try:
-        check_seed(getattr(args, "seed", 0))  # report and interval accept --seed and ignore it
-        _write(args.func(args), getattr(args, "out", None), out)
-        return 0
     except BrokenPipeError:
         # the reader is gone, so is the rest of the output; stdout's unflushed
         # bytes go to devnull, so that the interpreter's last flush is silent
@@ -244,7 +243,7 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, out.fileno())
             os.close(devnull)
-        return _BROKEN_PIPE
+        return 141  # a shell's status for a process that SIGPIPE ended
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=err)
         return 2

@@ -95,6 +95,9 @@ def _estimates(table: ConfusionTable, smoothing: SmoothingPolicy,
         except OverflowError:
             raise DataError(f"the likelihood ratio of {table.categories[k]!r} at smoothing "
                             f"{how} is past the largest float") from None
+        if lr == 0.0 and exact[0]:  # positive, but rounded to zero
+            raise DataError(f"the likelihood ratio of {table.categories[k]!r} at smoothing "
+                            f"{how} is below the smallest float")
         estimates.append(LrEstimate(table.categories[k], s1 / t1, s2 / t2, lr, how,
                                     c1, n1, c2, n2, exact))
     return estimates

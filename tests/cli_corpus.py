@@ -15,7 +15,7 @@ meant to alter some output, rewrite the golden file with
 
 and name each changed entry in CHANGES.md; without ``--regenerate`` the
 script prints the entries that differ from the golden file.  No call prints
-argparse help or usage errors, whose text differs between Python versions.
+help or a usage error: ``tests/test_cli.py`` pins those.
 """
 
 from __future__ import annotations

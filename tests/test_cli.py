@@ -140,38 +140,85 @@ class TestExitCodes:
 COMMAND_NAMES = ("tally", "lr", "report", "posterior", "adjust", "interval", "simulate")
 
 
-class TestParserPerCommand:
+class TestParser:
+    # each usage error below is pinned as argparse printed it, byte for byte
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            (),
-            ("--help",),
-            ("-h",),
-            ("bogus",),
-            ("--bogus", "lr"),
-            ("lr",),
-            ("tally", "--in"),
-            ("posterior", "--prior", "x", "--lr", "2"),
-            ("lr", "--table", "t.csv", "report"),
-            *[(name, "--help") for name in COMMAND_NAMES],
+            ((), "the following arguments are required: command"),
+            (("bogus",), "argument command: invalid choice: 'bogus' (choose from "
+             "'tally', 'lr', 'report', 'posterior', 'adjust', 'interval', 'simulate')"),
+            (("lr",), "the following arguments are required: --table"),
+            (("interval", "--table", "t.csv"), "the following arguments are required: --statement, --method"),
+            (("lr", "--table", "t.csv", "--format", "xml"),
+             "argument --format: invalid choice: 'xml' (choose from 'md', 'csv', 'json')"),
+            (("report", "--table", "t.csv", "--level", "high"),
+             "argument --level: invalid float value: 'high'"),
+            (("interval", "--table", "t.csv", "--statement", "ID", "--method", "bootstrap", "--seed", "x"),
+             "argument --seed: invalid int value: 'x'"),
+            (("tally", "--in"), "argument --in: expected one argument"),
+            (("lr", "--table", "--format", "md"), "argument --table: expected one argument"),
+            (("lr", "--table", "-x.csv"), "argument --table: expected one argument"),
+            (("lr", "--table", "t.csv", "--draws", "5"), "unrecognized arguments: --draws 5"),
+            (("lr", "--table", "t.csv", "--", "x"), "unrecognized arguments: -- x"),
+            (("lr", "--draws", "5"), "the following arguments are required: --table"),
+            (("report", "--s", "x"), "ambiguous option: --s could match --summary, --smoothing, --seed"),
+            (("report", "--s=x"), "ambiguous option: --s=x could match --summary, --smoothing, --seed"),
         ],
     )
-    def test_prints_what_the_parser_of_every_command_prints(self, monkeypatch, argv):
-        expected = invoke(*argv)
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-        assert invoke(*argv) == expected
+    def test_usage_error(self, argv, message):
+        assert invoke(*argv) == (1, "", f"usage error: {message}\n")
 
-    @pytest.mark.parametrize("argv", [("--help",), ("bogus",)])
-    def test_main_parser_help_and_invalid_choice_list_every_command(self, argv):
+    @pytest.mark.parametrize(
+        "argv, fmt",
+        [
+            (("lr", "--table={table}"), ()),
+            (("lr", "--tab", "{table}"), ()),
+            (("lr", "--table", "missing.csv", "--table", "{table}"), ()),
+            (("lr", "--t={table}", "--f", "md", "--fo=csv"), ("--format", "csv")),
+        ],
+        ids=["equals", "prefix", "last-wins", "prefix-equals-repeated"],
+    )
+    def test_accepted_option_forms(self, bullets_csv, argv, fmt):
+        argv = [a.format(table=bullets_csv) for a in argv]
+        assert invoke(*argv) == invoke("lr", "--table", bullets_csv, *fmt)
+
+    def test_deprecated_seed_and_workers_are_accepted_and_ignored(self, bullets_csv):
+        base = ("interval", "--table", bullets_csv, "--statement", "ID", "--method", "bootstrap",
+                "--level", "0.9")
+        code, out, err = invoke(*base, "--seed", "3", "--workers", "2")
+        assert (code, err) == (0, "")
+        assert (code, out, err) == invoke(*base)
+
+    @pytest.mark.parametrize("value", ["-2", "-.5"])
+    def test_negative_number_is_a_value(self, value):
+        code, out, err = invoke("posterior", "--prior", "0.1", "--lr", value)
+        assert (code, out) == (2, "")
+        assert err == f"data error: likelihood ratio must be >= 0 or infinite, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("argv", [("--help",), ("-h",), ("bogus",)])
+    def test_main_help_and_invalid_choice_list_every_command(self, argv):
         code, out, err = invoke(*argv)
         listing = out if code == 0 else err
         assert all(name in listing for name in COMMAND_NAMES)
+        if code == 0:
+            assert (out.startswith("usage: catlr"), err) == (True, "")
 
-    def test_a_command_builds_only_its_own_subparser(self):
-        parser = cli.build_parser("lr")
-        with pytest.raises(cli._UsageError, match=r"'posterior' \(choose from 'lr'\)"):
-            parser.parse_args(["posterior", "--prior", "0.1", "--lr", "2"])
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_command_help_lists_its_options(self, name, flag):
+        # help is acted on where it stands: what comes before or after it is not checked
+        code, out, err = invoke(name, "--lr", "2", flag, "--bogus")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: catlr {name} ")
+        _, _, options = cli._COMMANDS[name]
+        assert all(f"  {option.flag} " in out for option in options)
+
+    def test_no_flag_is_a_prefix_of_another(self):
+        # so that an exact flag is always its own unique prefix
+        for _, _, options in cli._COMMANDS.values():
+            flags = [option.flag for option in options] + ["--help"]
+            assert not [(a, b) for a in flags for b in flags if a != b and b.startswith(a)]
 
 
 class TestNonUtf8Input:
@@ -493,6 +540,20 @@ class TestTinyLr:
             assert err == (
                 f"data error: {path}: the likelihood ratio of 'ID' at smoothing "
                 "add-alpha(9.99989e-321) is past the largest float\n"
+            )
+
+    def test_positive_ratio_below_the_smallest_float_is_a_data_error(self, tmp_path):
+        path = tmp_path / "under.csv"
+        path.write_text(
+            f"statement,same_source_count,different_source_count\na,0,2\nb,{10**248},{10**138}\n",
+            encoding="utf-8",
+        )
+        for command, fmt in (("lr", []), ("lr", ["--format", "json"]), ("report", ["--format", "md"])):
+            code, out, err = invoke(command, "--table", str(path), "--smoothing", "alpha=1e-320", *fmt)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"data error: {path}: the likelihood ratio of 'a' at smoothing "
+                "add-alpha(9.99989e-321) is below the smallest float\n"
             )
 
 

@@ -149,6 +149,20 @@ class TestLikelihoodRatio:
         with pytest.raises(DataError, match=message):
             full_table_lrs(t, smoothing)
 
+    def test_positive_ratio_below_the_smallest_float_is_a_data_error(self):
+        # the LR of a is alpha (N2 + 2 alpha) / ((N1 + 2 alpha)(2 + alpha)), about 5e-431:
+        # positive, so its display is "1 / n", but it would round to the float 0
+        t = ConfusionTable(("a", "b"), (0, 10**248), (2, 10**138))
+        smoothing = SmoothingPolicy.add_alpha(1e-320)
+        message = r"^the likelihood ratio of 'a' at smoothing add-alpha\(9.99989e-321\) is below the smallest"
+        with pytest.raises(DataError, match=message):
+            likelihood_ratio(t, "a", smoothing)
+        with pytest.raises(DataError, match=message):
+            full_table_lrs(t, smoothing)
+        assert likelihood_ratio(t, "b", smoothing).lr == 1.0
+        # unsmoothed, the zero cell gives the exact LR 0, which is no error
+        assert likelihood_ratio(t, "a").lr == 0.0
+
     @given(
         n=st.integers(1, 1000),
         scale=st.tuples(st.integers(1, 50), st.integers(1, 50)),

@@ -105,6 +105,10 @@ REPORT = TABLE | {"catlr.report"}
 BOOTSTRAP = {"catlr.ingest", "catlr.binomratio", "catlr.uncertainty"}
 COMPUTE = {"catlr.ingest", "catlr.betaratio", "catlr.uncertainty"}
 
+# argparse and what it loads: catlr.cli parses its arguments from its own
+# table.  Where a site hook loads shutil before any code runs, the shutil
+# part of the check cannot fail.
+PARSER_MODULES = {"argparse", "gettext", "locale", "shutil"}
 
 # (argv, the catlr modules it loads, whether it loads json)
 COMMANDS = [
@@ -153,6 +157,15 @@ def test_command_loads_only_the_modules_it_runs(
     assert "numpy" not in loaded
     assert ("json" in loaded) == json_loaded
     assert "dataclasses" not in loaded
+    assert not loaded & PARSER_MODULES
+
+
+def test_usage_error_loads_no_parser_module():
+    code, out, err, loaded = cold_run("lr", "--table", "t.csv", "--format", "xml")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: argument --format: invalid choice: 'xml'")
+    assert {m for m in loaded if m.partition(".")[0] == "catlr"} == LIGHT
+    assert not loaded & PARSER_MODULES
 
 
 def test_import_catlr_loads_no_submodule():
