@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from itertools import chain, islice
-from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import ConfusionTable, DataError, GroundTruth
@@ -36,30 +36,76 @@ class IngestError(DataError):
 RAW_HEADER = ("examiner_id", "item_id", "ground_truth", "statement")
 AGGREGATED_HEADER = ("statement", "same_source_count", "different_source_count")
 
-_BLOCK_LINES = 4096  # input lines filtered, and raw rows counted, per block
+_BLOCK_LINES = 4096  # lines per block of a caller's lines, and tails the tail tier caches
+_CHUNK_CHARS = 1 << 16  # characters read per block of text catlr decodes itself
+
+# (physical line numbers, lines, their text or None): see _blocks
+_Block = tuple[Sequence[int], list[str], str | None]
 
 
-def _blocks(source: str | Iterable[str]) -> Iterator[tuple[Sequence[int], list[str]]]:
-    """(physical line numbers, lines) of the non-comment, non-blank lines of
-    ``source``, in non-empty blocks; a string splits into lines as an open file does.
+class _Decoded(io.TextIOWrapper):
+    """A file's text as catlr decodes it: UTF-8 with universal newlines.
+    ``_blocks`` cuts it by chunks; any other stream it reads by lines."""
 
-    A byte-order mark (U+FEFF) at the start of the first line is dropped, as
-    opening a file as ``utf-8-sig`` drops it."""
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else iter(source)
+
+def _blocks(source: str | Iterable[str]) -> Iterator[_Block]:
+    """(physical line numbers, lines, text) of the non-comment, non-blank
+    lines of ``source``, in non-empty blocks; a string splits into lines as
+    an open file does.
+
+    A string or a ``_Decoded`` file is read ``_CHUNK_CHARS`` characters at a
+    time, each block ending at the last line feed read, and its lines are
+    split there alone: each line feed ends a line, and ``text`` is the
+    block's lines joined.  Any other iterable's lines come ``_BLOCK_LINES``
+    at a time as they are, with ``text`` None.  A byte-order mark (U+FEFF)
+    at the start of the first line is dropped."""
     end = 0  # physical number of the last line read
-    while block := list(islice(lines, _BLOCK_LINES)):
+    for block, text in _cut(source):
         if end == 0 and block[0].startswith("\ufeff"):
             block[0] = block[0][1:]
+            text = None if text is None else text[1:]
         # "#" and every whitespace character sort below "$" or at "\x85" and
-        # above, so when every line starts between them none need stripping
-        if min(block) >= "$" and max(block) < "\x85":
-            yield range(end + 1, end + len(block) + 1), block
+        # above, so when every line starts between them none need stripping;
+        # no line of ASCII text starts at "\x85" or above
+        ascii_text = text is not None and text.isascii()
+        if min(block) >= "$" and (ascii_text or max(block) < "\x85"):
+            yield range(end + 1, end + len(block) + 1), block, text
         else:
             # a blank line's first character after lstrip is "", which is "in" "#" too
             numbers = [n for n, raw in enumerate(block, end + 1) if raw.lstrip()[:1] not in "#"]
             if numbers:
-                yield numbers, [block[n - end - 1] for n in numbers]
+                kept = [block[n - end - 1] for n in numbers]
+                yield numbers, kept, None if text is None else "".join(kept)
         end += len(block)
+
+
+def _cut(source: str | Iterable[str]) -> Iterator[tuple[list[str], str | None]]:
+    """(lines, their text) of ``source`` in non-empty blocks, as ``_blocks``
+    reads them; a line longer than a chunk is joined once from its pieces."""
+    if not isinstance(source, (str, _Decoded)):
+        lines = iter(source)
+        while block := list(islice(lines, _BLOCK_LINES)):
+            yield block, None
+        return
+    read = (io.StringIO(source, newline=None) if isinstance(source, str) else source).read
+    pieces: list[str] = []  # of the line read in part
+    while chunk := read(_CHUNK_CHARS):
+        end = chunk.rfind("\n") + 1
+        if end:
+            pieces.append(chunk[:end])
+            yield _split(pieces)
+            pieces = []
+        if end < len(chunk):
+            pieces.append(chunk[end:])
+    if pieces:
+        yield _split(pieces)
+
+
+def _split(pieces: list[str]) -> tuple[list[str], str]:
+    """(lines, text) of the text ``pieces`` join to, cut after each line feed
+    alone: str.splitlines would cut at form feeds and U+2028 too."""
+    text = "".join(pieces)
+    return io.StringIO(text, newline="\n").readlines(), text
 
 
 class _DataRows:
@@ -71,7 +117,7 @@ class _DataRows:
     the last block makes a quoted field still open there an error.
     """
 
-    def __init__(self, blocks: Iterable[tuple[Sequence[int], list[str]]]):
+    def __init__(self, blocks: Iterable[_Block]):
         self._numbers: Sequence[int] = ()  # physical numbers of the block's data lines
         self._before = 0  # lines the reader parsed before the current block
         self._closing = 0  # the reader's line_num at the closing newline, once read
@@ -87,7 +133,7 @@ class _DataRows:
         return self._rows
 
     def _lines(self, blocks) -> Iterator[Sequence[str]]:
-        for numbers, lines in blocks:
+        for numbers, lines, _ in blocks:
             self._before, self._numbers = self._reader.line_num, numbers
             yield lines
         # the closing newline is numbered as the last data line; it reads as an
@@ -202,30 +248,48 @@ def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> Confu
     )
 
 
-def _read_input(path: str | Path, read: Callable[[IO[str]], Any]) -> Any:
-    """``read`` of the lines of the input file at ``path``, the one rule for
-    every input file: UTF-8, a leading byte-order mark skipped, and each
-    DataError raised as it is read or its content used by ``read``, a decode
-    failure included, naming it."""
+def _read_input(path: str | os.PathLike, read: Callable[[IO[str]], Any]) -> Any:
+    """``read`` of the text of the input file at ``path``, the one rule for
+    every input file: UTF-8 with universal newlines, read as a ``_Decoded``
+    file, and every error of the read named as ``_naming`` names it.  The
+    reader of the text drops a leading byte-order mark."""
+
+    def read_file() -> Any:
+        with _Decoded(open(path, "rb"), encoding="utf-8") as text:
+            return read(text)
+
+    return _naming(path, read_file)
+
+
+def _naming(path: str | os.PathLike, call: Callable[[], Any]) -> Any:
+    """``call()``, each DataError it raises, a decode failure included,
+    raised again naming the input file at ``path``."""
     try:
-        with open(path, encoding="utf-8-sig") as lines:
-            return read(lines)
+        return call()
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
-def load_table(path: str | Path) -> ConfusionTable:
+def _study_name(path: str | os.PathLike) -> str:
+    """The name of the study in the file at ``path``: the file's stem, as
+    ``pathlib.PurePath(path).stem`` gives it."""
+    name = os.path.basename(os.fspath(path))
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
+
+
+def load_table(path: str | os.PathLike) -> ConfusionTable:
     """The aggregated table in the file at ``path``, named after the file's stem."""
     return use_table(path, lambda table: table)
 
 
-def use_table(path: str | Path, use: Callable[[ConfusionTable], Any]) -> Any:
+def use_table(path: str | os.PathLike, use: Callable[[ConfusionTable], Any]) -> Any:
     """``use`` of the table ``load_table(path)``: a DataError that ``use``
     raises about the table, such as a row with no observations, names the
     file as a read error does.  Check every other argument before."""
-    return _read_input(path, lambda lines: use(parse_aggregated(lines, Path(path).stem)))
+    return _read_input(path, lambda text: use(parse_aggregated(text, _study_name(path))))
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

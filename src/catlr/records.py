@@ -11,24 +11,25 @@ import sys
 from collections import Counter
 from itertools import chain, repeat
 from operator import itemgetter
-from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .ingest import (
     _BLOCK_LINES,
     RAW_HEADER,
     IngestError,
+    _Block,
     _blocks,
     _DataRows,
+    _Decoded,
+    _naming,
     _read_input,
+    _study_name,
     _table,
 )
 from .model import ConfusionTable, EvaluationRecord, GroundTruth
 
 if TYPE_CHECKING:
     from os import PathLike
-
-_Block = tuple[Sequence[int], list[str]]  # physical line numbers, lines (see ingest._blocks)
 
 _PART_BYTES = 1 << 20  # tally_file counts a file in parts of at least this many bytes
 
@@ -137,22 +138,23 @@ def _header(source: str | Iterable[str]) -> tuple[dict[str, int], Iterator[_Bloc
     """The columns the raw-records header of ``source`` names, and the blocks
     of data lines after it."""
     blocks = _blocks(source)
-    numbers, lines = next(blocks, ((), []))
+    first = numbers, lines, text = next(blocks, ((), [], None))
     # the header's reader may read on only to fail, naming the line parse_records would
-    columns = _raw_columns(_DataRows(chain([(numbers, lines)], blocks)))
+    columns = _raw_columns(_DataRows(chain([first], blocks)))
     # a header read without error is one line, so the rest of its block follows
-    return columns, chain([(numbers[1:], lines[1:])], blocks)
+    rest = None if text is None else text[len(lines[0]):]
+    return columns, chain([(numbers[1:], lines[1:], rest)], blocks)
 
 
 def _tail_counts(
     blocks: Iterator[_Block],
-    tails: Callable[[list[str]], Counter[tuple[GroundTruth, str]] | None],
+    tails: Callable[[_Block], Counter[tuple[GroundTruth, str]] | None],
     counts: Counter[tuple[GroundTruth, str]],
 ) -> _Block | None:
     """Add the tail tier's counts of ``blocks`` to ``counts`` up to the first
     block it declines, and return that block; None if it declines none."""
     for block in blocks:
-        found = tails(block[1])
+        found = tails(block)
         if found is None:
             return block
         counts.update(found)
@@ -176,7 +178,7 @@ def tally_file(path: str | PathLike) -> ConfusionTable:
     """
     import os
 
-    study_name = Path(path).stem
+    study_name = _study_name(path)
     counts = None
     if hasattr(os, "fork"):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -184,8 +186,8 @@ def tally_file(path: str | PathLike) -> ConfusionTable:
         if parts > 1 and _threads() == 1:
             counts = _forked_counts(path, parts)
     if counts is None:
-        return _read_input(path, lambda lines: tally_csv(lines, study_name))
-    return _read_input(path, lambda lines: _table(counts, None, study_name))
+        return _read_input(path, lambda text: tally_csv(text, study_name))
+    return _naming(path, lambda: _table(counts, None, study_name))
 
 
 def _threads() -> int:
@@ -213,7 +215,7 @@ def _forked_counts(path: str | PathLike, parts: int) -> Counter | None:
         cuts = _cuts(fd, parts)
         if len(cuts) < 3:
             return None
-        with _range_text(fd, 0, cuts[1], "utf-8-sig") as text:
+        with _range_text(fd, 0, cuts[1]) as text:
             try:
                 columns, blocks = _header(text)
             except (IngestError, UnicodeDecodeError):
@@ -261,7 +263,7 @@ def _send_part_counts(
     fd: int,
     start: int,
     end: int,
-    tails: Callable[[list[str]], Counter[tuple[GroundTruth, str]] | None],
+    tails: Callable[[_Block], Counter[tuple[GroundTruth, str]] | None],
     pipe_end: int,
 ) -> NoReturn:
     """In a forked child: count bytes ``start`` to ``end`` of the file open at
@@ -273,7 +275,7 @@ def _send_part_counts(
     status = 1
     try:
         counts: Counter[tuple[GroundTruth, str]] = Counter()
-        with _range_text(fd, start, end, "utf-8") as part:
+        with _range_text(fd, start, end) as part:
             declined = _tail_counts(_blocks(part), tails, counts)
         items = [(truth.value, statement, n) for (truth, statement), n in counts.items()]
         with open(pipe_end, "wb") as pipe:
@@ -305,11 +307,11 @@ def _cuts(fd: int, parts: int) -> list[int]:
     return [*cuts, size]
 
 
-def _range_text(fd: int, start: int, end: int, encoding: str) -> IO[str]:
-    """Bytes ``start`` to ``end`` of the file open at ``fd`` as text, read as
-    ``open`` reads a text file: universal newlines, in bounded memory.  It
-    reads with ``os.pread``, so forked readers of one descriptor share no
-    file position."""
+def _range_text(fd: int, start: int, end: int) -> _Decoded:
+    """Bytes ``start`` to ``end`` of the file open at ``fd`` as text, decoded
+    as ``_read_input`` decodes a file, in bounded memory.  It reads with
+    ``os.pread``, so forked readers of one descriptor share no file
+    position."""
     import io
     import os
 
@@ -324,14 +326,15 @@ def _range_text(fd: int, start: int, end: int, encoding: str) -> IO[str]:
             start += len(data)
             return len(data)
 
-    return io.TextIOWrapper(io.BufferedReader(Range()), encoding=encoding, newline=None)
+    return _Decoded(io.BufferedReader(Range()), encoding="utf-8")
 
 
 def _tail_counter(
     columns: dict[str, int],
-) -> Callable[[list[str]], Counter[tuple[GroundTruth, str]] | None]:
-    """The tail tier: a function from a block of data lines to the Counter of
-    their (truth, statement) pairs, or None where it declines.
+) -> Callable[[_Block], Counter[tuple[GroundTruth, str]] | None]:
+    """The tail tier: a function from a block of data lines (see
+    ``ingest._blocks``) to the Counter of their (truth, statement) pairs, or
+    None where it declines.
 
     Each line is cut at its ``skip``-th comma, ``skip`` being the lower of the
     two columns, and the pieces after the cut (the tails) are counted in C.
@@ -348,8 +351,13 @@ def _tail_counter(
     * its prefixes together, or failing that its longest line, are shorter
       than the field limit.
 
-    A block whose new tails would grow the cache past one block's worth of
-    lines is declined too.
+    The scans and the ``"`` count run on the block's text.  Where the
+    lines were split at line feeds, each LF ends its line and so lies in
+    its tail; a caller's lines come without their text, which is joined
+    and its LFs counted.
+
+    A block whose new tails would grow the cache past ``_BLOCK_LINES`` tails
+    is declined too.
     """
     at = columns["ground_truth"], columns["statement"]
     skip = min(at)
@@ -369,7 +377,8 @@ def _tail_counter(
             return None
         return _meaning(cells_of(cells))
 
-    def count(lines: list[str]) -> Counter[tuple[GroundTruth, str]] | None:
+    def count(block: _Block) -> Counter[tuple[GroundTruth, str]] | None:
+        _, lines, text = block
         try:
             # map over str.split runs faster than over a methodcaller
             tails = Counter(map(tail_of, map(str.split, lines, repeat(","), repeat(skip))))
@@ -383,12 +392,14 @@ def _tail_counter(
         keys = list(map(known.__getitem__, tails))
         if not all(keys):
             return None
-        text = "".join(lines)
+        if text is None:
+            text = "".join(lines)
+            if text.count("\n") != sum(n * tail.count("\n") for tail, n in tails.items()):
+                return None
         if "\r" in text or "\0" in text:
             return None
-        for c in '"\n':
-            if text.count(c) != sum(n * tail.count(c) for tail, n in tails.items()):
-                return None
+        if text.count('"') != sum(n * tail.count('"') for tail, n in tails.items()):
+            return None
         limit = csv.field_size_limit()
         prefixes = len(text) - sum(n * len(tail) for tail, n in tails.items())
         if prefixes >= limit and max(map(len, lines)) >= limit:

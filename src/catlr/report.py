@@ -17,7 +17,7 @@ has no defined value there either.
 from __future__ import annotations
 
 import math
-from pathlib import Path
+from os import PathLike
 from typing import Callable, Iterable, Sequence
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs, presentation_round
@@ -192,7 +192,7 @@ def check_report_options(smoothing: SmoothingPolicy, interval_method: str | None
 
 
 def build_report(
-    path: str | Path,
+    path: str | PathLike,
     output_format: str = "md",
     smoothing: SmoothingPolicy = NO_SMOOTHING,
     interval_method: str | None = None,

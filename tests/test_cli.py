@@ -436,6 +436,24 @@ class TestByteOrderMark:
         assert "\ufeff" not in out
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (("lr", "--table"), TABLE, "header \ufeff# a study matches no known schema"),
+            (("tally", "--in"), RECORDS, "line 1: header must contain column 'ground_truth'"),
+            (("simulate", "--profile"), PROFILE_CFG.lstrip(), "malformed profile config: "),
+        ],
+        ids=["lr", "tally", "simulate"],
+    )
+    def test_a_second_is_part_of_the_first_line(self, tmp_path, argv, content, message):
+        # the file is decoded as plain UTF-8 and its reader drops one mark,
+        # as for the file's text: the second mark makes a data error naming the file
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + content.encode("utf-8"))
+        code, out, err = invoke(*argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"data error: {path}: {message}")
+
 
 class TestTallyCommand:
     def test_writes_aggregated_table(self, records_csv, tmp_path):

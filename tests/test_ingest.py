@@ -6,13 +6,14 @@ import random
 import re
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import catlr.ingest
 import catlr.records
 from catlr.cli import run
 from catlr.ingest import (
@@ -20,6 +21,7 @@ from catlr.ingest import (
     IngestError,
     _blocks,
     _read_input,
+    _study_name,
     emit_aggregated,
     load_table,
     parse_aggregated,
@@ -27,7 +29,7 @@ from catlr.ingest import (
 from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
 from catlr.records import parse_records, tally, tally_csv, tally_file
 from catlr.report import read_display_fixture
-from catlr.simulate import RecordBatch, emit_records
+from catlr.simulate import RecordBatch, emit_records, load_profile
 
 SAME = GroundTruth.SAME_SOURCE
 DIFF = GroundTruth.DIFFERENT_SOURCE
@@ -274,7 +276,9 @@ class TestTallyCsvDifferential:
         )
     )
     def test_blocks_keep_the_lines_that_are_not_blank_once_stripped_nor_comments(self, lines):
-        kept = [(n, line) for numbers, block in _blocks(lines) for n, line in zip(numbers, block)]
+        kept = [
+            (n, line) for numbers, block, _ in _blocks(lines) for n, line in zip(numbers, block)
+        ]
         assert kept == [
             (n, line)
             for n, line in enumerate(lines, start=1)
@@ -1054,9 +1058,14 @@ class TestLoadTable:
 
 class TestReadInput:
     def test_reads_the_lines_with_a_byte_order_mark_skipped(self, tmp_path):
+        # the file decodes as plain UTF-8; the reader drops the one leading mark
         path = tmp_path / "input.csv"
         path.write_bytes(b"\xef\xbb\xbfa\nb\n")
-        assert _read_input(path, list) == ["a\n", "b\n"]
+        assert _read_input(path, list) == ["\ufeffa\n", "b\n"]
+        def lines(text):
+            return [line for _, block, _ in _blocks(text) for line in block]
+
+        assert _read_input(path, lines) == ["a\n", "b\n"]
 
     @pytest.mark.parametrize("error", [DataError, IngestError])
     def test_a_data_error_keeps_its_type_and_names_the_file(self, tmp_path, error):
@@ -1154,8 +1163,8 @@ class TestQuotedFieldOpenAtTheEnd:
 
 
 class TestLeadingByteOrderMark:
-    """Each reader skips a U+FEFF at the start of a string, or of the first of
-    an iterable's lines, as opening a file as ``utf-8-sig`` does."""
+    """Each reader skips one U+FEFF at the start of a string, of the first of
+    an iterable's lines, or of a file, which is decoded as plain UTF-8."""
 
     @pytest.mark.parametrize("as_lines", [False, True], ids=["string", "lines"])
     @pytest.mark.parametrize(
@@ -1173,3 +1182,133 @@ class TestLeadingByteOrderMark:
             return iter(text.splitlines(keepends=True)) if as_lines else text
 
         assert read(source("\ufeff" + text)) == read(source(text))
+
+    @pytest.mark.parametrize("marks", [1, 2], ids=["one mark", "two marks"])
+    @pytest.mark.parametrize(
+        "read_file, read_text, text",
+        [
+            (
+                load_table,
+                lambda t: parse_aggregated(t, "study"),
+                f"{AGGREGATED_HEADER}\nID,30,2\n",
+            ),
+            (tally_file, lambda t: tally_csv(t, "study"), f"{RAW_HEADER}\ne1,i1,same,ID\n"),
+            (
+                lambda path: _read_input(path, load_profile),
+                load_profile,
+                "[profile]\ncategories = A, B\np_given_h1 = 0.5, 0.5\n"
+                "p_given_h2 = 0.25, 0.75\nn_h1 = 3\nn_h2 = 4\n",
+            ),
+        ],
+        ids=["table", "records", "profile"],
+    )
+    def test_a_file_reads_as_its_text(self, tmp_path, read_file, read_text, text, marks):
+        # one mark is skipped; a second one is part of the first line, in a
+        # file as in its text, and the file's error names it
+        path = tmp_path / "study.csv"
+        path.write_bytes(("\ufeff" * marks + text).encode("utf-8"))
+        expected = _outcome(read_text, "\ufeff" * marks + text)
+        if type(expected) is tuple:
+            expected = (expected[0], f"{path}: {expected[1]}")
+        assert _outcome(read_file, path) == expected
+        assert (expected == read_text(text)) == (marks == 1)
+
+
+class TestStudyName:
+    @pytest.mark.parametrize(
+        "name", ["a.csv", "a", ".hidden", "a.", "a..", "a.b.csv", "d/a.csv", "d.x/a"]
+    )
+    def test_is_the_stem_of_the_file_name(self, name):
+        # a PurePath is an os.PathLike
+        assert _study_name(name) == _study_name(PurePath(name)) == PurePath(name).stem
+
+
+_EDGE_HEADER = "item_id,examiner_id,session,statement,ground_truth\n"
+
+
+def _edge_text(*middle: str) -> str:
+    """Raw-records text in the tail tier's layout, ``middle`` amid its rows."""
+    rows = [
+        f"it{n},ex{n % 3},s{n % 2},{_TIER_LABELS[n % 4]},{('same', 'nonmated')[n % 2]}\n"
+        for n in range(12)
+    ]
+    return _EDGE_HEADER + "".join(rows[:6]) + "".join(middle) + "".join(rows[6:])
+
+
+# name -> records text, read below in chunks of sizes that put a chunk edge
+# at or just before each character of the lines of interest
+_EDGE_CASES = {
+    "a line several chunks long": _edge_text(f"it1,{'e' * 150},s1,ID,same\n"),
+    "comment and blank lines": _edge_text("# c,d,e,f\n", "\n", "   \n", "  # x,y\n"),
+    "crlf": _edge_text().replace("\n", "\r\n"),
+    "lone cr": _edge_text().replace("\n", "\r"),
+    "no final line feed": _edge_text().rstrip("\n"),
+    "byte-order mark": "\ufeff" + _edge_text(),
+    "a quote in a prefix": _edge_text('it1,e"1,s1,ID,same\n'),
+    "a quoted prefix cell": _edge_text('it1,"e,1",s1,same,ID\n'),
+    "a NUL in a prefix": _edge_text("it1,e\x001,s1,ID,same\n"),
+    "a quoted field across lines": _edge_text('it1,e1,s1,"I\nD",same\n'),
+    "other line boundaries": _edge_text("it1,e\x0c1,s\u20281,ID,same\n"),
+    "a fault": _edge_text("it1,e1,s1,ID,maybe\n"),
+}
+_EDGE_FAULTS = ("a quoted prefix cell", "a quoted field across lines", "a fault")
+_CHUNKS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
+
+
+def _tallied(outcome):
+    """A tally's categories and counts, or the type and message of its error."""
+    if isinstance(outcome, ConfusionTable):
+        return outcome.categories, outcome.same_source, outcome.different_source
+    return outcome
+
+
+class TestChunkEdges:
+    """Text catlr decodes is read in chunks of ``_CHUNK_CHARS`` characters,
+    cut at line feeds; every reader agrees wherever the chunk edges fall."""
+
+    @pytest.mark.parametrize("case", _EDGE_CASES)
+    def test_file_text_lines_and_records_agree(self, tmp_path, monkeypatch, case):
+        # the same counts, or the same first error on the same line
+        text = _EDGE_CASES[case]
+        path = tmp_path / "records.csv"
+        path.write_bytes(text.encode("utf-8"))
+        # a caller's lines are read by lines, whatever the chunk size
+        lines = io.StringIO(text, newline=None).readlines()
+        expected = _tallied(_outcome(tally_csv, lines))
+        assert _tallied(_outcome(lambda t: tally(parse_records(t)), lines)) == expected
+        for chunk in _CHUNKS:
+            monkeypatch.setattr(catlr.ingest, "_CHUNK_CHARS", chunk)
+            assert _tallied(_outcome(tally_csv, text)) == expected
+            assert _tallied(_outcome(lambda t: tally(parse_records(t)), text)) == expected
+            from_file = _tallied(_outcome(tally_file, path))
+            if type(from_file) is tuple and from_file[0] is IngestError:
+                from_file = (IngestError, from_file[1].removeprefix(f"{path}: "))
+            assert from_file == expected
+        # csv.reader before Python 3.11 rejects a NUL anywhere
+        if "NUL" not in case:
+            assert (expected[0] is IngestError) == (case in _EDGE_FAULTS)
+
+    @pytest.mark.parametrize("chunk", _CHUNKS)
+    def test_blocks_end_at_line_feeds_and_carry_their_text(self, monkeypatch, chunk):
+        monkeypatch.setattr(catlr.ingest, "_CHUNK_CHARS", chunk)
+        text = "".join(_EDGE_CASES.values())
+        blocks = list(_blocks(text))
+        for _, lines, block_text in blocks[:-1]:
+            assert block_text == "".join(lines) and block_text.endswith("\n")
+        assert blocks[-1][2] == "".join(blocks[-1][1])
+        # the lines and numbers a caller's lines give, in blocks of their own
+        by_lines = list(_blocks(io.StringIO(text, newline=None).readlines()))
+        assert all(block_text is None for *_, block_text in by_lines)
+        kept = [(n, line) for numbers, lines, _ in blocks for n, line in zip(numbers, lines)]
+        assert kept == [
+            (n, line) for numbers, lines, _ in by_lines for n, line in zip(numbers, lines)
+        ]
+
+    def test_a_callers_stream_is_read_by_its_lines(self, tmp_path, monkeypatch):
+        # a file opened with newline="" ends its lines at each lone CR, which
+        # the csv module reads as a line end
+        monkeypatch.setattr(catlr.ingest, "_CHUNK_CHARS", 5)
+        path = tmp_path / "records.csv"
+        path.write_bytes(_edge_text().replace("\n", "\r").encode("utf-8"))
+        with open(path, encoding="utf-8", newline="") as stream:
+            assert tally_csv(stream) == tally_csv(_edge_text())

@@ -110,6 +110,11 @@ COMPUTE = {"catlr.ingest", "catlr.betaratio", "catlr.uncertainty"}
 # part of the check cannot fail.
 PARSER_MODULES = {"argparse", "gettext", "locale", "shutil"}
 
+# catlr names a study after its file with os.path, and its reader drops a
+# leading byte-order mark from text decoded as plain UTF-8.  Where a site
+# hook loads pathlib before any code runs, the pathlib part cannot fail.
+FILE_MODULES = {"pathlib", "encodings.utf_8_sig"}
+
 # (argv, the catlr modules it loads, whether it loads json)
 COMMANDS = [
     (("lr", "--table", "{table}"), TABLE, False),
@@ -158,6 +163,7 @@ def test_command_loads_only_the_modules_it_runs(
     assert ("json" in loaded) == json_loaded
     assert "dataclasses" not in loaded
     assert not loaded & PARSER_MODULES
+    assert not loaded & FILE_MODULES
 
 
 def test_usage_error_loads_no_parser_module():

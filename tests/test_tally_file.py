@@ -64,17 +64,29 @@ def outcome(tally):
     return [table.categories, table.same_source, table.different_source, table.study_name]
 
 def serial():
-    return ingest._read_input(path, lambda lines: records.tally_csv(lines, "records"))
+    return ingest._read_input(path, lambda text: records.tally_csv(text, "records"))
+
+def by_lines():
+    # a caller's stream is read by its lines, whatever the chunk size
+    with open(path, encoding="utf-8") as stream:
+        return records.tally_csv(stream, "records")
 
 path = sys.argv[2]
-if sys.argv[3:] == ["thread"]:
+ingest._CHUNK_CHARS = int(sys.argv[3])  # characters read at a time
+if sys.argv[4:] == ["thread"]:
     import threading
     stop = threading.Event()
     threading.Thread(target=stop.wait).start()
 forked = outcome(lambda: records.tally_file(path))
-if sys.argv[3:] == ["thread"]:
+if sys.argv[4:] == ["thread"]:
     stop.set()
-result = {"forked": forked, "serial": outcome(serial), "forks": forks, "unreaped": unreaped()}
+result = {
+    "forked": forked,
+    "serial": outcome(serial),
+    "lines": outcome(by_lines),
+    "forks": forks,
+    "unreaped": unreaped(),
+}
 print(json.dumps(result))
 """
 
@@ -117,6 +129,11 @@ def _rows(count: int, every: str = "") -> str:
     )
 
 
+def _amid(line: str) -> bytes:
+    """A records file with ``line`` between its 500th and 501st data lines."""
+    return (_HEADER + _rows(500) + line + _rows(500)).encode()
+
+
 _PREAMBLE = "# a preamble longer than the first part\n" * 1600
 
 # name -> (file bytes, whether tally_file forks)
@@ -132,21 +149,36 @@ _CASES = {
     "header_after_a_long_preamble": ((_PREAMBLE + _HEADER + _rows(1000)).encode(), False),
     "header_only": (_HEADER.encode(), False),
     "header_then_only_comments": ((_HEADER + _PREAMBLE).encode(), True),
+    "two_byte_order_marks": (b"\xef\xbb\xbf" * 2 + (_HEADER + _rows(1000)).encode(), False),
+    "a_line_longer_than_a_part": (_amid(f"i,{'e' * 5000},ID,same\n"), True),
+    "quote_in_a_prefix": (_amid('i,e"1,ID,same\n'), True),
+    "quoted_prefix_cell": (_amid('i,"e,1",same,ID\n'), True),
+    "nul_in_a_prefix": (_amid("i,e\x001,ID,same\n"), True),
+    "quoted_field_across_lines": (_amid('i,e,"I\nD",same\n'), True),
 }
 
+# characters read at a time: the reader's own chunk size, and one that cuts
+# every line several times
+_CHUNKS = {"chunk_default": 1 << 16, "chunk_7": 7}
 
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("case", _CASES)
-def test_tally_file_equals_tally_csv(tmp_path, case, cpus):
+def test_tally_file_equals_tally_csv(tmp_path, case, cpus, chunk):
     data, forks = _CASES[case]
     path = tmp_path / "records.csv"
     path.write_bytes(data)
-    result = _run(_TALLY, cpus, path)
+    result = _run(_TALLY, cpus, path, _CHUNKS[chunk])
     assert result["forked"] == result["serial"]
     if isinstance(result["forked"][0], str):  # an error, which names the file
-        assert result["forked"][1].startswith(f"{path}: ")
+        kind, message = result["forked"]
+        assert message.startswith(f"{path}: ")
+        if result["lines"][0] != "UnicodeDecodeError":  # an error of the content
+            assert result["lines"] == [kind, message.removeprefix(f"{path}: ")]
     else:  # a table, named after the file's stem
         assert result["forked"][3] == "records"
+        assert result["lines"] == result["forked"]
     assert (result["forks"] > 0) == forks
     assert result["forks"] < cpus
     assert not result["unreaped"]
@@ -161,7 +193,7 @@ def test_a_part_starting_with_a_byte_order_mark_is_not_cut_there(tmp_path):
     marked = b"\xef\xbb\xbf#" + b"x" * (len(line) - 5) + b"\n"
     path = tmp_path / "records.csv"
     path.write_bytes(text[:cut] + marked + text[cut + len(line):])
-    result = _run(_TALLY, 2, path)
+    result = _run(_TALLY, 2, path, 1 << 16)
     assert result["serial"][0] == "IngestError"
     assert (result["forked"], result["forks"]) == (result["serial"], 0)
 
@@ -169,7 +201,7 @@ def test_a_part_starting_with_a_byte_order_mark_is_not_cut_there(tmp_path):
 def test_a_second_thread_keeps_the_count_in_one_process(tmp_path):
     path = tmp_path / "records.csv"
     path.write_bytes((_HEADER + _rows(1000)).encode())
-    result = _run(_TALLY, 2, path, "thread")
+    result = _run(_TALLY, 2, path, 1 << 16, "thread")
     assert result["forked"] == result["serial"]
     assert result["forks"] == 0
 
