@@ -7,9 +7,9 @@ an iterable's lines):
 * raw records:  header ``examiner_id,item_id,ground_truth,statement``,
   one row per evaluation.  Extra columns are ignored.  Ground-truth
   tokens are ``same`` / ``different``; the aliases ``mated`` /
-  ``nonmated`` are accepted and normalized on read.  They are parsed and
-  tallied by ``catlr.records``, over the reader here, and written by
-  ``catlr.simulate.emit_records``.
+  ``nonmated`` are accepted and normalized on read.  They are parsed by
+  ``catlr.records`` over the line reader here, tallied by its bytes reader
+  under the same rules, and written by ``catlr.simulate.emit_records``.
 * aggregated:   header ``statement,same_source_count,different_source_count``,
   one row per category, file order = category order.
 
@@ -36,76 +36,33 @@ class IngestError(DataError):
 RAW_HEADER = ("examiner_id", "item_id", "ground_truth", "statement")
 AGGREGATED_HEADER = ("statement", "same_source_count", "different_source_count")
 
-_BLOCK_LINES = 4096  # lines per block of a caller's lines, and tails the tail tier caches
-_CHUNK_CHARS = 1 << 16  # characters read per block of text catlr decodes itself
+_BLOCK_LINES = 4096  # lines read per block, and tails the tail tier of catlr.records caches
 
-# (physical line numbers, lines, their text or None): see _blocks
-_Block = tuple[Sequence[int], list[str], str | None]
-
-
-class _Decoded(io.TextIOWrapper):
-    """A file's text as catlr decodes it: UTF-8 with universal newlines.
-    ``_blocks`` cuts it by chunks; any other stream it reads by lines."""
+# (physical line numbers, lines): see _blocks
+_Block = tuple[Sequence[int], list[str]]
 
 
 def _blocks(source: str | Iterable[str]) -> Iterator[_Block]:
-    """(physical line numbers, lines, text) of the non-comment, non-blank
-    lines of ``source``, in non-empty blocks; a string splits into lines as
-    an open file does.
+    """(physical line numbers, lines) of the non-comment, non-blank lines of
+    ``source``, in non-empty blocks of up to ``_BLOCK_LINES`` lines read; a
+    string splits into lines as an open file does.
 
-    A string or a ``_Decoded`` file is read ``_CHUNK_CHARS`` characters at a
-    time, each block ending at the last line feed read, and its lines are
-    split there alone: each line feed ends a line, and ``text`` is the
-    block's lines joined.  Any other iterable's lines come ``_BLOCK_LINES``
-    at a time as they are, with ``text`` None.  A byte-order mark (U+FEFF)
-    at the start of the first line is dropped."""
+    A byte-order mark (U+FEFF) at the start of the first line is dropped."""
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else iter(source)
     end = 0  # physical number of the last line read
-    for block, text in _cut(source):
+    while block := list(islice(lines, _BLOCK_LINES)):
         if end == 0 and block[0].startswith("\ufeff"):
             block[0] = block[0][1:]
-            text = None if text is None else text[1:]
         # "#" and every whitespace character sort below "$" or at "\x85" and
-        # above, so when every line starts between them none need stripping;
-        # no line of ASCII text starts at "\x85" or above
-        ascii_text = text is not None and text.isascii()
-        if min(block) >= "$" and (ascii_text or max(block) < "\x85"):
-            yield range(end + 1, end + len(block) + 1), block, text
+        # above, so when every line starts between them none need stripping
+        if min(block) >= "$" and max(block) < "\x85":
+            yield range(end + 1, end + len(block) + 1), block
         else:
             # a blank line's first character after lstrip is "", which is "in" "#" too
             numbers = [n for n, raw in enumerate(block, end + 1) if raw.lstrip()[:1] not in "#"]
             if numbers:
-                kept = [block[n - end - 1] for n in numbers]
-                yield numbers, kept, None if text is None else "".join(kept)
+                yield numbers, [block[n - end - 1] for n in numbers]
         end += len(block)
-
-
-def _cut(source: str | Iterable[str]) -> Iterator[tuple[list[str], str | None]]:
-    """(lines, their text) of ``source`` in non-empty blocks, as ``_blocks``
-    reads them; a line longer than a chunk is joined once from its pieces."""
-    if not isinstance(source, (str, _Decoded)):
-        lines = iter(source)
-        while block := list(islice(lines, _BLOCK_LINES)):
-            yield block, None
-        return
-    read = (io.StringIO(source, newline=None) if isinstance(source, str) else source).read
-    pieces: list[str] = []  # of the line read in part
-    while chunk := read(_CHUNK_CHARS):
-        end = chunk.rfind("\n") + 1
-        if end:
-            pieces.append(chunk[:end])
-            yield _split(pieces)
-            pieces = []
-        if end < len(chunk):
-            pieces.append(chunk[end:])
-    if pieces:
-        yield _split(pieces)
-
-
-def _split(pieces: list[str]) -> tuple[list[str], str]:
-    """(lines, text) of the text ``pieces`` join to, cut after each line feed
-    alone: str.splitlines would cut at form feeds and U+2028 too."""
-    text = "".join(pieces)
-    return io.StringIO(text, newline="\n").readlines(), text
 
 
 class _DataRows:
@@ -133,7 +90,7 @@ class _DataRows:
         return self._rows
 
     def _lines(self, blocks) -> Iterator[Sequence[str]]:
-        for numbers, lines, _ in blocks:
+        for numbers, lines in blocks:
             self._before, self._numbers = self._reader.line_num, numbers
             yield lines
         # the closing newline is numbered as the last data line; it reads as an
@@ -249,14 +206,14 @@ def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> Confu
 
 
 def _read_input(path: str | os.PathLike, read: Callable[[IO[str]], Any]) -> Any:
-    """``read`` of the text of the input file at ``path``, the one rule for
-    every input file: UTF-8 with universal newlines, read as a ``_Decoded``
-    file, and every error of the read named as ``_naming`` names it.  The
-    reader of the text drops a leading byte-order mark."""
+    """``read`` of the lines of the input file at ``path``, the one rule for
+    every input file: UTF-8 with universal newlines, and every error of the
+    read named as ``_naming`` names it.  The reader of the lines drops a
+    leading byte-order mark."""
 
     def read_file() -> Any:
-        with _Decoded(open(path, "rb"), encoding="utf-8") as text:
-            return read(text)
+        with open(path, encoding="utf-8") as lines:
+            return read(lines)
 
     return _naming(path, read_file)
 

@@ -1,15 +1,26 @@
 """Raw per-evaluation records: parsing and tallying.
 
 The raw-records schema and the reading rules it shares with the aggregated
-schema are described in ``catlr.ingest``, which this module reads through.
+schema are described in ``catlr.ingest``, whose line reader
+``parse_records`` and the checked scan read through.
+
+``tally_csv`` and ``tally_file`` count bytes instead (``_cut``, ``_kept``):
+a file read a chunk at a time, with ``os.pread`` for each part of a forked
+count; a string encoded once; a caller's lines encoded a block at a time.
+The bytes reader applies the same rules: universal newlines, the one
+leading byte-order mark, and the ``str.lstrip`` comment rule.  It decodes
+only each distinct line tail, each non-ASCII block of a file (to check that
+it is UTF-8), the lines of a block that may hold a comment or a blank line,
+and the blocks it hands to the checked scan.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import sys
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -20,9 +31,7 @@ from .ingest import (
     _Block,
     _blocks,
     _DataRows,
-    _Decoded,
     _naming,
-    _read_input,
     _study_name,
     _table,
 )
@@ -32,6 +41,10 @@ if TYPE_CHECKING:
     from os import PathLike
 
 _PART_BYTES = 1 << 20  # tally_file counts a file in parts of at least this many bytes
+_CHUNK_BYTES = 1 << 16  # bytes read at a time from a file or an encoded string
+
+# (physical line numbers, lines, their bytes or None): see _kept
+_Lines = tuple[Sequence[int], list[bytes], bytes | None]
 
 _TRUTH_TOKENS = {
     "same": GroundTruth.SAME_SOURCE,
@@ -117,77 +130,76 @@ def tally_csv(source: str | Iterable[str], study_name: str = "") -> ConfusionTab
     Equals ``tally(parse_records(source), study_name=study_name)``, with the
     same errors, in memory that does not grow with the number of rows.
 
-    Blocks of data lines are counted by the tail tier (``_tail_counter``),
-    which runs Python code per distinct line tail, not per row, until the
-    first block it declines.  From that block on, the checked scan that
+    The rows are read as bytes (``_kept``), and blocks of data lines are
+    counted by the tail tier (``_tail_counts``), which runs Python code per
+    distinct line tail, not per row, until the first block it declines.
+    From that block on, the lines are decoded and the checked scan that
     ``parse_records`` reads through counts every row and names the line of
     any fault.  ``tally_file`` counts a large file on every CPU.
+
+    A caller's lines, an open text file among them, are encoded before they
+    are counted, which costs more than a string of the same text: prefer
+    ``tally_file`` for a file, or pass its text.
     """
-    columns, blocks = _header(source)
-    counts: Counter[tuple[GroundTruth, str]] = Counter()
-    declined = _tail_counts(blocks, _tail_counter(columns), counts)
+    return _table(_counts(_source_lines(source)), None, study_name)
+
+
+def _counts(blocks: Iterator[_Lines]) -> Counter[tuple[GroundTruth, str]]:
+    """The (truth, statement) counts of the raw-records ``blocks``."""
+    columns, blocks = _header(blocks)
+    counts, declined = _tail_counts(blocks, columns)
     if declined is not None:
         # As no row the tail tier counts spans lines, a scan starting at the
         # block it declines parses it as one that read every line before would.
-        rows = _DataRows(chain([declined], blocks))
+        rows = _DataRows(map(_decoded, chain([declined], blocks)))
         counts.update(map(itemgetter(1), _checked_records(rows, columns)))
-    return _table(counts, None, study_name)
+    return counts
 
 
-def _header(source: str | Iterable[str]) -> tuple[dict[str, int], Iterator[_Block]]:
-    """The columns the raw-records header of ``source`` names, and the blocks
+def _header(blocks: Iterator[_Lines]) -> tuple[dict[str, int], Iterator[_Lines]]:
+    """The columns the raw-records header of ``blocks`` names, and the blocks
     of data lines after it."""
-    blocks = _blocks(source)
-    first = numbers, lines, text = next(blocks, ((), [], None))
+    first = numbers, lines, data = next(blocks, ((), [], None))
     # the header's reader may read on only to fail, naming the line parse_records would
-    columns = _raw_columns(_DataRows(chain([first], blocks)))
+    columns = _raw_columns(_DataRows(map(_decoded, chain([first], blocks))))
     # a header read without error is one line, so the rest of its block follows
-    rest = None if text is None else text[len(lines[0]):]
+    rest = None if data is None else data[len(lines[0]):]
     return columns, chain([(numbers[1:], lines[1:], rest)], blocks)
-
-
-def _tail_counts(
-    blocks: Iterator[_Block],
-    tails: Callable[[_Block], Counter[tuple[GroundTruth, str]] | None],
-    counts: Counter[tuple[GroundTruth, str]],
-) -> _Block | None:
-    """Add the tail tier's counts of ``blocks`` to ``counts`` up to the first
-    block it declines, and return that block; None if it declines none."""
-    for block in blocks:
-        found = tails(block)
-        if found is None:
-            return block
-        counts.update(found)
-    return None
 
 
 def tally_file(path: str | PathLike) -> ConfusionTable:
     """Tally the raw-records file at ``path`` on every available CPU into a
     table named after the file's stem.
 
-    Equals ``tally_csv`` of the file as ``ingest._read_input`` reads it,
-    with the same errors, each naming the file.  The file is cut just after
-    a line feed into one part per CPU, each of at least ``_PART_BYTES``.
-    This process counts the first part with the tail tier and a forked
-    child each other part, and the counts are merged in file order.  If the
-    tail tier declines any part, a part is not valid UTF-8 or a child dies,
-    ``tally_csv`` reads the whole file again, so a late fault costs a
-    second read.  With one CPU, no ``os.fork``, a thread besides this one,
-    or a file under two parts, only ``tally_csv`` runs.  As it forks, it is
-    meant for a single-threaded caller such as the CLI.
+    Equals ``tally_csv`` of the file's text as ``ingest._read_input`` reads
+    it, with the same error, naming the file, where the file holds one
+    fault.  Where a row that fails comes before bytes that are not UTF-8,
+    each names the fault it reads first, and this reads 64 KiB at a time
+    where ``_read_input`` reads 4096 lines.  The file is cut just
+    after a line feed into one part per CPU, each of at least
+    ``_PART_BYTES``.  This process counts the first part with the tail tier
+    and a forked child each other part, and the counts are merged in file
+    order.  If the tail tier declines any part, a part is not valid UTF-8
+    or a child dies, the whole file is counted again in this process, so a
+    late fault costs a second read.  With one CPU, no ``os.fork``, a thread
+    besides this one, or a file under two parts, only that count runs.  As
+    it forks, it is meant for a single-threaded caller such as the CLI.
     """
     import os
 
     study_name = _study_name(path)
-    counts = None
-    if hasattr(os, "fork"):
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        parts = min(cpus or 1, os.stat(path).st_size // _PART_BYTES)
-        if parts > 1 and _threads() == 1:
-            counts = _forked_counts(path, parts)
-    if counts is None:
-        return _read_input(path, lambda text: tally_csv(text, study_name))
-    return _naming(path, lambda: _table(counts, None, study_name))
+
+    def count() -> Counter[tuple[GroundTruth, str]]:
+        with open(path, "rb", buffering=0) as file:
+            counts = None
+            if hasattr(os, "fork"):
+                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+                parts = min(cpus or 1, os.fstat(file.fileno()).st_size // _PART_BYTES)
+                if parts > 1 and _threads() == 1:
+                    counts = _forked_counts(file.fileno(), parts)
+            return _counts(_kept(_cut(file.read), check=True)) if counts is None else counts
+
+    return _naming(path, lambda: _table(count(), None, study_name))
 
 
 def _threads() -> int:
@@ -201,44 +213,40 @@ def _threads() -> int:
         return threading.active_count() if threading else 1
 
 
-def _forked_counts(path: str | PathLike, parts: int) -> Counter | None:
-    """The (truth, statement) counts of the file at ``path``, counted in up to
-    ``parts`` parts by this process and forked children; None where a part
-    is declined by the tail tier or fails."""
+def _forked_counts(fd: int, parts: int) -> Counter | None:
+    """The (truth, statement) counts of the file open at ``fd``, counted in up
+    to ``parts`` parts by this process and forked children; None where a
+    part is declined by the tail tier or fails."""
     import marshal
     import os
-    import signal
 
-    fd = os.open(path, os.O_RDONLY)
     children: list[tuple[int, IO[bytes]]] = []  # (pid, its pipe), not yet reaped
     try:
         cuts = _cuts(fd, parts)
         if len(cuts) < 3:
             return None
-        with _range_text(fd, 0, cuts[1]) as text:
+        try:
+            columns, blocks = _header(_part_lines(fd, 0, cuts[1]))
+        except (IngestError, UnicodeDecodeError):
+            return None
+        for start, end in zip(cuts[1:], cuts[2:]):
+            read_end, write_end = os.pipe()
             try:
-                columns, blocks = _header(text)
-            except (IngestError, UnicodeDecodeError):
-                return None
-            tails = _tail_counter(columns)
-            for start, end in zip(cuts[1:], cuts[2:]):
-                read_end, write_end = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:  # no process to spare: this one reads the whole file
-                    os.close(read_end)
-                    os.close(write_end)
-                    return None
-                if pid == 0:  # the child counts its part and exits
-                    _send_part_counts(fd, start, end, tails, write_end)
+                pid = os.fork()
+            except OSError:  # no process to spare: this one reads the whole file
+                os.close(read_end)
                 os.close(write_end)
-                children.append((pid, open(read_end, "rb")))
-            counts: Counter[tuple[GroundTruth, str]] = Counter()
-            try:
-                if _tail_counts(blocks, tails, counts) is not None:
-                    return None
-            except UnicodeDecodeError:
                 return None
+            if pid == 0:  # the child counts its part and exits
+                _send_part_counts(fd, start, end, columns, write_end)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        try:
+            counts, declined = _tail_counts(blocks, columns)
+        except UnicodeDecodeError:
+            return None
+        if declined is not None:
+            return None
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -252,18 +260,20 @@ def _forked_counts(path: str | PathLike, parts: int) -> Counter | None:
                 counts[GroundTruth(truth), statement] += n
         return counts
     finally:
-        for pid, pipe in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-        os.close(fd)
+        if children:  # left unreaped by an early return or an error
+            import signal
+
+            for pid, pipe in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
 
 
 def _send_part_counts(
     fd: int,
     start: int,
     end: int,
-    tails: Callable[[_Block], Counter[tuple[GroundTruth, str]] | None],
+    columns: dict[str, int],
     pipe_end: int,
 ) -> NoReturn:
     """In a forked child: count bytes ``start`` to ``end`` of the file open at
@@ -274,9 +284,7 @@ def _send_part_counts(
 
     status = 1
     try:
-        counts: Counter[tuple[GroundTruth, str]] = Counter()
-        with _range_text(fd, start, end) as part:
-            declined = _tail_counts(_blocks(part), tails, counts)
+        counts, declined = _tail_counts(_part_lines(fd, start, end), columns)
         items = [(truth.value, statement, n) for (truth, statement), n in counts.items()]
         with open(pipe_end, "wb") as pipe:
             marshal.dump(None if declined else items, pipe)
@@ -289,7 +297,7 @@ def _cuts(fd: int, parts: int) -> list[int]:
     """Offsets cutting the file open at ``fd`` into up to ``parts`` parts of
     about equal size, from 0 to its size; each other cut falls just after a
     line feed, and no part but the first starts with a byte-order mark,
-    which ``_blocks`` would drop."""
+    which ``_kept`` would drop."""
     import os
 
     size = os.fstat(fd).st_size
@@ -307,67 +315,154 @@ def _cuts(fd: int, parts: int) -> list[int]:
     return [*cuts, size]
 
 
-def _range_text(fd: int, start: int, end: int) -> _Decoded:
-    """Bytes ``start`` to ``end`` of the file open at ``fd`` as text, decoded
-    as ``_read_input`` decodes a file, in bounded memory.  It reads with
-    ``os.pread``, so forked readers of one descriptor share no file
-    position."""
-    import io
+def _part_lines(fd: int, start: int, end: int) -> Iterator[_Lines]:
+    """The blocks of data lines of bytes ``start`` to ``end`` of the file open
+    at ``fd``, each checked to be UTF-8.  It reads with ``os.pread``, so
+    forked readers of one descriptor share no file position."""
     import os
 
-    class Range(io.RawIOBase):
-        def readable(self) -> bool:
-            return True
+    def read(size: int) -> bytes:
+        nonlocal start
+        data = os.pread(fd, min(size, end - start), start)
+        start += len(data)
+        return data
 
-        def readinto(self, buffer) -> int:
-            nonlocal start
-            data = os.pread(fd, min(len(buffer), end - start), start)
-            buffer[: len(data)] = data
-            start += len(data)
-            return len(data)
-
-    return _Decoded(io.BufferedReader(Range()), encoding="utf-8")
+    return _kept(_cut(read), check=True)
 
 
-def _tail_counter(
-    columns: dict[str, int],
-) -> Callable[[_Block], Counter[tuple[GroundTruth, str]] | None]:
-    """The tail tier: a function from a block of data lines (see
-    ``ingest._blocks``) to the Counter of their (truth, statement) pairs, or
-    None where it declines.
+def _source_lines(source: str | Iterable[str]) -> Iterator[_Lines]:
+    """The blocks of data lines of ``source`` as bytes: a string is encoded
+    once and cut as a file is; a caller's lines are encoded
+    ``_BLOCK_LINES`` at a time, each line kept as given.  A lone surrogate
+    is encoded as itself ("surrogatepass"), so ``_decoded`` gives back
+    every line as it was."""
+    if isinstance(source, str):
+        return _kept(_cut(io.BytesIO(source.encode("utf-8", "surrogatepass")).read))
+
+    def encoded(lines: Iterator[str]) -> Iterator[tuple[list[bytes], None]]:
+        while block := list(islice(lines, _BLOCK_LINES)):
+            yield [line.encode("utf-8", "surrogatepass") for line in block], None
+
+    return _kept(encoded(iter(source)))
+
+
+def _cut(read: Callable[[int], bytes]) -> Iterator[tuple[list[bytes], bytes]]:
+    """(lines, their bytes) of what ``read`` returns, ``_CHUNK_BYTES`` at a
+    time, in non-empty blocks that each end at the last line feed read.
+
+    Newlines are universal, as a text file reads them: a CRLF, or a lone
+    CR, reads as one line feed, a CRLF also where a chunk ends between its
+    two bytes.  A line longer than a chunk is joined once from its pieces."""
+    pieces: list[bytes] = []  # of the line read in part
+    held = False  # whether the last chunk ended at a CR, which may start a CRLF
+    while chunk := read(_CHUNK_BYTES):
+        if held:
+            chunk = b"\r" + chunk
+        held = chunk.endswith(b"\r")
+        if held:
+            chunk = chunk[:-1]
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        end = chunk.rfind(b"\n") + 1
+        if end:
+            pieces.append(chunk[:end])
+            data = b"".join(pieces)
+            yield io.BytesIO(data).readlines(), data
+            pieces = []
+        if end < len(chunk):
+            pieces.append(chunk[end:])
+    if held:
+        pieces.append(b"\n")
+    if pieces:
+        data = b"".join(pieces)
+        yield io.BytesIO(data).readlines(), data
+
+
+def _kept(
+    blocks: Iterable[tuple[list[bytes], bytes | None]], check: bool = False
+) -> Iterator[_Lines]:
+    """(physical line numbers, lines, their bytes or None) of the lines of
+    ``blocks`` that are neither comments nor blank, in non-empty blocks, by
+    the rules of ``ingest._blocks``: a byte-order mark at the start of the
+    first line is dropped, and a line whose text, ``str.lstrip``-ped, is
+    empty or starts with "#" is skipped.  With ``check``, each block that is
+    not ASCII is decoded, to raise UnicodeDecodeError where it is not UTF-8."""
+    end = 0  # physical number of the last line read
+    for lines, data in blocks:
+        if end == 0 and lines[0].startswith(b"\xef\xbb\xbf"):
+            lines[0] = lines[0][3:]
+            data = None if data is None else data[3:]
+        ascii_data = data is not None and data.isascii()
+        if check and not ascii_data:
+            data.decode()
+        # "#" and the UTF-8 of every whitespace character start below "$" or
+        # at b"\xc2" and above, so when every line starts between them none
+        # need stripping; no line of ASCII bytes starts at b"\x80" or above
+        if min(lines) >= b"$" and (ascii_data or max(lines) < b"\xc2"):
+            yield range(end + 1, end + len(lines) + 1), lines, data
+        else:
+            # a blank line's first character after lstrip is "", which is
+            # "in" "#" too
+            numbers = [
+                n for n, raw in enumerate(lines, end + 1)
+                if raw.decode("utf-8", "surrogatepass").lstrip()[:1] not in "#"
+            ]
+            if numbers:
+                kept = [lines[n - end - 1] for n in numbers]
+                yield numbers, kept, None if data is None else b"".join(kept)
+        end += len(lines)
+
+
+def _decoded(block: _Lines) -> _Block:
+    """The block of text lines, for the checked scan, of a block of bytes lines.
+
+    A lone surrogate of a caller's text, which ``_source_lines`` encodes as
+    itself, decodes as itself; a file's blocks were checked by ``_kept``."""
+    numbers, lines, _ = block
+    return numbers, [line.decode("utf-8", "surrogatepass") for line in lines]
+
+
+def _tail_counts(
+    blocks: Iterator[_Lines], columns: dict[str, int]
+) -> tuple[Counter[tuple[GroundTruth, str]], _Lines | None]:
+    """The tail tier: the (truth, statement) counts of the blocks of bytes
+    data lines ``blocks`` (see ``_kept``) up to the first block it declines,
+    and that block; None if it declines none.
 
     Each line is cut at its ``skip``-th comma, ``skip`` being the lower of the
     two columns, and the pieces after the cut (the tails) are counted in C.
-    Each new tail is parsed once by csv.reader, and its (truth, statement)
-    meaning cached: None unless it reads as one whole row on one line with
-    enough cells and a valid pair.  The cut falls where csv.reader splits
-    the line if the text before it (the prefix) holds no ``"``, CR or LF and
-    no prefix field reaches the csv field limit.  So a block is counted only
-    when
+    Each new tail is decoded and parsed once by csv.reader, and its (truth,
+    statement) meaning cached: None unless it reads as one whole row on one
+    line with enough cells and a valid pair.  No byte of a multi-byte UTF-8
+    character is a comma, quote, CR, LF or NUL, so the cut falls where
+    csv.reader splits the decoded line if the text before it (the prefix)
+    holds no ``"``, CR or LF and no prefix field reaches the csv field
+    limit.  So a block is counted only when
 
     * every line has a tail, and every tail a meaning;
     * every ``"`` and LF of the block lies in a tail, and it holds no CR or
       NUL (csv.reader before Python 3.11 rejects a NUL anywhere);
     * its prefixes together, or failing that its longest line, are shorter
-      than the field limit.
+      than the field limit in bytes, and so in characters.
 
-    The scans and the ``"`` count run on the block's text.  Where the
+    The scans and the ``"`` count run on the block's bytes.  Where the
     lines were split at line feeds, each LF ends its line and so lies in
-    its tail; a caller's lines come without their text, which is joined
-    and its LFs counted.
+    its tail; a caller's lines come without their bytes, which are joined
+    and their LFs counted.
 
     A block whose new tails would grow the cache past ``_BLOCK_LINES`` tails
-    is declined too.
+    is declined too.  The tails of the blocks counted are summed, and each
+    distinct one turned into its meaning once, at the end.
     """
     at = columns["ground_truth"], columns["statement"]
     skip = min(at)
     tail_of = itemgetter(skip)
     cells_of = itemgetter(*(column - skip for column in at))
     width = max(columns.values()) - skip + 1  # cells a tail needs
-    known: dict[str, tuple[GroundTruth, str] | None] = {}
+    known: dict[bytes, tuple[GroundTruth, str] | None] = {}
 
-    def meaning(tail: str) -> tuple[GroundTruth, str] | None:
-        reader = csv.reader((tail, "\n"))
+    def meaning(tail: bytes) -> tuple[GroundTruth, str] | None:
+        reader = csv.reader((tail.decode("utf-8", "surrogatepass"), "\n"))
         try:
             cells, closing = next(reader), next(reader, None)
         except csv.Error:
@@ -377,11 +472,11 @@ def _tail_counter(
             return None
         return _meaning(cells_of(cells))
 
-    def count(block: _Block) -> Counter[tuple[GroundTruth, str]] | None:
-        _, lines, text = block
+    def tails_of(block: _Lines) -> Counter[bytes] | None:
+        _, lines, data = block
         try:
-            # map over str.split runs faster than over a methodcaller
-            tails = Counter(map(tail_of, map(str.split, lines, repeat(","), repeat(skip))))
+            # map over bytes.split runs faster than over a methodcaller
+            tails = Counter(map(tail_of, map(bytes.split, lines, repeat(b","), repeat(skip))))
         except IndexError:  # a line with fewer than skip commas
             return None
         new = [tail for tail in tails if tail not in known]
@@ -389,27 +484,34 @@ def _tail_counter(
             return None
         for tail in new:
             known[tail] = meaning(tail)
-        keys = list(map(known.__getitem__, tails))
-        if not all(keys):
+        if not all(map(known.__getitem__, tails)):
             return None
-        if text is None:
-            text = "".join(lines)
-            if text.count("\n") != sum(n * tail.count("\n") for tail, n in tails.items()):
+        if data is None:
+            data = b"".join(lines)
+            if data.count(b"\n") != sum(n * tail.count(b"\n") for tail, n in tails.items()):
                 return None
-        if "\r" in text or "\0" in text:
+        if b"\r" in data or b"\0" in data:
             return None
-        if text.count('"') != sum(n * tail.count('"') for tail, n in tails.items()):
+        if data.count(b'"') != sum(n * tail.count(b'"') for tail, n in tails.items()):
             return None
         limit = csv.field_size_limit()
-        prefixes = len(text) - sum(n * len(tail) for tail, n in tails.items())
+        prefixes = len(data) - sum(n * len(tail) for tail, n in tails.items())
         if prefixes >= limit and max(map(len, lines)) >= limit:
             return None
-        found: Counter[tuple[GroundTruth, str]] = Counter()
-        for key, n in zip(keys, tails.values()):
-            found[key] += n
-        return found
+        return tails
 
-    return count
+    counted: Counter[bytes] = Counter()  # in order of first appearance
+    declined = None
+    for block in blocks:
+        tails = tails_of(block)
+        if tails is None:
+            declined = block
+            break
+        counted.update(tails)
+    counts: Counter[tuple[GroundTruth, str]] = Counter()
+    for tail, n in counted.items():
+        counts[known[tail]] += n
+    return counts, declined
 
 
 def tally(

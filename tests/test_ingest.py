@@ -27,7 +27,7 @@ from catlr.ingest import (
     parse_aggregated,
 )
 from catlr.model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
-from catlr.records import parse_records, tally, tally_csv, tally_file
+from catlr.records import _decoded, _source_lines, parse_records, tally, tally_csv, tally_file
 from catlr.report import read_display_fixture
 from catlr.simulate import RecordBatch, emit_records, load_profile
 
@@ -272,18 +272,40 @@ class TestTallyCsvDifferential:
     @settings(max_examples=200, deadline=None)
     @given(
         lines=st.lists(
-            st.sampled_from((*_JUNK, "e1,i1,same,ID", "\xe9,i,same,ID", "$")), max_size=12
+            st.sampled_from(
+                (*_JUNK, "\x1c# c", "\x85", "e1,i1,same,ID", "\xe9,i,same,ID", "\u0100,i", "$")
+            ),
+            max_size=12,
         )
     )
     def test_blocks_keep_the_lines_that_are_not_blank_once_stripped_nor_comments(self, lines):
-        kept = [
-            (n, line) for numbers, block, _ in _blocks(lines) for n, line in zip(numbers, block)
-        ]
+        kept = [(n, line) for numbers, block in _blocks(lines) for n, line in zip(numbers, block)]
         assert kept == [
             (n, line)
             for n, line in enumerate(lines, start=1)
             if line.strip() and not line.strip().startswith("#")
         ]
+        # the bytes reader of tally_csv keeps the same lines, of a caller's
+        # lines and of their text
+        for source in (lines, "".join(f"{line}\n" for line in lines)):
+            by_bytes = [_decoded(block) for block in _source_lines(source)]
+            assert [
+                (n, line.rstrip("\n")) for numbers, block in by_bytes for n, line in zip(numbers, block)
+            ] == kept
+
+    @pytest.mark.parametrize(
+        "header, line",
+        [
+            ("examiner_id,item_id,ground_truth,statement\n", "e{n},i{n}\ud800,same,ID\n"),
+            ("ground_truth,statement,item_id,examiner_id\n", "same,ID,i{n}\ud800,e\n"),
+        ],
+        ids=["tail-tier", "declined"],
+    )
+    def test_a_lone_surrogate_outside_the_pair_reads_as_parse_records_reads_it(self, header, line):
+        # the bytes reader encodes a str with each lone surrogate kept as itself
+        text = header + "".join(line.format(n=n) for n in range(_BLOCK_LINES + 9))
+        expected = tally(parse_records(text))
+        assert tally_csv(text) == tally_csv(text.splitlines(True)) == expected
 
     @pytest.mark.parametrize("at", [_BLOCK_LINES, None], ids=["block-end", "input-end"])
     def test_quoted_field_left_open_on_the_last_line_of_a_block(self, at):
@@ -484,24 +506,25 @@ class TestTailTier:
         make = _sources(lines)[source]
         expected = tally(parse_records(make()))
         first_block_tails = {row.split(",", skip)[skip] for row in lines[1:_BLOCK_LINES]}
-        tail_calls = []
+        offered, declined = [], []
 
-        def counting_tail_counter(columns, make_counter=catlr.records._tail_counter):
-            count = make_counter(columns)
+        def counting_tail_counts(blocks, columns, tail_counts=catlr.records._tail_counts):
+            def offering():
+                for block in blocks:
+                    offered.append(block)
+                    yield block
 
-            def counted(block):
-                tail_calls.append(count(block))
-                return tail_calls[-1]
+            counts, block = tail_counts(offering(), columns)
+            declined.append(block)
+            return counts, block
 
-            return counted
-
-        monkeypatch.setattr(catlr.records, "_tail_counter", counting_tail_counter)
+        monkeypatch.setattr(catlr.records, "_tail_counts", counting_tail_counts)
         reader_calls[0] = 0
         assert tally_csv(make()) == expected
         # the header's reader, one per tail of the first block, then one scan
         assert reader_calls[0] <= 1 + len(first_block_tails) + 1
         # no block after the first one declined is offered to the tail tier
-        assert tail_calls[-1] is None and None not in tail_calls[:-1]
+        assert declined == [offered[-1]] and offered[-1] is not None
 
 
 class TestTally:
@@ -1063,7 +1086,7 @@ class TestReadInput:
         path.write_bytes(b"\xef\xbb\xbfa\nb\n")
         assert _read_input(path, list) == ["\ufeffa\n", "b\n"]
         def lines(text):
-            return [line for _, block, _ in _blocks(text) for line in block]
+            return [line for _, block in _blocks(text) for line in block]
 
         assert _read_input(path, lines) == ["a\n", "b\n"]
 
@@ -1249,6 +1272,8 @@ _EDGE_CASES = {
     "a NUL in a prefix": _edge_text("it1,e\x001,s1,ID,same\n"),
     "a quoted field across lines": _edge_text('it1,e1,s1,"I\nD",same\n'),
     "other line boundaries": _edge_text("it1,e\x0c1,s\u20281,ID,same\n"),
+    "comments led by other whitespace": _edge_text("\x1c# c,d,e,f\n", "\xa0# x,y\n", "\u3000\n"),
+    "multi-byte labels": _edge_text("it1,e\u00e91,s1,\u4e2d\u6587,same\n", "it2,e2,s0,\U0001f600,nonmated\n"),
     "a fault": _edge_text("it1,e1,s1,ID,maybe\n"),
 }
 _EDGE_FAULTS = ("a quoted prefix cell", "a quoted field across lines", "a fault")
@@ -1263,8 +1288,9 @@ def _tallied(outcome):
 
 
 class TestChunkEdges:
-    """Text catlr decodes is read in chunks of ``_CHUNK_CHARS`` characters,
-    cut at line feeds; every reader agrees wherever the chunk edges fall."""
+    """A file or a string that ``tally_csv`` encodes is read in chunks of
+    ``records._CHUNK_BYTES`` bytes, cut at line feeds; every reader agrees
+    wherever the chunk edges fall."""
 
     @pytest.mark.parametrize("case", _EDGE_CASES)
     def test_file_text_lines_and_records_agree(self, tmp_path, monkeypatch, case):
@@ -1277,7 +1303,7 @@ class TestChunkEdges:
         expected = _tallied(_outcome(tally_csv, lines))
         assert _tallied(_outcome(lambda t: tally(parse_records(t)), lines)) == expected
         for chunk in _CHUNKS:
-            monkeypatch.setattr(catlr.ingest, "_CHUNK_CHARS", chunk)
+            monkeypatch.setattr(catlr.records, "_CHUNK_BYTES", chunk)
             assert _tallied(_outcome(tally_csv, text)) == expected
             assert _tallied(_outcome(lambda t: tally(parse_records(t)), text)) == expected
             from_file = _tallied(_outcome(tally_file, path))
@@ -1289,25 +1315,31 @@ class TestChunkEdges:
             assert (expected[0] is IngestError) == (case in _EDGE_FAULTS)
 
     @pytest.mark.parametrize("chunk", _CHUNKS)
-    def test_blocks_end_at_line_feeds_and_carry_their_text(self, monkeypatch, chunk):
-        monkeypatch.setattr(catlr.ingest, "_CHUNK_CHARS", chunk)
+    def test_blocks_end_at_line_feeds_and_carry_their_bytes(self, monkeypatch, chunk):
+        monkeypatch.setattr(catlr.records, "_CHUNK_BYTES", chunk)
         text = "".join(_EDGE_CASES.values())
-        blocks = list(_blocks(text))
-        for _, lines, block_text in blocks[:-1]:
-            assert block_text == "".join(lines) and block_text.endswith("\n")
-        assert blocks[-1][2] == "".join(blocks[-1][1])
-        # the lines and numbers a caller's lines give, in blocks of their own
-        by_lines = list(_blocks(io.StringIO(text, newline=None).readlines()))
-        assert all(block_text is None for *_, block_text in by_lines)
-        kept = [(n, line) for numbers, lines, _ in blocks for n, line in zip(numbers, lines)]
+        blocks = list(_source_lines(text))
+        for _, lines, data in blocks[:-1]:
+            assert data == b"".join(lines) and data.endswith(b"\n")
+        assert blocks[-1][2] == b"".join(blocks[-1][1])
+        # the lines and numbers the line reader gives, of a caller's lines or
+        # of the text, decoded; a caller's lines come without their bytes
+        callers = io.StringIO(text, newline=None).readlines()
+        by_lines = list(_source_lines(callers))
+        assert all(data is None for *_, data in by_lines)
+        kept = [(n, line) for numbers, lines in map(_decoded, blocks) for n, line in zip(numbers, lines)]
+        for source in (callers, text):
+            assert kept == [
+                (n, line) for numbers, lines in _blocks(source) for n, line in zip(numbers, lines)
+            ]
         assert kept == [
-            (n, line) for numbers, lines, _ in by_lines for n, line in zip(numbers, lines)
+            (n, line) for numbers, lines in map(_decoded, by_lines) for n, line in zip(numbers, lines)
         ]
 
     def test_a_callers_stream_is_read_by_its_lines(self, tmp_path, monkeypatch):
         # a file opened with newline="" ends its lines at each lone CR, which
         # the csv module reads as a line end
-        monkeypatch.setattr(catlr.ingest, "_CHUNK_CHARS", 5)
+        monkeypatch.setattr(catlr.records, "_CHUNK_BYTES", 5)
         path = tmp_path / "records.csv"
         path.write_bytes(_edge_text().replace("\n", "\r").encode("utf-8"))
         with open(path, encoding="utf-8", newline="") as stream:

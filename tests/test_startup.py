@@ -166,6 +166,39 @@ def test_command_loads_only_the_modules_it_runs(
     assert not loaded & FILE_MODULES
 
 
+# runs a tally of the file at sys.argv[1] as on two CPUs, counting forks; the
+# forked children exit without printing
+_FORKED_TALLY = """
+import io, os, sys
+import catlr.cli
+os.sched_getaffinity = lambda pid: {0, 1}
+forks = 0
+fork = os.fork
+
+def counting_fork():
+    global forks
+    forks += 1
+    return fork()
+
+os.fork = counting_fork
+code = catlr.cli.run(["tally", "--in", sys.argv[1]], stdout=io.StringIO(), stderr=io.StringIO())
+print(code, forks, "signal" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks only with os.fork")
+def test_a_forked_tally_loads_no_signal_module(tmp_path):
+    # signal serves only to stop children left running after a failure
+    path = tmp_path / "records.csv"
+    rows = "".join(f"it{n},ex{n % 37},s{n % 5},ID,same\n" for n in range(90_000))
+    path.write_text("item_id,examiner_id,session,statement,ground_truth\n" + rows, encoding="utf-8")
+    assert path.stat().st_size >= 2 << 20
+    code, forks, signal_loaded = cold(_FORKED_TALLY, str(path)).split()
+    assert (code, forks) == ("0", "1")
+    # where a site hook loads signal before any code runs, this part cannot fail
+    assert signal_loaded == str("signal" in bare_modules())
+
+
 def test_usage_error_loads_no_parser_module():
     code, out, err, loaded = cold_run("lr", "--table", "t.csv", "--format", "xml")
     assert (code, out) == (1, "")

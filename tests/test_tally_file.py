@@ -71,8 +71,11 @@ def by_lines():
     with open(path, encoding="utf-8") as stream:
         return records.tally_csv(stream, "records")
 
+def parsed():
+    return ingest._read_input(path, lambda text: records.tally(records.parse_records(text), study_name="records"))
+
 path = sys.argv[2]
-ingest._CHUNK_CHARS = int(sys.argv[3])  # characters read at a time
+records._CHUNK_BYTES = int(sys.argv[3])  # bytes read at a time
 if sys.argv[4:] == ["thread"]:
     import threading
     stop = threading.Event()
@@ -84,6 +87,7 @@ result = {
     "forked": forked,
     "serial": outcome(serial),
     "lines": outcome(by_lines),
+    "parsed": outcome(parsed),
     "forks": forks,
     "unreaped": unreaped(),
 }
@@ -129,9 +133,24 @@ def _rows(count: int, every: str = "") -> str:
     )
 
 
-def _amid(line: str) -> bytes:
+def _amid(line: str | bytes) -> bytes:
     """A records file with ``line`` between its 500th and 501st data lines."""
-    return (_HEADER + _rows(500) + line + _rows(500)).encode()
+    line = line if isinstance(line, bytes) else line.encode()
+    return (_HEADER + _rows(500)).encode() + line + _rows(500).encode()
+
+
+def _crlf_split_at(offset: int) -> bytes:
+    """A records file with CRLF line ends, one of whose CRs is its byte at
+    ``offset`` - 1, so that a chunk of ``offset`` bytes ends between the CR
+    and its LF."""
+    head = (_HEADER + _rows(1500)).replace("\n", "\r\n").encode()
+    head = head[: head.rindex(b"\n", 0, offset - 40) + 1]
+    line = b"it,ex1,ID,same"
+    line = line[:2] + b"x" * (offset - 1 - len(head) - len(line)) + line[2:]
+    return head + line + b"\r\n" + _rows(1000).replace("\n", "\r\n").encode()
+
+
+_MULTI_BYTE = ("Identificaci\u00f3n", "\u4e2d\u6587 B", "\U0001f600", "\u00e9")
 
 
 _PREAMBLE = "# a preamble longer than the first part\n" * 1600
@@ -155,9 +174,19 @@ _CASES = {
     "quoted_prefix_cell": (_amid('i,"e,1",same,ID\n'), True),
     "nul_in_a_prefix": (_amid("i,e\x001,ID,same\n"), True),
     "quoted_field_across_lines": (_amid('i,e,"I\nD",same\n'), True),
+    "crlf_split_across_chunks": (_crlf_split_at(1 << 16), True),
+    "comment_led_by_a_separator": (_amid("\x1c# c,d,e\n"), True),
+    "comment_led_by_a_no_break_space": (_amid("\xa0# c,d,e\n"), True),
+    "multi_byte_labels": (
+        (_HEADER + "".join(
+            f"it{n},ex{n % 37},{_MULTI_BYTE[n % 4]},{_TRUTHS[n % 4]}\n" for n in range(1000)
+        )).encode(),
+        True,
+    ),
+    "not_utf8_in_a_prefix": (_amid(b"i,e\xff1,ID,same\n"), True),
 }
 
-# characters read at a time: the reader's own chunk size, and one that cuts
+# bytes read at a time: the reader's own chunk size, and one that cuts
 # every line several times
 _CHUNKS = {"chunk_default": 1 << 16, "chunk_7": 7}
 
@@ -170,7 +199,7 @@ def test_tally_file_equals_tally_csv(tmp_path, case, cpus, chunk):
     path = tmp_path / "records.csv"
     path.write_bytes(data)
     result = _run(_TALLY, cpus, path, _CHUNKS[chunk])
-    assert result["forked"] == result["serial"]
+    assert result["forked"] == result["serial"] == result["parsed"]
     if isinstance(result["forked"][0], str):  # an error, which names the file
         kind, message = result["forked"]
         assert message.startswith(f"{path}: ")
@@ -181,6 +210,41 @@ def test_tally_file_equals_tally_csv(tmp_path, case, cpus, chunk):
         assert result["lines"] == result["forked"]
     assert (result["forks"] > 0) == forks
     assert result["forks"] < cpus
+    assert not result["unreaped"]
+
+
+def _faults(rows: str, bad_at: int) -> bytes:
+    """A records file whose third line fails and whose first byte at or
+    after ``bad_at`` that starts a line of ``rows`` is not UTF-8; ``rows``
+    repeats up to 6000 lines."""
+    head = (_HEADER + "i,e,ID,same\nit9,ex9,ID,maybe\n").encode()
+    body = (rows * 6000).encode()
+    cut = body.index(b"\n", bad_at - len(head)) + 1
+    return head + body[:cut] + b"i,e,\xff,same\n" + body[cut:]
+
+
+# name -> (file bytes, the fault tally_file names, the fault parse_records names)
+_TWO_FAULTS = {
+    # the bad byte in the second 64 KiB chunk, within the first 4096 lines
+    "long_lines": (
+        _faults("item0000,examiner00,Inconclusive,same\n", 80_000), "line 3", "not valid UTF-8"
+    ),
+    # the bad byte in the first 64 KiB chunk, 1000 lines after the first 4096
+    "short_lines": (_faults("i,e,ID,same\n", 61_500), "not valid UTF-8", "line 3"),
+}
+
+
+@pytest.mark.parametrize("case", _TWO_FAULTS)
+def test_of_two_faults_each_reader_names_the_one_it_reads_first(tmp_path, case):
+    # tally_file reads 64 KiB at a time, parse_records 4096 lines
+    data, by_bytes, by_lines = _TWO_FAULTS[case]
+    path = tmp_path / "records.csv"
+    path.write_bytes(data)
+    result = _run(_TALLY, 2, path, 1 << 16)
+    assert result["forked"][0] == result["parsed"][0] == "IngestError"
+    assert result["forked"][1].startswith(f"{path}: {by_bytes}")
+    assert result["parsed"][1].startswith(f"{path}: {by_lines}")
+    assert result["serial"] == result["parsed"]
     assert not result["unreaped"]
 
 
