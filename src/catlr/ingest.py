@@ -9,7 +9,8 @@ an iterable's lines):
   tokens are ``same`` / ``different``; the aliases ``mated`` /
   ``nonmated`` are accepted and normalized on read.  They are parsed by
   ``catlr.records`` over the line reader here, tallied by its bytes reader
-  under the same rules, and written by ``catlr.simulate.emit_records``.
+  under the same rules (a caller's lines through the line reader here), and
+  written by ``catlr.simulate.emit_records``.
 * aggregated:   header ``statement,same_source_count,different_source_count``,
   one row per category, file order = category order.
 
@@ -25,9 +26,9 @@ import csv
 import io
 import os
 from itertools import chain, islice
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
-from .model import ConfusionTable, DataError, GroundTruth
+from .model import ConfusionTable, DataError
 
 class IngestError(DataError):
     """A file does not conform to its declared schema."""
@@ -36,7 +37,9 @@ class IngestError(DataError):
 RAW_HEADER = ("examiner_id", "item_id", "ground_truth", "statement")
 AGGREGATED_HEADER = ("statement", "same_source_count", "different_source_count")
 
-_BLOCK_LINES = 4096  # lines read per block, and tails the tail tier of catlr.records caches
+# lines read per block, also of a caller's lines that catlr.records tallies
+# (its bytes reader reads only files and strings), and tails its tail tier caches
+_BLOCK_LINES = 4096
 
 # (physical line numbers, lines): see _blocks
 _Block = tuple[Sequence[int], list[str]]
@@ -116,38 +119,6 @@ class _DataRows:
                     yield row
         except csv.Error as exc:
             raise IngestError(f"line {self.line}: {exc}") from None
-
-
-def _table(
-    counts: Mapping[tuple[GroundTruth, str], int],
-    vocabulary: Sequence[str] | None,
-    study_name: str,
-) -> ConfusionTable:
-    """The confusion table of ``counts``, which maps each (truth, statement)
-    pair that occurs to its count, in order of first appearance.
-
-    Categories follow ``vocabulary`` when given, else the order in which
-    statements first appear.  A statement outside the vocabulary, and zero
-    records without a vocabulary, are errors.
-    """
-    seen = list(dict.fromkeys(statement for _, statement in counts))
-    categories = seen if vocabulary is None else [str(c) for c in vocabulary]
-    allowed = set(categories)
-    unknown = [statement for statement in seen if statement not in allowed]
-    if unknown:
-        raise DataError(
-            f"statement {unknown[0]!r} is not in the declared vocabulary {categories}"
-        )
-    if not categories:
-        raise DataError("cannot tally zero records without a declared vocabulary")
-    return ConfusionTable(
-        categories=tuple(categories),
-        same_source=tuple(counts.get((GroundTruth.SAME_SOURCE, c), 0) for c in categories),
-        different_source=tuple(
-            counts.get((GroundTruth.DIFFERENT_SOURCE, c), 0) for c in categories
-        ),
-        study_name=study_name,
-    )
 
 
 def parse_aggregated(source: str | Iterable[str], study_name: str = "") -> ConfusionTable:

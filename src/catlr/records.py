@@ -4,14 +4,15 @@ The raw-records schema and the reading rules it shares with the aggregated
 schema are described in ``catlr.ingest``, whose line reader
 ``parse_records`` and the checked scan read through.
 
-``tally_csv`` and ``tally_file`` count bytes instead (``_cut``, ``_kept``):
-a file read a chunk at a time, with ``os.pread`` for each part of a forked
-count; a string encoded once; a caller's lines encoded a block at a time.
-The bytes reader applies the same rules: universal newlines, the one
-leading byte-order mark, and the ``str.lstrip`` comment rule.  It decodes
-only each distinct line tail, each non-ASCII block of a file (to check that
-it is UTF-8), the lines of a block that may hold a comment or a blank line,
-and the blocks it hands to the checked scan.
+``tally_csv`` and ``tally_file`` count bytes instead.  The bytes reader
+(``_cut``, ``_kept``) reads bytes only: a file read a chunk at a time, with
+``os.pread`` for each part of a forked count, or a string encoded once.  It
+applies the line reader's rules: universal newlines, the one leading
+byte-order mark, and the ``str.lstrip`` comment rule.  It decodes only each
+distinct line tail, each non-ASCII block of a file (to check that it is
+UTF-8), the lines of a block that may hold a comment or a blank line, and
+the blocks it hands to the checked scan.  A caller's lines are read by the
+line reader, ``ingest._blocks``, and only the lines it keeps are encoded.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import csv
 import io
 import sys
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .ingest import (
     _BLOCK_LINES,
@@ -33,9 +34,8 @@ from .ingest import (
     _DataRows,
     _naming,
     _study_name,
-    _table,
 )
-from .model import ConfusionTable, EvaluationRecord, GroundTruth
+from .model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
 
 if TYPE_CHECKING:
     from os import PathLike
@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 _PART_BYTES = 1 << 20  # tally_file counts a file in parts of at least this many bytes
 _CHUNK_BYTES = 1 << 16  # bytes read at a time from a file or an encoded string
 
-# (physical line numbers, lines, their bytes or None): see _kept
+# (physical line numbers, lines, their bytes or None for a caller's lines): see _source_lines
 _Lines = tuple[Sequence[int], list[bytes], bytes | None]
 
 _TRUTH_TOKENS = {
@@ -137,9 +137,11 @@ def tally_csv(source: str | Iterable[str], study_name: str = "") -> ConfusionTab
     ``parse_records`` reads through counts every row and names the line of
     any fault.  ``tally_file`` counts a large file on every CPU.
 
-    A caller's lines, an open text file among them, are encoded before they
-    are counted, which costs more than a string of the same text: prefer
-    ``tally_file`` for a file, or pass its text.
+    A caller's lines, an open text file among them, are read by
+    ``ingest._blocks``, as ``parse_records`` reads them, and the lines it
+    keeps are encoded before they are counted, which costs more than a
+    string of the same text: prefer ``tally_file`` for a file, or pass its
+    text.
     """
     return _table(_counts(_source_lines(source)), None, study_name)
 
@@ -225,10 +227,7 @@ def _forked_counts(fd: int, parts: int) -> Counter | None:
         cuts = _cuts(fd, parts)
         if len(cuts) < 3:
             return None
-        try:
-            columns, blocks = _header(_part_lines(fd, 0, cuts[1]))
-        except (IngestError, UnicodeDecodeError):
-            return None
+        columns, blocks = _header(_part_lines(fd, 0, cuts[1]))
         for start, end in zip(cuts[1:], cuts[2:]):
             read_end, write_end = os.pipe()
             try:
@@ -241,10 +240,7 @@ def _forked_counts(fd: int, parts: int) -> Counter | None:
                 _send_part_counts(fd, start, end, columns, write_end)
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        try:
-            counts, declined = _tail_counts(blocks, columns)
-        except UnicodeDecodeError:
-            return None
+        counts, declined = _tail_counts(blocks, columns)
         if declined is not None:
             return None
         while children:
@@ -259,6 +255,8 @@ def _forked_counts(fd: int, parts: int) -> Counter | None:
             for truth, statement, n in items:
                 counts[GroundTruth(truth), statement] += n
         return counts
+    except (IngestError, UnicodeDecodeError):  # part 0 fails: the serial count names the fault
+        return None
     finally:
         if children:  # left unreaped by an early return or an error
             import signal
@@ -332,18 +330,17 @@ def _part_lines(fd: int, start: int, end: int) -> Iterator[_Lines]:
 
 def _source_lines(source: str | Iterable[str]) -> Iterator[_Lines]:
     """The blocks of data lines of ``source`` as bytes: a string is encoded
-    once and cut as a file is; a caller's lines are encoded
-    ``_BLOCK_LINES`` at a time, each line kept as given.  A lone surrogate
-    is encoded as itself ("surrogatepass"), so ``_decoded`` gives back
-    every line as it was."""
+    once and cut as a file is; a caller's lines are read by
+    ``ingest._blocks``, the line reader of ``parse_records``, and the lines
+    it keeps are encoded, each as given, in blocks without their bytes
+    (None).  A lone surrogate is encoded as itself ("surrogatepass"), so
+    ``_decoded`` gives back every line as it was."""
     if isinstance(source, str):
         return _kept(_cut(io.BytesIO(source.encode("utf-8", "surrogatepass")).read))
-
-    def encoded(lines: Iterator[str]) -> Iterator[tuple[list[bytes], None]]:
-        while block := list(islice(lines, _BLOCK_LINES)):
-            yield [line.encode("utf-8", "surrogatepass") for line in block], None
-
-    return _kept(encoded(iter(source)))
+    return (
+        (numbers, [line.encode("utf-8", "surrogatepass") for line in lines], None)
+        for numbers, lines in _blocks(source)
+    )
 
 
 def _cut(read: Callable[[int], bytes]) -> Iterator[tuple[list[bytes], bytes]]:
@@ -378,21 +375,20 @@ def _cut(read: Callable[[int], bytes]) -> Iterator[tuple[list[bytes], bytes]]:
         yield io.BytesIO(data).readlines(), data
 
 
-def _kept(
-    blocks: Iterable[tuple[list[bytes], bytes | None]], check: bool = False
-) -> Iterator[_Lines]:
-    """(physical line numbers, lines, their bytes or None) of the lines of
-    ``blocks`` that are neither comments nor blank, in non-empty blocks, by
-    the rules of ``ingest._blocks``: a byte-order mark at the start of the
-    first line is dropped, and a line whose text, ``str.lstrip``-ped, is
-    empty or starts with "#" is skipped.  With ``check``, each block that is
-    not ASCII is decoded, to raise UnicodeDecodeError where it is not UTF-8."""
+def _kept(blocks: Iterable[tuple[list[bytes], bytes]], check: bool = False) -> Iterator[_Lines]:
+    """(physical line numbers, lines, their bytes) of the lines of the
+    ``_cut`` blocks ``blocks`` that are neither comments nor blank, in
+    non-empty blocks, by the rules of ``ingest._blocks``: a byte-order mark
+    at the start of the first line is dropped, and a line whose text,
+    ``str.lstrip``-ped, is empty or starts with "#" is skipped.  With
+    ``check``, each block that is not ASCII is decoded, to raise
+    UnicodeDecodeError where it is not UTF-8."""
     end = 0  # physical number of the last line read
     for lines, data in blocks:
         if end == 0 and lines[0].startswith(b"\xef\xbb\xbf"):
             lines[0] = lines[0][3:]
-            data = None if data is None else data[3:]
-        ascii_data = data is not None and data.isascii()
+            data = data[3:]
+        ascii_data = data.isascii()
         if check and not ascii_data:
             data.decode()
         # "#" and the UTF-8 of every whitespace character start below "$" or
@@ -409,7 +405,7 @@ def _kept(
             ]
             if numbers:
                 kept = [lines[n - end - 1] for n in numbers]
-                yield numbers, kept, None if data is None else b"".join(kept)
+                yield numbers, kept, b"".join(kept)
         end += len(lines)
 
 
@@ -533,3 +529,35 @@ def tally(
     else:
         counts = Counter((record.truth, record.statement) for record in records)
     return _table(counts, vocabulary, study_name)
+
+
+def _table(
+    counts: Mapping[tuple[GroundTruth, str], int],
+    vocabulary: Sequence[str] | None,
+    study_name: str,
+) -> ConfusionTable:
+    """The confusion table of ``counts``, which maps each (truth, statement)
+    pair that occurs to its count, in order of first appearance.
+
+    Categories follow ``vocabulary`` when given, else the order in which
+    statements first appear.  A statement outside the vocabulary, and zero
+    records without a vocabulary, are errors.
+    """
+    seen = list(dict.fromkeys(statement for _, statement in counts))
+    categories = seen if vocabulary is None else [str(c) for c in vocabulary]
+    allowed = set(categories)
+    unknown = [statement for statement in seen if statement not in allowed]
+    if unknown:
+        raise DataError(
+            f"statement {unknown[0]!r} is not in the declared vocabulary {categories}"
+        )
+    if not categories:
+        raise DataError("cannot tally zero records without a declared vocabulary")
+    return ConfusionTable(
+        categories=tuple(categories),
+        same_source=tuple(counts.get((GroundTruth.SAME_SOURCE, c), 0) for c in categories),
+        different_source=tuple(
+            counts.get((GroundTruth.DIFFERENT_SOURCE, c), 0) for c in categories
+        ),
+        study_name=study_name,
+    )

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path, PurePath
 
 import numpy as np
@@ -306,6 +307,37 @@ class TestTallyCsvDifferential:
         text = header + "".join(line.format(n=n) for n in range(_BLOCK_LINES + 9))
         expected = tally(parse_records(text))
         assert tally_csv(text) == tally_csv(text.splitlines(True)) == expected
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [f"{RAW_HEADER}\n", 'e,"a\rb",same,ID\n', "e2,i2,different,X\n"],
+            [f"{RAW_HEADER}\n", 'e,"a\nb",same,ID\n', "e2,i2,different,X\n"],
+            [f"{RAW_HEADER}\n", "e\nx,i,same,ID\n", "e2,i2,different,X\n"],
+            [f"{RAW_HEADER}\n", "e\rx,i,same,ID\n", "e2,i2,different,X\n"],
+            [f"{RAW_HEADER}\n", "e1,i1,same,ID", "e2,i2,different,X\n"],
+            [f"\ufeff{RAW_HEADER}\n", "\x1c# c,d\n", "e1,i1,same,ID\n"],
+            [f"{RAW_HEADER}\r\n", "e1,i1,same,ID\r\n", "e2,i2,different,X\r\n"],
+            [f"{RAW_HEADER}\r", "e1,i1,same,ID\r", "e2,i2,different,X\r"],
+        ],
+        ids=[
+            "quoted-cr-in-an-id",
+            "quoted-lf-in-an-id",
+            "unquoted-lf-in-a-prefix-cell",
+            "unquoted-cr-in-a-prefix-cell",
+            "no-line-end-before-the-next-line",
+            "byte-order-mark-then-a-comment-led-by-x1c",
+            "crlf",
+            "lone-cr",
+        ],
+    )
+    def test_a_callers_lines_are_kept_as_given(self, lines):
+        # each line is one line of the csv reader, whatever it holds
+        expected = _outcome(lambda s: tally(parse_records(s)), lines)
+        assert _outcome(tally_csv, lines) == expected
+        if lines[1][1] in "\r\n":  # both line ends fail alike
+            assert expected[0] is IngestError
+            assert expected[1].startswith("line 2: new-line character seen in unquoted field")
 
     @pytest.mark.parametrize("at", [_BLOCK_LINES, None], ids=["block-end", "input-end"])
     def test_quoted_field_left_open_on_the_last_line_of_a_block(self, at):
@@ -1121,6 +1153,32 @@ class TestReadInput:
         path.write_text(f"{RAW_HEADER}\ne1,i1,maybe,ID\n", encoding="utf-8")
         with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: line 2: unknown"):
             tally_file(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_tally_reads_a_fifo_as_it_reads_a_regular_file(self, tmp_path):
+        # a FIFO's size reads as 0, so it is counted in one process by its
+        # own reads; the rows are more than a pipe holds at once
+        rows = (f"e{n},i{n},{('same', 'different')[n % 3 > 0]},L{n % 5}\n" for n in range(20000))
+        data = f"{RAW_HEADER}\n{''.join(rows)}".encode("utf-8")
+        regular, fifo = tmp_path / "records.csv", tmp_path / "fifo.csv"
+        regular.write_bytes(data)
+        os.mkfifo(fifo)
+        expected = io.StringIO()
+        assert run(["tally", "--in", str(regular)], stdout=expected) == 0
+
+        def write():
+            with open(fifo, "wb") as pipe:
+                pipe.write(data)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        out = io.StringIO()
+        try:
+            assert run(["tally", "--in", str(fifo)], stdout=out) == 0
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert out.getvalue() == expected.getvalue()
 
 
 _STILL_OPEN = (
