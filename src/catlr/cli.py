@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
-files, invalid values), 141 (128 + SIGPIPE) when the reader of stdout
+files, invalid values, a stdout closed before the run), 141 (128 + SIGPIPE) when the reader of stdout
 closes it early, as ``| head`` does, with nothing printed.  Plain-text numeric output uses 4 significant
 digits; pass --format for the display convention or machine formats.
 Output is undecorated text (NO_COLOR is trivially honored), written by
@@ -11,17 +11,20 @@ alike, whatever the locale's encoding.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import IO, TYPE_CHECKING, Iterable
 
 # Each command imports the modules it runs when it runs: a call pays only
 # for its own code.
 from .model import FORMATS, INTERVAL_METHOD_NAMES, DataError, check_seed
 
+TYPE_CHECKING = False  # typing costs a command ~4 ms to import, and annotations are strings
 if TYPE_CHECKING:
+    from typing import IO, Iterable
+
     from .engine import SmoothingPolicy
 
 
@@ -56,6 +59,8 @@ def _write(output: str | Iterable[bytes], out_path: str | None, out: IO[str]) ->
     if out_path:
         with open(out_path, "wb") as handle:
             handle.writelines(pieces)
+    elif out is None:  # Python's sys.stdout where fd 1 was closed, as by `catlr ... >&-`
+        raise OSError("stdout is closed")
     elif hasattr(out, "buffer"):
         out.flush()
         out.buffer.writelines(pieces)
@@ -250,7 +255,12 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # the command is done and its files are closed: freezing every object it
+    # and startup built spares them the collections of interpreter shutdown,
+    # which still runs atexit hooks and flushes the std streams
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -25,10 +25,15 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections.abc import Sequence
 from itertools import chain, islice
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from .model import ConfusionTable, DataError
+
+TYPE_CHECKING = False  # typing costs a command ~4 ms to import, and annotations are strings
+if TYPE_CHECKING:
+    from typing import IO, Any, Callable, Iterable, Iterator
+
 
 class IngestError(DataError):
     """A file does not conform to its declared schema."""

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable
 
 from .model import DataError, Frozen, check_lr
+
+TYPE_CHECKING = False  # typing costs a command ~4 ms to import, and annotations are strings
+if TYPE_CHECKING:
+    from typing import Iterable
 
 
 def _check_lr(lr: float | None) -> float:

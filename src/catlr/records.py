@@ -21,9 +21,9 @@ import csv
 import io
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .ingest import (
     _BLOCK_LINES,
@@ -37,8 +37,10 @@ from .ingest import (
 )
 from .model import ConfusionTable, DataError, EvaluationRecord, GroundTruth
 
+TYPE_CHECKING = False  # typing costs a command ~4 ms to import, and annotations are strings
 if TYPE_CHECKING:
     from os import PathLike
+    from typing import IO, Callable, Iterable, Iterator, Mapping, NoReturn
 
 _PART_BYTES = 1 << 20  # tally_file counts a file in parts of at least this many bytes
 _CHUNK_BYTES = 1 << 16  # bytes read at a time from a file or an encoded string

@@ -17,8 +17,6 @@ has no defined value there either.
 from __future__ import annotations
 
 import math
-from os import PathLike
-from typing import Callable, Iterable, Sequence
 
 from .engine import NO_SMOOTHING, SmoothingPolicy, full_table_lrs, presentation_round
 from .ingest import _blocks, _csv_text, _DataRows, use_table
@@ -29,6 +27,11 @@ from .model import (
     check_interval_method,
     check_level,
 )
+
+TYPE_CHECKING = False  # typing costs a command ~4 ms to import, and annotations are strings
+if TYPE_CHECKING:
+    from os import PathLike
+    from typing import Callable, Iterable, Sequence
 
 _SUMMARY_HEADERS_TWO = ("", "LR (identification)", "LR (exclusion)")
 _SUMMARY_HEADERS_ONE = ("", "LR")

@@ -39,7 +39,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, repeat
-from typing import IO
 
 from .ingest import RAW_HEADER, _csv_text
 from .model import (
@@ -53,6 +52,10 @@ from .model import (
     check_seed,
     ratio,
 )
+
+TYPE_CHECKING = False  # typing costs a command ~4 ms to import, and annotations are strings
+if TYPE_CHECKING:
+    from typing import IO
 
 RNG_ALGORITHM = "mt19937-u53-v3"
 

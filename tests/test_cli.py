@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -959,6 +960,26 @@ class TestOutputPolicy:
         assert head.startswith(b"examiner_id,item_id,ground_truth,statement\n")
         assert (code, err) == (141, b"")
 
+    @staticmethod
+    def _with_stdout_closed(*argv):
+        # the shell closes fd 1 before Python starts, so Python's sys.stdout is None
+        script = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "catlr.cli", *argv]
+        return subprocess.run(script, env=_subprocess_env(), capture_output=True)
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell")
+    def test_a_closed_stdout_is_a_data_error(self, bullets_csv):
+        done = self._with_stdout_closed("lr", "--table", bullets_csv)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == b"data error: stdout is closed\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell")
+    def test_a_closed_stdout_leaves_an_out_file_to_be_written(self, bullets_csv, tmp_path):
+        out = tmp_path / "report.json"
+        done = self._with_stdout_closed("report", "--table", bullets_csv, "--format", "json", "--out", str(out))
+        assert (done.returncode, done.stderr) == (0, b"")
+        code, text, _ = invoke("report", "--table", bullets_csv, "--format", "json")
+        assert (code, out.read_bytes()) == (0, text.encode("utf-8"))
+
     def test_study_named_by_a_non_utf8_file_name_prints_its_bytes(self, tmp_path):
         name = os.fsdecode(b"study\xff.csv")
         try:
@@ -971,6 +992,45 @@ class TestOutputPolicy:
         )
         assert (code, err) == (0, "")
         assert b'"study": "study\xff"' in out.read_bytes()
+
+
+# registers an atexit handler, then runs catlr.cli.main() on sys.argv[1:]; the
+# handler prints whether main froze the garbage collector's objects
+_MAIN = """
+import atexit, gc
+import catlr.cli
+atexit.register(lambda: print("atexit:", "frozen" if gc.get_freeze_count() else "not frozen"))
+catlr.cli.main()
+"""
+
+
+class TestMain:
+    """main() freezes the garbage collector once the command is done, so that
+    shutdown skips collecting what the process built; run() does not."""
+
+    def test_run_leaves_the_collector_as_it_found_it(self, bullets_csv):
+        frozen = gc.get_freeze_count()
+        assert invoke("lr", "--table", bullets_csv, "--format", "md")[0] == 0
+        assert invoke("lr", "--table", "/does/not/exist.csv")[0] == 2
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("lr", "--table", "{table}", "--format", "md"), 0),
+            (("lr", "--table", "{table}", "--format", "xml"), 1),
+            (("lr", "--table", "/does/not/exist.csv"), 2),
+        ],
+        ids=["success", "usage-error", "data-error"],
+    )
+    def test_main_exits_with_the_code_of_run_after_the_atexit_hooks(self, bullets_csv, argv, code):
+        argv = [a.format(table=bullets_csv) for a in argv]
+        done = subprocess.run([sys.executable, "-c", _MAIN, *argv], env=_subprocess_env(), capture_output=True)
+        expected_code, out, err = invoke(*argv)
+        assert done.returncode == expected_code == code
+        assert done.stdout == out.encode("utf-8") + b"atexit: frozen\n"
+        assert done.stderr == err.encode("utf-8")
 
 
 @st.composite

@@ -36,11 +36,12 @@ json.dump([code, out.getvalue(), err.getvalue(), loaded], sys.stdout)
 _LOADED = "import sys; print(*sorted(sys.modules))"
 
 
-def cold(script, *argv):
-    """stdout of ``script`` run with ``argv`` in a fresh interpreter that imports this catlr."""
+def cold(script, *argv, options=()):
+    """stdout of ``script`` run with ``argv`` in a fresh interpreter, started with the
+    interpreter ``options``, that imports this catlr."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, *options, "-c", script, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -164,6 +165,30 @@ def test_command_loads_only_the_modules_it_runs(
     assert "dataclasses" not in loaded
     assert not loaded & PARSER_MODULES
     assert not loaded & FILE_MODULES
+
+
+# annotations are strings, so no command needs typing, nor contextlib, which
+# typing loads.  A site hook may load typing before any code runs, so the
+# interpreter starts without site (-S).
+SITE_FREE = [
+    ("lr", "--table", "{table}", "--format", "md"),
+    ("report", "--table", "{table}", "--format", "json", "--interval", "dirichlet"),
+    ("report", "--table", "{table}", "--format", "json", "--interval", "bootstrap"),
+    ("interval", "--table", "{table}", "--statement", "ID", "--method", "bootstrap"),
+    ("interval", "--table", "{table}", "--statement", "ID", "--method", "dirichlet"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", SITE_FREE, ids=[" ".join(a for a in argv if "{" not in a) for argv in SITE_FREE]
+)
+def test_command_without_site_loads_no_typing(bullets_csv, argv):
+    argv = [a.format(table=bullets_csv) for a in argv]
+    code, out, err, loaded = json.loads(cold(_RUN, *argv, options=("-S",)))
+    assert (code, err) == (0, "")
+    assert out
+    assert "site" not in loaded
+    assert not {"typing", "contextlib"} & set(loaded)
 
 
 # runs a tally of the file at sys.argv[1] as on two CPUs, counting forks; the
