@@ -366,11 +366,7 @@ class _Ratio:
 def ratio_quantiles(n1: int, c1: int, n2: int, c2: int, tail: float) -> tuple[float, float]:
     """The ``tail`` and ``1 - tail`` quantiles of (X1 / n1) / (X2 / n2) given
     it is defined, for independent X1 ~ Binomial(n1, c1 / n1) and
-    X2 ~ Binomial(n2, c2 / n2), with 0 < tail < 1/2 and c1, c2 not both 0."""
-    if c2 == 0:
-        return math.inf, math.inf
-    if c1 == 0:
-        return 0.0, 0.0
+    X2 ~ Binomial(n2, c2 / n2), with 0 < tail < 1/2, 0 < c1 and 0 < c2."""
     one, two = _Row(n1, c1), _Row(n2, c2)
     if two.step > 1 and (one.step == 1 or one.relative_spread < two.relative_spread):
         law = _Ratio(two, one)  # the quantiles of 1 / R, inverted

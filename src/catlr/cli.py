@@ -12,7 +12,6 @@ alike, whatever the locale's encoding.
 from __future__ import annotations
 
 import gc
-import math
 import os
 import sys
 from types import SimpleNamespace
@@ -33,7 +32,7 @@ class _UsageError(Exception):
 
 
 def _fmt(value: float | None) -> str:
-    return "undefined" if value is None else "inf" if math.isinf(value) else f"{value:.4g}"
+    return "undefined" if value is None else f"{value:.4g}"
 
 
 def _smoothing_arg(text: str) -> SmoothingPolicy:
@@ -239,8 +238,7 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
         _write(func(args), getattr(args, "out", None), out)
         return 0
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=err)
-        return 1
+        message, code = f"usage error: {exc}", 1
     except BrokenPipeError:
         # the reader is gone, so is the rest of the output; stdout's unflushed
         # bytes go to devnull, so that the interpreter's last flush is silent
@@ -250,8 +248,10 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
             os.close(devnull)
         return 141  # a shell's status for a process that SIGPIPE ended
     except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=err)
-        return 2
+        message, code = f"data error: {exc}", 2
+    if err is not None:  # Python's sys.stderr where fd 2 was closed: print would fall back to stdout
+        print(message, file=err)
+    return code
 
 
 def main() -> None:

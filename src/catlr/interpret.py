@@ -85,8 +85,6 @@ class VerbalScale(Frozen):
 
     def label_for(self, lr: float | None) -> str:
         lr = _check_lr(lr)
-        if math.isinf(lr):
-            return self.bands[-1][1]
         lowers = [lo for lo, _ in self.bands]
         return self.bands[bisect_right(lowers, lr) - 1][1]
 

@@ -34,7 +34,6 @@ if TYPE_CHECKING:
     from typing import Callable, Iterable, Sequence
 
 _SUMMARY_HEADERS_TWO = ("", "LR (identification)", "LR (exclusion)")
-_SUMMARY_HEADERS_ONE = ("", "LR")
 
 
 def _normalize_format(fmt: str) -> str:
@@ -141,9 +140,7 @@ def render_summary_table(
         width = widths.pop() if widths else 3
         if width < 2:
             raise DataError("each entry needs a name and at least one display value")
-        headers = _SUMMARY_HEADERS_TWO if width == 3 else (
-            _SUMMARY_HEADERS_ONE if width == 2 else ("",) + ("LR",) * (width - 1)
-        )
+        headers = _SUMMARY_HEADERS_TWO if width == 3 else ("",) + ("LR",) * (width - 1)
     headers = tuple(str(h) for h in headers)
     if entries and len(headers) != len(entries[0]):
         raise DataError(

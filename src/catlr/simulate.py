@@ -343,21 +343,20 @@ def _draw(g: random.Random, n: int, p: Sequence[float]) -> Sequence[int]:
         codes = raw.decode("latin-1").translate(first)
     # the bytes of the open records, in record order
     firsts = raw.translate(None, bytes(b for b, c in enumerate(first) if c != open_))
-    if firsts:
-        m = len(firsts)
-        seconds = g.getrandbits(8 * m).to_bytes(m, "little")
-        tables = [
-            _cells(thresholds, b << 45, 1 << 37, open_) if c == open_ else ""
-            for b, c in enumerate(first)
-        ]
-        late = "".join(map(operator.getitem, map(tables.__getitem__, firsts), seconds))
-        last = []
-        j = late.find(open_)
-        while j >= 0:
-            u = firsts[j] << 45 | seconds[j] << 37 | g.getrandbits(37)
-            last.append(chr(bisect_right(thresholds, u)))
-            j = late.find(open_, j + 1)
-        codes = _fill(codes, open_, _fill(late, open_, last))
+    m = len(firsts)
+    seconds = g.getrandbits(8 * m).to_bytes(m, "little")
+    tables = [
+        _cells(thresholds, b << 45, 1 << 37, open_) if c == open_ else ""
+        for b, c in enumerate(first)
+    ]
+    late = "".join(map(operator.getitem, map(tables.__getitem__, firsts), seconds))
+    last = []
+    j = late.find(open_)
+    while j >= 0:
+        u = firsts[j] << 45 | seconds[j] << 37 | g.getrandbits(37)
+        last.append(chr(bisect_right(thresholds, u)))
+        j = late.find(open_, j + 1)
+    codes = _fill(codes, open_, _fill(late, open_, last))
     return codes.encode("latin-1") if k <= 256 else _wide(k, map(ord, codes))
 
 

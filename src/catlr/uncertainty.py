@@ -38,7 +38,9 @@ solver only for a call of its method.  Infinite ratios are ordered above
 all finite ones; 0/0 ratios (possible only when a resampled row loses the
 statement entirely under both hypotheses) carry no information about the
 ratio and are excluded, and a statement with no count in either row has
-no bootstrap interval.
+no bootstrap interval.  A statement with no count in one row has as its
+bootstrap interval the point its LR settles at, 0 or inf, and loads no
+solver.
 """
 
 from __future__ import annotations
@@ -106,20 +108,27 @@ def bootstrap_interval(
     used; it stays only because the benchmark's tracer reads it by name.
     """
     tail = _tail(level)
-    k = table.index_of(statement)
-    (n1, c1), (n2, c2) = (
-        (table.observed_total(truth), table.row(truth)[k])  # raises for a row with no observations
-        for truth in (GroundTruth.SAME_SOURCE, GroundTruth.DIFFERENT_SOURCE)
-    )
+    (n1, c1), (n2, c2) = _cells(table, statement)
     if c1 == c2 == 0:
         raise DataError(
             "undefined likelihood ratio (0/0): the bootstrap law has no defined value; no interval exists"
         )
-    # imported here, not at module level: the Dirichlet interval runs none of it
-    from .binomratio import ratio_quantiles
+    if c1 == 0 or c2 == 0:  # every defined ratio is 0 where X1 is always 0, inf where X2 is
+        lower = upper = math.inf if c2 == 0 else 0.0
+    else:
+        # imported here, not at module level: the Dirichlet interval runs none of it
+        from .binomratio import ratio_quantiles
 
-    lower, upper = ratio_quantiles(n1, c1, n2, c2, tail)
+        lower, upper = ratio_quantiles(n1, c1, n2, c2, tail)
     return Interval(lower, upper, level, "bootstrap-percentile(ideal,lattice-v1)")
+
+
+def _cells(table: ConfusionTable, statement: str) -> list[tuple[int, int]]:
+    """``statement``'s (row total, count) in the same-source row, then in the
+    different-source row; DataError for a row with no observations."""
+    k = table.index_of(statement)
+    return [(table.observed_total(truth), table.row(truth)[k])
+            for truth in (GroundTruth.SAME_SOURCE, GroundTruth.DIFFERENT_SOURCE)]
 
 
 _ALPHA_RANGE = (1e-100, 1e100)  # where catlr.betaratio is tested to stay in float range
@@ -143,14 +152,9 @@ def dirichlet_interval(
     """
     tail = _tail(level)
     _check_dirichlet_options(alpha)
-    k = table.index_of(statement)
     method = f"dirichlet-posterior(alpha={alpha:g},quadrature-v1)"
     rest_alpha = (len(table.categories) - 1) * alpha
-    shapes = []
-    for truth in (GroundTruth.SAME_SOURCE, GroundTruth.DIFFERENT_SOURCE):
-        n = table.observed_total(truth)  # raises for a row with no observations
-        c = table.row(truth)[k]
-        shapes.append((c + alpha, (n - c) + rest_alpha))
+    shapes = [(c + alpha, (n - c) + rest_alpha) for n, c in _cells(table, statement)]
     if rest_alpha == 0:  # one category: each cell is 1, and so is the ratio
         return Interval(1.0, 1.0, level, method)
     # imported here, not at module level: the bootstrap runs none of it

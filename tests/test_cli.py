@@ -961,24 +961,36 @@ class TestOutputPolicy:
         assert (code, err) == (141, b"")
 
     @staticmethod
-    def _with_stdout_closed(*argv):
-        # the shell closes fd 1 before Python starts, so Python's sys.stdout is None
-        script = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "catlr.cli", *argv]
+    def _with_closed(fd, *argv):
+        # the shell closes fd 1 or 2 before Python starts, so Python's sys.stdout
+        # or sys.stderr is None; the interpreter runs directly, as a launcher
+        # script in between may itself fail with the fd closed
+        script = ["sh", "-c", f'exec "$@" {fd}>&-', "sh", sys.executable, "-m", "catlr.cli", *argv]
         return subprocess.run(script, env=_subprocess_env(), capture_output=True)
 
     @pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell")
     def test_a_closed_stdout_is_a_data_error(self, bullets_csv):
-        done = self._with_stdout_closed("lr", "--table", bullets_csv)
+        done = self._with_closed(1, "lr", "--table", bullets_csv)
         assert (done.returncode, done.stdout) == (2, b"")
         assert done.stderr == b"data error: stdout is closed\n"
 
     @pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell")
     def test_a_closed_stdout_leaves_an_out_file_to_be_written(self, bullets_csv, tmp_path):
         out = tmp_path / "report.json"
-        done = self._with_stdout_closed("report", "--table", bullets_csv, "--format", "json", "--out", str(out))
+        done = self._with_closed(1, "report", "--table", bullets_csv, "--format", "json", "--out", str(out))
         assert (done.returncode, done.stderr) == (0, b"")
         code, text, _ = invoke("report", "--table", bullets_csv, "--format", "json")
         assert (code, out.read_bytes()) == (0, text.encode("utf-8"))
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes stderr with a POSIX shell")
+    def test_a_closed_stderr_keeps_error_messages_off_stdout(self, bullets_csv, tmp_path):
+        # print(file=None) writes to sys.stdout: each message goes to stderr or nowhere
+        data = self._with_closed(2, "lr", "--table", str(tmp_path / "missing.csv"))
+        usage = self._with_closed(2, "lr")
+        done = self._with_closed(2, "lr", "--table", bullets_csv)
+        assert [(data.returncode, data.stdout), (usage.returncode, usage.stdout)] == [(2, b""), (1, b"")]
+        _, text, _ = invoke("lr", "--table", bullets_csv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, text.encode("utf-8"), b"")
 
     def test_study_named_by_a_non_utf8_file_name_prints_its_bytes(self, tmp_path):
         name = os.fsdecode(b"study\xff.csv")

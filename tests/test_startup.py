@@ -167,6 +167,18 @@ def test_command_loads_only_the_modules_it_runs(
     assert not loaded & FILE_MODULES
 
 
+@pytest.mark.parametrize("statement, printed", [("ID", "inf\tinf\n"), ("Elimination", "0\t0\n")])
+def test_bootstrap_interval_of_a_settled_statement_loads_no_solver(tmp_path, statement, printed):
+    # a count of 0 in one row settles the bootstrap law at inf or at 0
+    table = tmp_path / "settled.csv"
+    table.write_text("statement,same_source_count,different_source_count\n"
+                     "ID,100,0\nInconclusive,6,10\nElimination,0,40\n", encoding="utf-8")
+    code, out, err, loaded = cold_run("interval", "--table", str(table), "--statement", statement,
+                                      "--method", "bootstrap")
+    assert (code, out, err) == (0, printed, "")
+    assert {m for m in loaded if m.partition(".")[0] == "catlr"} == LIGHT | BOOTSTRAP - {"catlr.binomratio"}
+
+
 # annotations are strings, so no command needs typing, nor contextlib, which
 # typing loads.  A site hook may load typing before any code runs, so the
 # interpreter starts without site (-S).
