@@ -13,38 +13,34 @@ as inputs to the LR engine.
 
 from __future__ import annotations
 
-from importlib.resources import files
+import os
 
-from .ingest import parse_aggregated
+from .ingest import _read_input, load_table
 from .model import ConfusionTable, DataError
 from .report import read_display_fixture
 
 APPENDIX_STUDIES = ("bloodstain", "handwriting", "footwear", "cartridge", "fingerprint")
 
-
-def _read(*parts: str) -> str:
-    node = files("catlr").joinpath("data")
-    for part in parts:
-        node = node.joinpath(part)
-    return node.read_text(encoding="utf-8")
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+_BULLETS = os.path.join(_DATA, "bullets.csv")
 
 
 def bullets_csv() -> str:
     """Raw text of the bundled aggregated bullet-study table."""
-    return _read("bullets.csv")
+    return _read_input(_BULLETS, lambda lines: lines.read())
 
 
 def bullets_table() -> ConfusionTable:
-    return parse_aggregated(bullets_csv(), study_name="bullets")
+    return load_table(_BULLETS)
 
 
 def published_summary() -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     """(headers, rows) of published identification/exclusion display values."""
-    return read_display_fixture(_read("summary_published.csv"))
+    return _read_input(os.path.join(_DATA, "summary_published.csv"), read_display_fixture)
 
 
 def appendix_table(study: str) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     """(headers, rows) of one study's published per-statement display values."""
     if study not in APPENDIX_STUDIES:
         raise DataError(f"unknown appendix study {study!r}; have {APPENDIX_STUDIES}")
-    return read_display_fixture(_read("appendix", f"{study}.csv"))
+    return _read_input(os.path.join(_DATA, "appendix", f"{study}.csv"), read_display_fixture)

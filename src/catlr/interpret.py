@@ -9,6 +9,7 @@ verbal strength label from a configurable scale.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 
 from .model import DataError, Frozen, check_lr
@@ -126,7 +127,7 @@ def bundled_scale(name: str) -> VerbalScale:
     """One of the scales shipped with the package (illustrative band edges)."""
     if name not in BUNDLED_SCALES:
         raise DataError(f"unknown scale {name!r}; bundled scales: {BUNDLED_SCALES}")
-    from importlib.resources import files
+    from .ingest import _read_input
 
-    text = (files("catlr") / "scales" / f"{name}.csv").read_text(encoding="utf-8")
-    return load_scale(text, name=name)
+    path = os.path.join(os.path.dirname(__file__), "scales", f"{name}.csv")
+    return _read_input(path, lambda lines: load_scale(lines, name=name))

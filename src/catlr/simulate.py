@@ -270,21 +270,21 @@ def emit_records(records: Sequence[EvaluationRecord], out: IO[str] | None = None
     Returns the text; with ``out``, writes it there piece by piece instead
     and returns None, so a large ``RecordBatch`` is never held as one string.
     """
-    pieces = _record_pieces(records)
+    if isinstance(records, RecordBatch):
+        pieces = (piece.decode("utf-8") for piece in _record_pieces(records))
+    else:
+        rows = ((r.examiner_id, r.item_id, r.truth.value, r.statement) for r in records)
+        pieces = [_csv_text(RAW_HEADER, rows)]
     if out is None:
-        return b"".join(pieces).decode("utf-8")
-    out.writelines(piece.decode("utf-8") for piece in pieces)
+        return "".join(pieces)
+    out.writelines(pieces)
     return None
 
 
-def _record_pieces(records: Sequence[EvaluationRecord]) -> Iterator[bytes]:
-    """Raw-records CSV as UTF-8 bytes in pieces: a batch one chunk of 1000
+def _record_pieces(records: RecordBatch) -> Iterator[bytes]:
+    """A batch's raw-records CSV as UTF-8 bytes in pieces, one chunk of 1000
     item numbers per piece.  ``catlr simulate`` writes them as they are, to
     stdout or ``--out``."""
-    if not isinstance(records, RecordBatch):
-        rows = ((r.examiner_id, r.item_id, r.truth.value, r.statement) for r in records)
-        yield _csv_text(RAW_HEADER, rows).encode("utf-8")
-        return
     yield _csv_text(RAW_HEADER, ()).encode("utf-8")
     # The ground-truth and statement cells of each key, CSV-encoded once
     # with their line ending; the synthetic ids never need quoting.

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import catlr
+import catlr.fixtures
 from catlr.cli import run
 from catlr.ingest import emit_aggregated
 
@@ -201,6 +202,35 @@ def test_command_without_site_loads_no_typing(bullets_csv, argv):
     assert out
     assert "site" not in loaded
     assert not {"typing", "contextlib"} & set(loaded)
+
+
+# evaluates the call sys.argv[1] and reports its value's repr and the
+# loaded modules; json is imported only after the modules are listed
+_BUNDLED = """
+import sys
+import catlr, catlr.fixtures
+value = eval(sys.argv[1])
+loaded = sorted(sys.modules)
+import json
+json.dump([repr(value), loaded], sys.stdout)
+"""
+
+BUNDLED_READS = [
+    *(f"catlr.bundled_scale({name!r})" for name in catlr.BUNDLED_SCALES),
+    "catlr.fixtures.bullets_csv()",
+    "catlr.fixtures.bullets_table()",
+    "catlr.fixtures.published_summary()",
+    *(f"catlr.fixtures.appendix_table({study!r})" for study in catlr.fixtures.APPENDIX_STUDIES),
+]
+
+
+@pytest.mark.parametrize("call", BUNDLED_READS)
+def test_bundled_file_is_read_without_importlib_resources(call):
+    # a bundled file is read as a user's file is: from its path, by the
+    # input-file rule, with no resource-loader import
+    value, loaded = json.loads(cold(_BUNDLED, call, options=("-S",)))
+    assert value == repr(eval(call, {"catlr": catlr}))
+    assert not {"importlib.resources", "pathlib", "zipfile"} & set(loaded)
 
 
 # runs a tally of the file at sys.argv[1] as on two CPUs, counting forks; the

@@ -683,6 +683,18 @@ class TestDirichletAccuracy:
         interval = dirichlet_interval(ConfusionTable(("only",), (1, ), (10**6,)), "only", alpha=100.0)
         assert (interval.lower, interval.upper) == (1.0, 1.0)
 
+    @pytest.mark.xfail(strict=True, reason="a posterior near a point law is solved to "
+                       "1.04e-20 to 1.055e-20, which excludes the point LR 1.3e-20")
+    def test_narrow_posterior_over_a_wide_one_is_the_mean_over_its_quantiles(self):
+        # B1 = Beta(1e40 + 0.5, 1e60 + 0.5) is nearly its mean, so B1 / B2
+        # is that mean over B2 = Beta(40.5, 12.5); its 0.975 and 0.025
+        # points by scipy.stats.beta.ppf give the endpoints (abs=0: approx's
+        # default absolute tolerance, 1e-12, would pass any value this small)
+        table = ConfusionTable(("a", "b"), (10**40, 10**60), (40, 12))
+        interval = dirichlet_interval(table, "a")
+        assert interval.lower == pytest.approx(1.1531274158894064e-20, rel=1e-5, abs=0)
+        assert interval.upper == pytest.approx(1.557049722693079e-20, rel=1e-5, abs=0)
+
 
 def best_of_three_seconds(call):
     """The least processor time of three calls, and the last call's result:
