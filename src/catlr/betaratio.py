@@ -57,7 +57,7 @@ class _LogitBeta:
     so that the log density's two terms never cancel badly.
     """
 
-    __slots__ = ("flip", "a", "b", "n", "sig", "kappa", "mode", "wall")
+    __slots__ = ("flip", "a", "b", "n", "sig", "odds", "kappa", "mode", "wall")
 
     def __init__(self, a: float, b: float):
         self.flip = a > b
@@ -65,9 +65,13 @@ class _LogitBeta:
             a, b = b, a
         self.a, self.b, self.n = a, b, a + b
         self.sig = a / self.n  # the logistic of the mode, at most 1/2
+        self.odds = b / a  # e**-mode, at least 1
         if not self.sig:  # log(a / b) below would be log(0), and so would logdens
             raise DataError(f"no quadrature grid for Beta({a!r}, {b!r}): a / (a + b) is below "
                             "the smallest float")
+        if self.odds == math.inf:  # inf e**-d is NaN far out in the tail: the grid would never end
+            raise DataError(f"no quadrature grid for Beta({a!r}, {b!r}): b / a is past "
+                            "the largest float")
         self.kappa = a * (b / self.n)  # minus the curvature at the mode
         self.mode = math.log(a / b)
         # above this d the factor (1 + e**v)**-(a+b) departs from its
@@ -98,7 +102,7 @@ class _LogitBeta:
     def slope(self, d: float) -> float:
         """The derivative of ``logdens``."""
         if d > 1.0:
-            return self.a - self.n / (1.0 + (self.b / self.a) * math.exp(-d))
+            return self.a - self.n / (1.0 + self.odds * math.exp(-d))
         e = math.expm1(d)
         return -self.kappa * e / (1.0 + self.sig * e)
 
@@ -107,7 +111,7 @@ class _LogitBeta:
         logdens = self.logdens(d)
         d = min(d, 700.0)
         if d > 1.0:
-            r = (self.b / self.a) * math.exp(-d)
+            r = self.odds * math.exp(-d)
             curvature = self.n * r / ((1.0 + r) * (1.0 + r))
             if not math.isfinite(curvature):  # n r past the float range, as for shapes near 1e300
                 curvature = self.n / (1.0 + r) * (r / (1.0 + r))

@@ -63,12 +63,9 @@ NO_SMOOTHING = SmoothingPolicy.none()
 
 def _totals(table: ConfusionTable, truth: GroundTruth, m: int, d: int) -> tuple[int, int]:
     """The row total N and the smoothed total N·d + m·K, for alpha = m / d."""
-    row = table.row(truth)
-    total = sum(row)
-    smoothed = total * d + m * len(row)
-    if not smoothed:  # only an unsmoothed row can be empty: smoothing makes it uniform
-        raise DataError(f"no observations under hypothesis {truth.value!r}")
-    return total, smoothed
+    # only an unsmoothed row must be observed: smoothing makes an empty one uniform
+    total = table.row_total(truth) if m else table.observed_total(truth)
+    return total, total * d + m * len(table.categories)
 
 
 def conditional_probability(table: ConfusionTable, statement: str, truth: GroundTruth,
@@ -129,20 +126,17 @@ def lr_from_error_rates(fnr: float, fpr: float) -> float | None:
     return ratio(1.0 - fnr, fpr)
 
 
-def presentation_round(lr: LrEstimate | float | None, zero_count_bound: float | None = None) -> str:
+def presentation_round(lr: LrEstimate | float | None) -> str:
     """Render a ratio in the human display convention.
 
     An estimate is rounded from its ``exact_lr``, a float from its exact
     value: the float 0.4 lies above 2/5, so it reads "1 / 2".  An infinite
-    ratio renders as "∞", or as "> <bound>" given the one-sided bound that
-    replaces it (``uncertainty.zero_count_lower_bound``); an exact zero as
-    "0", and an undefined (0/0) ratio as "undefined".
+    ratio renders as "∞", an exact zero as "0", and an undefined (0/0)
+    ratio as "undefined".
     """
     num, den = lr.exact_lr if isinstance(lr, LrEstimate) else exact_ratio(lr)
     if not den:
-        if not num:
-            return "undefined"
-        return "∞" if zero_count_bound is None else f"> {presentation_round(zero_count_bound)}"
+        return "∞" if num else "undefined"
     if num >= den:
         return str((2 * num + den) // (2 * den))
     if not num:

@@ -252,16 +252,11 @@ def _keys(batch: RecordBatch) -> Sequence[int]:
 
 def _batch_counts(batch: RecordBatch) -> dict[tuple[GroundTruth, str], int]:
     """Nonzero (truth, statement) counts of a batch, statements in first-appearance order."""
-    k = len(batch.categories)
-    # a Counter keeps its keys in the order each first appears, and so
-    # lists each code first where it first appears, whatever its truth
-    found = Counter(_keys(batch))
-    counts = {}
-    for code in dict.fromkeys(key % k for key in found):
-        for t, truth in enumerate(GroundTruth):
-            if t * k + code in found:
-                counts[(truth, batch.categories[code])] = found[t * k + code]
-    return counts
+    k, truths = len(batch.categories), tuple(GroundTruth)
+    # a Counter keeps its keys in the order each first appears: the order
+    # in which ``records._table`` lists the statements
+    return {(truths[key // k], batch.categories[key % k]): n
+            for key, n in Counter(_keys(batch)).items()}
 
 
 def emit_records(records: Sequence[EvaluationRecord], out: IO[str] | None = None) -> str | None:

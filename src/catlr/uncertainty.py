@@ -25,7 +25,8 @@ string.  Two interval methods are provided, each bound to its options by
 * ``zero_count_lower_bound`` — when a statement was never given under
   the different-source condition the point LR is infinite; this returns
   the finite lower bound obtained by replacing the zero-count probability
-  with its one-sided upper binomial bound 1 - (1-level)^(1/N).
+  with its one-sided upper binomial bound 1 - (1-level)^(1/N).  No output
+  renders it; ``"> " + presentation_round(bound)`` gives its display.
 
 Neither interval draws anything: each depends on the table, the
 statement and the level, plus alpha for the Dirichlet, and on nothing
@@ -194,7 +195,10 @@ def zero_count_lower_bound(
     With zero occurrences in N different-source trials, the one-sided
     upper bound for the occurrence probability at confidence ``level`` is
     ``1 - (1 - level)**(1/N)``; the bound returned is p_given_h1 divided
-    by that.  The display layer renders it as "> bound".
+    by that.  No command, report or format renders it; its display is
+    ``"> " + presentation_round(bound)``.  The bound treats p_given_h1 as
+    exact, so its coverage given c2 = 0 falls well below ``level`` as the
+    true p2 nears the binomial bound (README, *Display convention*).
     """
     k = table.index_of(statement)
     check_level(level)

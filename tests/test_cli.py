@@ -725,6 +725,33 @@ class TestIntervalCommand:
         if argv[0] == "interval":
             assert out == "2\tinf\n"
 
+    @pytest.mark.parametrize(
+        "rows, argv, shapes",
+        [
+            (f"a,1,0\nb,1,{10**300}", ("interval", "--statement", "a", "--method", "dirichlet",
+                                       "--alpha", "1e-14"), "1e-14, 1e+300"),
+            # at the default alpha only a row total within 2**970 of the limit reaches it
+            (f"a,0,1\nb,{2**1023},1", ("report", "--format", "json", "--interval", "dirichlet"),
+             "0.5, 8.98846567431158e+307"),
+        ],
+        ids=["tiny-alpha", "row-total-2p1023"],
+    )
+    def test_dirichlet_odds_past_the_float_range_is_a_data_error(self, tmp_path, rows, argv, shapes):
+        # a zero cell's Beta(a, b) whose odds b / a pass the float range has
+        # no quadrature grid; a NaN in the grid's search would loop forever,
+        # so a child process runs it: a hang fails by timeout, not the suite
+        (tmp_path / "huge.csv").write_text(
+            f"statement,same_source_count,different_source_count\n{rows}\n", encoding="utf-8"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "catlr.cli", *argv, "--table", "huge.csv"],
+            cwd=tmp_path, env=_subprocess_env(), capture_output=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(
+            f"data error: huge.csv: no quadrature grid for Beta({shapes}): ".encode()
+        )
+
 
 class TestIntervalCallsResolveByName:
     """A wrapper bound onto ``catlr.uncertainty`` after import, as a profiler

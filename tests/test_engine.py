@@ -275,12 +275,8 @@ class TestPresentationRound:
         assert presentation_round(0.4) == "1 / 2"
         assert presentation_round(2 / 3) == "1 / 2"  # 2 / 3 rounds below 2/3
 
-    def test_infinite_with_bound_text(self):
-        assert presentation_round(math.inf, zero_count_bound=100.64) == "> 101"
-
     def test_undefined_renders_as_undefined(self):
         assert presentation_round(None) == "undefined"
-        assert presentation_round(None, zero_count_bound=100.64) == "undefined"
 
     def test_negative_rejected(self):
         with pytest.raises(DataError):

@@ -96,7 +96,9 @@ class TestHardnessAdjust:
     def test_subnormal_fraction_scales_a_finite_lr(self):
         # 1 / q overflows, so dividing by it would give 0
         assert hardness_adjust(1e300, 1e-320) == 1e300 * 1e-320
-        assert hardness_adjust(1e300, 1e-320) == pytest.approx(1e-20)
+        # 1e-320 is subnormal, held to ~5 significant digits: the product is
+        # 9.99988867e-21, and approx's default abs=1e-12 would accept even 0
+        assert hardness_adjust(1e300, 1e-320) == pytest.approx(1e-20, rel=2e-5, abs=0)
 
     @pytest.mark.parametrize("q", [0.0, -0.5, 1.5])
     def test_fraction_validated(self, q):

@@ -285,7 +285,7 @@ def assert_matches_scipy(table, statement, alpha=0.5, level=0.95, rel=1e-5):
     tail = (1 - level) / 2
     for value, q in ((interval.lower, tail), (interval.upper, 1 - tail)):
         expected = scipy_ratio_quantile(same, different, q)
-        assert value == pytest.approx(expected, rel=rel), (statement, alpha, level, q)
+        assert value == pytest.approx(expected, rel=rel, abs=0), (statement, alpha, level, q)
 
 
 def exact_bootstrap_quantiles(n1, c1, n2, c2, qs):
