@@ -71,7 +71,6 @@ _MODULE_OF = {
             "Interval",
             "bootstrap_interval",
             "dirichlet_interval",
-            "zero_count_lower_bound",
         ),
     }.items()
     for name in names

@@ -3,7 +3,7 @@
 The source studies report point values only; interval methodology is this
 module's own choice and is labeled as such in every Interval's ``method``
 string.  Two interval methods are provided, each bound to its options by
-``interval_of``, plus a closed-form bound for the zero-denominator case:
+``interval_of``:
 
 * ``bootstrap_interval`` — stratified percentile bootstrap, in the limit
   of infinitely many replicates (Efron's ideal bootstrap).  The study
@@ -22,11 +22,6 @@ string.  Two interval methods are provided, each bound to its options by
   alpha, sum(c) - c_k + (K-1) alpha), so the LR is the ratio B1 / B2 of two
   independent Betas, and the interval is that ratio's equal-tailed
   quantiles, computed by deterministic quadrature.
-* ``zero_count_lower_bound`` — when a statement was never given under
-  the different-source condition the point LR is infinite; this returns
-  the finite lower bound obtained by replacing the zero-count probability
-  with its one-sided upper binomial bound 1 - (1-level)^(1/N).  No output
-  renders it; ``"> " + presentation_round(bound)`` gives its display.
 
 Neither interval draws anything: each depends on the table, the
 statement and the level, plus alpha for the Dirichlet, and on nothing
@@ -185,35 +180,3 @@ def interval_of(method: str, level: float = 0.95, alpha: float = 0.5):
         return lambda table, statement: bootstrap_interval(table, statement, level)
     _check_dirichlet_options(alpha)
     return lambda table, statement: dirichlet_interval(table, statement, alpha, level)
-
-
-def zero_count_lower_bound(
-    table: ConfusionTable, statement: str, level: float = 0.95
-) -> float:
-    """Finite lower bound for an infinite LR caused by a zero denominator count.
-
-    With zero occurrences in N different-source trials, the one-sided
-    upper bound for the occurrence probability at confidence ``level`` is
-    ``1 - (1 - level)**(1/N)``; the bound returned is p_given_h1 divided
-    by that.  No command, report or format renders it; its display is
-    ``"> " + presentation_round(bound)``.  The bound treats p_given_h1 as
-    exact, so its coverage given c2 = 0 falls well below ``level`` as the
-    true p2 nears the binomial bound (README, *Display convention*).
-    """
-    k = table.index_of(statement)
-    check_level(level)
-    c2 = table.different_source[k]
-    if c2 != 0:
-        raise DataError(
-            f"statement {statement!r} has a nonzero different-source count ({c2}); "
-            "the zero-count bound does not apply"
-        )
-    c1 = table.same_source[k]
-    if c1 <= 0:
-        raise DataError(
-            f"statement {statement!r} needs a positive same-source count for a bound"
-        )
-    n2 = table.observed_total(GroundTruth.DIFFERENT_SOURCE)
-    p1 = c1 / table.row_total(GroundTruth.SAME_SOURCE)
-    p_upper = 1.0 - (1.0 - level) ** (1.0 / n2)
-    return p1 / p_upper

@@ -25,7 +25,6 @@ from catlr.uncertainty import (
     bootstrap_interval,
     dirichlet_interval,
     interval_of,
-    zero_count_lower_bound,
 )
 
 
@@ -307,6 +306,15 @@ def exact_bootstrap_quantiles(n1, c1, n2, c2, qs):
     values = sorted(atoms)
     cdf = list(itertools.accumulate(atoms[v] for v in values))
     return tuple(float(values[bisect.bisect_left(cdf, Fraction(q) * cdf[-1])]) for q in qs)
+
+
+def coverage_given_zero_count(intervals, n1, p1, theta):
+    """The Binomial(n1, p1) mass, in exact rational arithmetic, of the x1
+    whose ``intervals[x1]``, a (lower, upper) pair, holds ``theta``."""
+    p = Fraction(p1)
+    mass = sum(math.comb(n1, x1) * p**x1 * (1 - p) ** (n1 - x1)
+               for x1, (lower, upper) in enumerate(intervals) if lower <= theta <= upper)
+    return float(mass)
 
 
 def assert_equals_enumeration(table, statement, level=0.95):
@@ -750,43 +758,27 @@ class TestBootstrapCost:
                         assert _Row(total, c).size <= MAX_POINTS == 2**14, (total, c)
 
 
-class TestZeroCountBound:
-    def test_matches_numeric_solve_at_n300(self):
-        # independent oracle: bisect (1-p)^300 = 0.05 for p
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if (1 - mid) ** 300 > 0.05:
-                lo = mid
-            else:
-                hi = mid
-        p_solved = (lo + hi) / 2
-        t = ConfusionTable(("a", "b"), (5, 0), (0, 300))
-        bound = zero_count_lower_bound(t, "a", level=0.95)
-        assert bound == pytest.approx(1.0 / p_solved, rel=1e-9)
-        assert bound == pytest.approx(100.7, abs=0.2)
-
-    def test_single_trial_closed_form(self):
-        t = ConfusionTable(("a", "b"), (3, 1), (0, 1))
-        p1 = 3 / 4
-        assert zero_count_lower_bound(t, "a", level=0.95) == pytest.approx(p1 / 0.95)
-
-    def test_bound_grows_with_sample_size(self):
-        bounds = []
-        for n2 in (10, 100, 1000):
-            t = ConfusionTable(("a", "b"), (5, 0), (0, n2))
-            bounds.append(zero_count_lower_bound(t, "a"))
-        assert bounds == sorted(bounds)
-        assert bounds[0] < bounds[2] / 10
-
-    def test_nonzero_denominator_rejected(self, bullets):
-        with pytest.raises(DataError, match="nonzero"):
-            zero_count_lower_bound(bullets, "ID")
-
-    def test_zero_numerator_rejected(self):
-        t = ConfusionTable(("a", "b"), (0, 5), (0, 10))
-        with pytest.raises(DataError, match="positive same-source count"):
-            zero_count_lower_bound(t, "a")
+class TestZeroCountRows:
+    # Given c2 = 0 the point LR is infinite.  The bootstrap law is then a
+    # point mass at inf; the Dirichlet interval is finite, but no interval
+    # holds its level once the true p2 nears u = 1 - 0.05**(1/n2), the
+    # one-sided binomial bound on a zero count (README, *Zero-count rows*).
+    def test_coverage_given_a_zero_different_source_count(self):
+        expected = {
+            (100, 0.5, 100): (0.9999999999998, 0.0666053096, 0.0000062896),
+            (20, 0.2, 100): (0.9678573369, 0.6296482639, 0.4114488620),
+        }
+        for (n1, p1, n2), coverages in expected.items():
+            tables = [ConfusionTable(("a", "b"), (x1, n1 - x1), (0, n2)) for x1 in range(n1 + 1)]
+            intervals = [(i.lower, i.upper) for i in (dirichlet_interval(t, "a") for t in tables)]
+            u = 1 - 0.05 ** (1 / n2)
+            for factor, coverage in zip((0.5, 1.0, 1.5), coverages):
+                theta = p1 / (factor * u)
+                assert coverage_given_zero_count(intervals, n1, p1, theta) == pytest.approx(
+                    coverage, abs=1e-4), (n1, p1, n2, factor)
+            for t in tables[1:]:
+                interval = bootstrap_interval(t, "a")
+                assert (interval.lower, interval.upper) == (math.inf, math.inf)
 
 
 class TestWidthVersusSampleSize:
