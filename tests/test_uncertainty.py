@@ -763,22 +763,43 @@ class TestZeroCountRows:
     # point mass at inf; the Dirichlet interval is finite, but no interval
     # holds its level once the true p2 nears u = 1 - 0.05**(1/n2), the
     # one-sided binomial bound on a zero count (README, *Zero-count rows*).
-    def test_coverage_given_a_zero_different_source_count(self):
-        expected = {
-            (100, 0.5, 100): (0.9999999999998, 0.0666053096, 0.0000062896),
-            (20, 0.2, 100): (0.9678573369, 0.6296482639, 0.4114488620),
-        }
-        for (n1, p1, n2), coverages in expected.items():
-            tables = [ConfusionTable(("a", "b"), (x1, n1 - x1), (0, n2)) for x1 in range(n1 + 1)]
-            intervals = [(i.lower, i.upper) for i in (dirichlet_interval(t, "a") for t in tables)]
-            u = 1 - 0.05 ** (1 / n2)
-            for factor, coverage in zip((0.5, 1.0, 1.5), coverages):
-                theta = p1 / (factor * u)
-                assert coverage_given_zero_count(intervals, n1, p1, theta) == pytest.approx(
-                    coverage, abs=1e-4), (n1, p1, n2, factor)
-            for t in tables[1:]:
-                interval = bootstrap_interval(t, "a")
-                assert (interval.lower, interval.upper) == (math.inf, math.inf)
+    SHAPES = {
+        (100, 0.5, 100): (0.9999999999998, 0.0666053096, 0.0000062896),
+        (20, 0.2, 100): (0.9678573369, 0.6296482639, 0.4114488620),
+    }
+
+    @staticmethod
+    def tables(n1, n2):
+        return [ConfusionTable(("a", "b"), (x1, n1 - x1), (0, n2)) for x1 in range(n1 + 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "n1=%d,p1=%g,n2=%d" % s)
+    def test_coverage_given_a_zero_different_source_count(self, shape):
+        n1, p1, n2 = shape
+        intervals = [(i.lower, i.upper)
+                     for i in (dirichlet_interval(t, "a") for t in self.tables(n1, n2))]
+        u = 1 - 0.05 ** (1 / n2)
+        for factor, coverage in zip((0.5, 1.0, 1.5), self.SHAPES[shape]):
+            theta = p1 / (factor * u)
+            assert coverage_given_zero_count(intervals, n1, p1, theta) == pytest.approx(
+                coverage, abs=1e-4), factor
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "n1=%d,p1=%g,n2=%d" % s)
+    def test_bootstrap_interval_is_settled_at_inf(self, shape):
+        n1, _, n2 = shape
+        for t in self.tables(n1, n2)[1:]:
+            interval = bootstrap_interval(t, "a")
+            assert (interval.lower, interval.upper) == (math.inf, math.inf)
+
+    def test_bootstrap_interval_is_settled_at_zero_given_a_zero_same_source_count(self):
+        interval = bootstrap_interval(ConfusionTable(("a", "b"), (0, 20), (5, 100)), "a")
+        assert (interval.lower, interval.upper) == (0.0, 0.0)
+
+    def test_dirichlet_interval_of_the_readme_example_is_finite(self):
+        # README, *Zero-count rows*: `ID,100,0` over `Elim,20,100` gives 33.48–1.695e+05
+        interval = dirichlet_interval(ConfusionTable(("ID", "Elim"), (100, 20), (0, 100)), "ID")
+        # each within half a unit of the printed figure's last digit
+        assert interval.lower == pytest.approx(33.48, abs=0.005)
+        assert interval.upper == pytest.approx(1.695e5, abs=50)
 
 
 class TestWidthVersusSampleSize:
